@@ -19,8 +19,7 @@ from .profiles import resolve_profile
 from .weighting import conflicts, load_weighting, write_weighting
 
 EXPERIMENT_COLUMNS = [
-    "seed", "status", "stage", "resamples_partition", "resamples_wstage",
-    "conflicts", "wall_ms",
+    "seed", "status", "stage", "resamples_partition", "resamples_wstage", "wall_ms",
 ]
 
 
@@ -120,7 +119,7 @@ def verify(graph, weights):
     try:
         g = load_edge_list(graph)
         w = load_weighting(g, weights)
-    except TrisumError as exc:
+    except (TrisumError, OSError, ValueError) as exc:
         _fail(str(exc))
     bad = conflicts(g, w)
     report = {
@@ -159,7 +158,10 @@ def oracle(graph, k_max, sweep, n_max, k, out):
         sys.exit(0 if not report.counterexamples else 1)
     if graph is None:
         raise click.UsageError("provide --graph or --sweep")
-    g = load_edge_list(graph)
+    try:
+        g = load_edge_list(graph)
+    except (TrisumError, OSError, ValueError) as exc:
+        _fail(str(exc))
     result = min_k_weighting(g, k_max)
     click.echo(json.dumps({
         "min_k": result.min_k,
@@ -185,16 +187,12 @@ def _experiment_task(args: tuple) -> dict:
         g = _parse_gen(gen_spec, gen_seed)
     profile = profile_from_dict(profile_dict)
     outcome = run_pipeline(g, profile, seed)
-    n_conflicts = ""
-    if outcome.success:
-        n_conflicts = 0
     return {
         "seed": seed,
         "status": outcome.status,
         "stage": outcome.stage or "",
         "resamples_partition": outcome.stats.get("resamples_partition", 0),
         "resamples_wstage": outcome.stats.get("resamples_wstage", 0),
-        "conflicts": n_conflicts,
         "wall_ms": round(outcome.stats.get("wall_ms", 0.0), 3),
     }
 

@@ -44,11 +44,6 @@ class IdSet:
         return np.flatnonzero(self.mask)
 
 
-# A vertex set and an edge set are the same structure over different ids.
-VertexSet = IdSet
-EdgeSet = IdSet
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph. No self-loops, no parallel edges."""
@@ -116,9 +111,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return int(self.degrees.min()) if self.vertex_count else 0
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in set(self.neighbors(u).tolist())
 
 
 def degree_into(g: Graph, v: int, members: IdSet | np.ndarray) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RetryExhausted
-from .graph import Graph, IdSet
+from .graph import Graph
 from .profiles import ProfileConstants, check_partition_feasible
 from .rng import TAG_PART_FU, TAG_PART_FW, TAG_PART_LEVEL, TAG_PART_U, stream
 
@@ -73,14 +73,6 @@ class Partition:
     @property
     def w_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.in_u)
-
-    @property
-    def u_set(self) -> IdSet:
-        return IdSet(self.in_u.copy())
-
-    @property
-    def w_set(self) -> IdSet:
-        return IdSet(~self.in_u)
 
     @property
     def eprime_mask(self) -> np.ndarray:
@@ -146,10 +138,15 @@ def _count_incident(g: Graph, emask: np.ndarray) -> np.ndarray:
 
 
 def j_interval_bounds(
-    deg: float, d_fprime: float, d_fw: float, d_u: float, level: int,
+    deg: float | np.ndarray, d_fprime: float | np.ndarray,
+    d_fw: float | np.ndarray, d_u: float | np.ndarray, level: int | np.ndarray,
     profile: ProfileConstants,
 ) -> JInterval:
-    """J interval from raw per-vertex counts (usable on synthetic numbers)."""
+    """J interval from raw per-vertex counts (usable on synthetic numbers).
+
+    Given equal-shape arrays, it returns the intervals of many vertices at
+    once as a JInterval whose lo and hi are arrays.
+    """
     base = deg + (level / profile.m_levels) * d_fprime
     lo = base - profile.eps_fu * deg
     hi = base + profile.eps_fu * deg + d_fw + 2.0 * d_u
@@ -183,76 +180,45 @@ def n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
     cand = cand[keep]
     if not cand.size:
         return cand
-    ju = j_interval(u, part, profile)
-    out = [int(v) for v in cand if j_interval(int(v), part, profile).overlaps(ju)]
-    return np.asarray(sorted(out), dtype=np.int64)
+    ids = np.concatenate([[u], cand])
+    j = j_interval_bounds(
+        g.degrees[ids], part.d_fprime[ids], part.d_fw[ids], part.d_u[ids],
+        part.levels[ids], profile,
+    )
+    overlap = (j.lo[1:] <= j.hi[0]) & (j.lo[0] <= j.hi[1:])
+    return cand[overlap]
 
 
-def _j_bound_arrays(
+def _comparable_pairs(
     g: Graph, in_u: np.ndarray, levels: np.ndarray,
     d_fprime: np.ndarray, d_fw: np.ndarray, d_u: np.ndarray,
     profile: ProfileConstants,
 ) -> tuple[np.ndarray, np.ndarray]:
-    deg = g.degrees.astype(np.float64)
-    base = deg + (levels / profile.m_levels) * d_fprime
-    lo = base - profile.eps_fu * deg
-    hi = base + profile.eps_fu * deg + d_fw + 2.0 * d_u
-    return lo, hi
-
-
-def n_u_leq_all(part: Partition, profile: ProfileConstants) -> list[np.ndarray]:
-    """N^U_<=(u) for every core vertex at once, grouped from core-core edges."""
-    g = part.graph
-    n = g.vertex_count
-    empty = np.empty(0, dtype=np.int64)
-    out: list[np.ndarray] = [empty] * n
-    e0, e1 = (g.edges[:, 0], g.edges[:, 1]) if g.edge_count else (None, None)
-    if e0 is None:
-        return out
-    uu = part.in_u[e0] & part.in_u[e1]
-    if not uu.any():
-        return out
+    """(hosts, members) with each member in N^U_<=(host), from core-core edges."""
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    uu = in_u[e0] & in_u[e1]
     a, b = e0[uu], e1[uu]
-    jlo, jhi = _j_bound_arrays(
-        g, part.in_u, part.levels, part.d_fprime, part.d_fw, part.d_u, profile
-    )
-    overlap = (jlo[a] <= jhi[b]) & (jlo[b] <= jhi[a])
+    j = j_interval_bounds(g.degrees, d_fprime, d_fw, d_u, levels, profile)
+    overlap = (j.lo[a] <= j.hi[b]) & (j.lo[b] <= j.hi[a])
     deg = g.degrees
     b_for_a = overlap & (deg[b] >= 0.5 * deg[a]) & (deg[b] <= deg[a])
     a_for_b = overlap & (deg[a] >= 0.5 * deg[b]) & (deg[a] <= deg[b])
     hosts = np.concatenate([a[b_for_a], b[a_for_b]])
     members = np.concatenate([b[b_for_a], a[a_for_b]])
+    return hosts, members
+
+
+def n_u_leq_all(part: Partition, profile: ProfileConstants) -> list[np.ndarray]:
+    """N^U_<=(u) for every core vertex at once, grouped from core-core edges."""
+    n = part.graph.vertex_count
+    hosts, members = _comparable_pairs(
+        part.graph, part.in_u, part.levels, part.d_fprime, part.d_fw, part.d_u,
+        profile,
+    )
     order = np.lexsort((members, hosts))
     hosts, members = hosts[order], members[order]
     starts = np.searchsorted(hosts, np.arange(n + 1))
-    for v in np.unique(hosts):
-        out[int(v)] = members[starts[v]:starts[v + 1]]
-    return out
-
-
-def _n_u_leq_counts(
-    g: Graph, in_u: np.ndarray, levels: np.ndarray,
-    d_fprime: np.ndarray, d_fw: np.ndarray, d_u: np.ndarray,
-    profile: ProfileConstants,
-) -> np.ndarray:
-    """|N^U_<=(u)| for every core vertex, vectorized over core-core edges."""
-    n = g.vertex_count
-    counts = np.zeros(n, dtype=np.int64)
-    if not g.edge_count:
-        return counts
-    e0, e1 = g.edges[:, 0], g.edges[:, 1]
-    uu = in_u[e0] & in_u[e1]
-    if not uu.any():
-        return counts
-    a, b = e0[uu], e1[uu]
-    jlo, jhi = _j_bound_arrays(g, in_u, levels, d_fprime, d_fw, d_u, profile)
-    overlap = (jlo[a] <= jhi[b]) & (jlo[b] <= jhi[a])
-    deg = g.degrees
-    b_counts_for_a = overlap & (deg[b] >= 0.5 * deg[a]) & (deg[b] <= deg[a])
-    a_counts_for_b = overlap & (deg[a] >= 0.5 * deg[b]) & (deg[a] <= deg[b])
-    counts += np.bincount(a[b_counts_for_a], minlength=n)
-    counts += np.bincount(b[a_counts_for_b], minlength=n)
-    return counts
+    return [members[starts[v]:starts[v + 1]] for v in range(n)]
 
 
 def initial_outer_weights(part: Partition) -> np.ndarray:
@@ -382,7 +348,8 @@ def _sample_once(
         viol_a5 = ~in_u & (
             np.abs(d_fu - mean_frac * d_fprime) > profile.eps_fu * d_fprime
         )
-        nu_counts = _n_u_leq_counts(g, in_u, levels, d_fprime, d_fw, d_u, profile)
+        hosts, _ = _comparable_pairs(g, in_u, levels, d_fprime, d_fw, d_u, profile)
+        nu_counts = np.bincount(hosts, minlength=n)
         viol_a6 = in_u & (nu_counts > profile.frac_nu * d_u)
         viol_levels = viol_a4 | viol_a6
         viol = viol_levels | viol_a5

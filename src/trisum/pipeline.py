@@ -80,9 +80,10 @@ class PipelineOutcome:
 
 def _precheck(g: Graph, profile: ProfileConstants) -> None:
     deg = g.degrees
-    for u, v in g.edges:
-        if deg[u] == 1 and deg[v] == 1:
-            raise InfeasibleProfile(f"graph has an isolated edge ({u}, {v})")
+    isolated = np.flatnonzero((deg[g.edges[:, 0]] == 1) & (deg[g.edges[:, 1]] == 1))
+    if isolated.size:
+        u, v = g.edges[isolated[0]]
+        raise InfeasibleProfile(f"graph has an isolated edge ({u}, {v})")
     check_degree_regime(g, profile)
     check_partition_feasible(g, profile)
 

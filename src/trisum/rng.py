@@ -19,7 +19,6 @@ TAG_PART_FU = 13
 TAG_W_VERTEX = 20
 TAG_W_EDGE = 21
 TAG_RESTART = 30
-TAG_W_RERUN = 31
 
 
 def stream(root_seed: int, *key: int) -> np.random.Generator:

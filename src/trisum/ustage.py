@@ -27,9 +27,6 @@ class EStar:
 
     owner: np.ndarray  # int64[m]; -1 where unowned
 
-    def owned_edges(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.owner == u)
-
     def owned_lists(self, n: int) -> list[np.ndarray]:
         """Owned edge ids per vertex, grouped once for fast lookup."""
         eids = np.flatnonzero(self.owner >= 0)
@@ -49,96 +46,50 @@ def build_estar(part: Partition) -> EStar:
 
     An auxiliary vertex is joined to every odd-degree core vertex so each
     component of the augmented graph is eulerian; tours start at the
-    lowest-id real vertex of their component. Owned edges are the real
-    edges directed out of a vertex; the auxiliary edges are discarded.
+    lowest-id real vertex of their component and leave each vertex by its
+    lowest-neighbour unused edge. A real edge is owned by the vertex the
+    walk leaves it from; the auxiliary edges are discarded.
     """
     g = part.graph
-    owner = np.full(g.edge_count, -1, dtype=np.int64)
-    eu_ids = np.flatnonzero(part.eu_mask)
-    if not eu_ids.size:
-        return EStar(owner=owner)
+    n, m = g.vertex_count, g.edge_count
+    # Incidences inside the core from the CSR (neighbours ascending), then
+    # one auxiliary edge per odd vertex: the auxiliary id n sorts after
+    # every real neighbour. Auxiliary edges get the ids m, m + 1, ...
+    indptr, nbrs, eids = g._csr
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    keep = part.eu_mask[eids]
+    src, nbrs, eids = src[keep], nbrs[keep], eids[keep]
+    deg = np.bincount(src, minlength=n)
+    odd = np.flatnonzero(deg % 2 == 1)
+    aux_ids = m + np.arange(odd.size)
+    src = np.concatenate([src, odd, np.full(odd.size, n)])
+    order = np.argsort(src, kind="stable")
+    nbr = np.concatenate([nbrs, np.full(odd.size, n), odd])[order].tolist()
+    key = np.concatenate([eids, aux_ids, aux_ids])[order].tolist()
+    ptr = np.searchsorted(src[order], np.arange(n + 2)).tolist()
 
-    aux = g.vertex_count  # virtual vertex id
-    # incidence lists: (neighbor, edge_key); real edges keyed by id,
-    # auxiliary edges by -(k+1).
-    inc: dict[int, list[tuple[int, int]]] = {}
-    deg: dict[int, int] = {}
-
-    def add(a: int, b: int, key: int) -> None:
-        inc.setdefault(a, []).append((b, key))
-        inc.setdefault(b, []).append((a, key))
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-
-    for e in eu_ids:
-        u, v = int(g.edges[e, 0]), int(g.edges[e, 1])
-        add(u, v, int(e))
-    odd = sorted(v for v in deg if v != aux and deg[v] % 2 == 1)
-    for k, v in enumerate(odd):
-        add(aux, v, -(k + 1))
-    for lst in inc.values():
-        lst.sort()
-
-    used: set[int] = set()
-    visited: set[int] = set()
-    for start in sorted(v for v in inc if v != aux):
-        if start in visited:
-            continue
-        circuit = _euler_circuit(inc, start, used, visited)
-        # orient each edge along the tour; owner is the tail of real edges
-        for (a, key) in circuit:
-            if key >= 0:
-                if owner[key] != -1:
-                    raise InternalInconsistency(f"edge {key} oriented twice")
-                owner[key] = a
-    if (owner[eu_ids] < 0).any():
+    # Iterative Hierholzer walk; tail[k] >= 0 marks edge k as used. A start
+    # vertex already on an earlier tour has no unused edge left.
+    tail = [-1] * (m + odd.size)
+    pos = ptr[:-1]
+    for start in np.flatnonzero(deg).tolist():
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            i, end = pos[v], ptr[v + 1]
+            while i < end and tail[key[i]] >= 0:
+                i += 1
+            if i < end:
+                tail[key[i]] = v
+                stack.append(nbr[i])
+                i += 1
+            else:
+                stack.pop()
+            pos[v] = i
+    owner = np.asarray(tail[:m], dtype=np.int64)
+    if (owner[part.eu_mask] < 0).any():
         raise InternalInconsistency("some core edges were never traversed")
     return EStar(owner=owner)
-
-
-def _euler_circuit(
-    inc: dict[int, list[tuple[int, int]]], start: int,
-    used: set[int], visited: set[int],
-) -> list[tuple[int, int]]:
-    """Hierholzer tour; returns (tail, edge_key) pairs in tour order."""
-    ptr = {v: 0 for v in inc}
-    stack: list[int] = [start]
-    popped: list[int] = []
-    while stack:
-        v = stack[-1]
-        lst = inc.get(v, [])
-        advanced = False
-        while ptr.get(v, 0) < len(lst):
-            nbr, key = lst[ptr[v]]
-            ptr[v] += 1
-            if key in used:
-                continue
-            used.add(key)
-            stack.append(nbr)
-            advanced = True
-            break
-        if not advanced:
-            popped.append(stack.pop())
-    tour_vertices = popped[::-1]
-    visited.update(tour_vertices)
-    # recover edge keys along consecutive tour vertices
-    pair_key: dict[tuple[int, int], list[int]] = {}
-    for v, lst in inc.items():
-        for nbr, key in lst:
-            if v < nbr:
-                pair_key.setdefault((v, nbr), []).append(key)
-    seen: set[int] = set()
-    out: list[tuple[int, int]] = []
-    for a, b in zip(tour_vertices[:-1], tour_vertices[1:]):
-        lo, hi = (a, b) if a < b else (b, a)
-        for key in pair_key[(lo, hi)]:
-            if key not in seen:
-                seen.add(key)
-                out.append((a, key))
-                break
-        else:
-            raise InternalInconsistency("tour step without an unused edge")
-    return out
 
 
 def estar_bounds_hold(part: Partition, estar: EStar) -> bool:

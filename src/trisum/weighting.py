@@ -84,7 +84,10 @@ def format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
 
 
 def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
-    """Parse "u v w" lines; must cover every edge of g exactly once."""
+    """Parse "u v w" lines; must cover every edge of g exactly once.
+
+    Every weight must be an integer in [1, max_weight].
+    """
     pair_to_id = {(int(u), int(v)): e for e, (u, v) in enumerate(g.edges)}
     w = np.zeros(g.edge_count, dtype=np.int64)
     seen = np.zeros(g.edge_count, dtype=bool)
@@ -95,7 +98,14 @@ def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
         parts = line.split()
         if len(parts) != 3:
             raise WeightingCoverageError(f"line {line_no}: expected 'u v w'")
-        u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise WeightingCoverageError(f"line {line_no}: non-integer value in {line!r}")
+        if not 1 <= wt <= max_weight:
+            raise WeightingCoverageError(
+                f"line {line_no}: weight {wt} outside [1, {max_weight}]"
+            )
         key = (u, v) if u < v else (v, u)
         if key not in pair_to_id:
             raise WeightingCoverageError(f"line {line_no}: {key} is not an edge")
@@ -107,8 +117,7 @@ def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise WeightingCoverageError(f"no weight given for edge id {missing}")
-    mw = max(max_weight, int(w.max()) if w.size else 1)
-    return EdgeWeighting(weights=w, max_weight=mw)
+    return EdgeWeighting(weights=w, max_weight=max_weight)
 
 
 def write_weighting(g: Graph, weighting: EdgeWeighting, path: str | Path) -> None:

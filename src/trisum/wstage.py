@@ -136,16 +136,6 @@ def near_location_ok_mask(
     return ok
 
 
-def check_near_location(
-    v: int, s1: np.ndarray, x: XAssignment, part: Partition,
-    profile: ProfileConstants,
-) -> bool:
-    if part.in_u[v]:
-        raise ValueError(f"vertex {v} is not in the periphery")
-    center = part.d_u[v] + part.d_fu[v] + x.x_vertex[v] * part.d_w[v]
-    return bool(abs(s1[v] - center) <= profile.eps_loc * part.d_w[v])
-
-
 def compute_intervals(
     part: Partition, x: XAssignment, profile: ProfileConstants
 ) -> IntervalData:
@@ -172,22 +162,6 @@ def compute_intervals(
     return IntervalData(length=length, i0=i0, s0=s0)
 
 
-def compute_interval_entry(
-    v: int, x: XAssignment, part: Partition, profile: ProfileConstants
-) -> tuple[int, int, float]:
-    """(length, i0, s0) for one vertex; errors if the length degenerates."""
-    if part.in_u[v]:
-        raise ValueError(f"vertex {v} is not in the periphery")
-    d_w = int(part.d_w[v])
-    scale = profile.eps_len * d_w
-    if scale < 1.0:
-        raise DegenerateLength([v])
-    length = int(2 ** int(np.floor(np.log2(scale))))
-    s0 = float(part.d_u[v] + part.d_fu[v] + x.x_vertex[v] * d_w + 3 * length)
-    i0 = int(np.floor(s0 / length)) * length
-    return length, i0, s0
-
-
 def occupancy_counts(part: Partition, intervals: IntervalData) -> np.ndarray:
     """For each W vertex v: how many not-larger W neighbours have s0 in I(v)."""
     g = part.graph
@@ -205,22 +179,6 @@ def occupancy_counts(part: Partition, intervals: IntervalData) -> np.ndarray:
     counts += np.bincount(b[a_in_b], minlength=n)
     counts += np.bincount(a[b_in_a], minlength=n)
     return counts
-
-
-def check_occupancy(
-    v: int, intervals: IntervalData, part: Partition, profile: ProfileConstants
-) -> bool:
-    if part.in_u[v]:
-        raise ValueError(f"vertex {v} is not in the periphery")
-    g = part.graph
-    nbrs = g.neighbors(v)
-    nbrs = nbrs[~part.in_u[nbrs]]
-    nbrs = nbrs[part.d_w[nbrs] <= part.d_w[v]]
-    inside = (
-        (intervals.s0[nbrs] >= intervals.i0[v])
-        & (intervals.s0[nbrs] < intervals.i1[v])
-    )
-    return bool(inside.sum() <= profile.frac_i * intervals.length[v])
 
 
 def resample_w_stage(

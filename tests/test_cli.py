@@ -83,6 +83,27 @@ class TestVerify:
         report = json.loads(result.output)
         assert report["conflict_edges"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 7\n1 2 9\n", "weight 7 outside [1, 3]"),
+        ("0 1 0\n1 2 1\n", "weight 0 outside [1, 3]"),
+        ("0 1 x\n1 2 1\n", "non-integer value"),
+    ])
+    def test_malformed_weights_give_json_error(self, runner, tmp_path, text, message):
+        # out-of-range weights on P3 must not verify as ok
+        gpath = tmp_path / "p3.txt"
+        gpath.write_text(format_edge_list(Graph.build(3, [(0, 1), (1, 2)])))
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(text)
+        result = runner.invoke(
+            main, ["verify", "--graph", str(gpath), "--weights", str(wpath)]
+        )
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"].startswith("line 1: ")
+        assert message in err["error"]
+        assert '"ok"' not in result.stdout
+
 
 class TestOracleCommand:
     def test_min_k(self, runner, tmp_path):
@@ -94,6 +115,15 @@ class TestOracleCommand:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["min_k"] == 1
+
+    def test_malformed_graph_gives_json_error(self, runner, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n1 2 3\n")
+        result = runner.invoke(main, ["oracle", "--graph", str(path)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"].startswith("line 2: ")
 
     def test_sweep_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -9,6 +9,7 @@ from trisum.graph import Graph, gen_gnp
 from trisum.partition import (
     Partition,
     SampleStats,
+    _comparable_pairs,
     audit_partition,
     initial_outer_weights,
     j_interval,
@@ -183,6 +184,19 @@ class TestNuLeq:
         for u in part.u_ids:
             u = int(u)
             assert all_sets[u].tolist() == n_u_leq(u, part, profile).tolist()
+
+    def test_sampler_counts_match_grouped_sets(self):
+        # the sampler's A6 check counts hosts of the shared edge filter
+        g = gen_gnp(150, 0.5, seed=7)
+        profile = small_run_profile()
+        part = sample_partition(g, profile, seed=7)
+        hosts, _ = _comparable_pairs(
+            g, part.in_u, part.levels, part.d_fprime, part.d_fw, part.d_u, profile
+        )
+        counts = np.bincount(hosts, minlength=g.vertex_count)
+        all_sets = n_u_leq_all(part, profile)
+        for u in part.u_ids:
+            assert counts[u] == len(all_sets[u]) == n_u_leq(int(u), part, profile).size
 
 
 def test_debug_dump_labels():

@@ -21,6 +21,13 @@ class TestPrechecks:
         assert outcome.stage == "precheck"
         assert "isolated edge" in outcome.reason
 
+    def test_lowest_isolated_edge_named(self):
+        # two isolated edges beside a triangle; the lower edge id is named
+        g = Graph.build(7, [(5, 6), (0, 1), (0, 2), (1, 2), (3, 4)])
+        outcome = run(g, small_run_profile(), seed=0)
+        assert outcome.stage == "precheck"
+        assert outcome.reason == "graph has an isolated edge (3, 4)"
+
     def test_degree_regime_rejected(self):
         g = gen_gnp(60, 0.5, seed=1)
         outcome = run(g, DESK, seed=0)  # min_delta_ratio 30 needs delta ~ 100

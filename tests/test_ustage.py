@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import loose_profile
+from conftest import loose_profile, small_run_profile
 from trisum.errors import NoValidPair
 from trisum.graph import Graph, gen_gnp
-from trisum.partition import Partition
+from trisum.partition import Partition, sample_partition
 from trisum.ustage import (
     build_estar,
     distinguishing_cases_hold,
@@ -34,6 +34,82 @@ def edge_id(g: Graph, u: int, v: int) -> int:
         if (int(a), int(b)) == key:
             return e
     raise KeyError(key)
+
+
+def reference_owner(part: Partition) -> np.ndarray:
+    """Owner map from a dict-based Hierholzer tour and a pair-key recovery.
+
+    An independent route to build_estar's orientation: sorted (neighbour,
+    key) incidence lists, the tour as the reversed pop order, and each tour
+    step matched back to an unused edge between its two vertices, owned by
+    the step's tail.
+    """
+    g = part.graph
+    owner = np.full(g.edge_count, -1, dtype=np.int64)
+    aux = g.vertex_count
+    inc: dict[int, list[tuple[int, int]]] = {}
+    deg: dict[int, int] = {}
+
+    def add(a: int, b: int, key: int) -> None:
+        inc.setdefault(a, []).append((b, key))
+        inc.setdefault(b, []).append((a, key))
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+
+    for e in np.flatnonzero(part.eu_mask):
+        add(int(g.edges[e, 0]), int(g.edges[e, 1]), int(e))
+    odd = sorted(v for v in deg if v != aux and deg[v] % 2 == 1)
+    for k, v in enumerate(odd):
+        add(aux, v, -(k + 1))
+    for lst in inc.values():
+        lst.sort()
+
+    used: set[int] = set()
+    visited: set[int] = set()
+    for start in sorted(v for v in inc if v != aux):
+        if start in visited:
+            continue
+        for a, key in _reference_circuit(inc, start, used, visited):
+            if key >= 0:
+                assert owner[key] == -1
+                owner[key] = a
+    return owner
+
+
+def _reference_circuit(inc, start, used, visited) -> list[tuple[int, int]]:
+    """Hierholzer tour; (tail, edge_key) pairs in tour order."""
+    ptr = {v: 0 for v in inc}
+    stack: list[int] = [start]
+    popped: list[int] = []
+    while stack:
+        v = stack[-1]
+        lst = inc.get(v, [])
+        advanced = False
+        while ptr.get(v, 0) < len(lst):
+            nbr, key = lst[ptr[v]]
+            ptr[v] += 1
+            if key in used:
+                continue
+            used.add(key)
+            stack.append(nbr)
+            advanced = True
+            break
+        if not advanced:
+            popped.append(stack.pop())
+    tour_vertices = popped[::-1]
+    visited.update(tour_vertices)
+    pair_key: dict[tuple[int, int], list[int]] = {}
+    for v, lst in inc.items():
+        for nbr, key in lst:
+            if v < nbr:
+                pair_key.setdefault((v, nbr), []).append(key)
+    seen: set[int] = set()
+    out: list[tuple[int, int]] = []
+    for a, b in zip(tour_vertices[:-1], tour_vertices[1:]):
+        key = next(k for k in pair_key[(min(a, b), max(a, b))] if k not in seen)
+        seen.add(key)
+        out.append((a, key))
+    return out
 
 
 def hub_triangle(light_leaf_weight: int = 2):
@@ -100,6 +176,35 @@ class TestBuildEstar:
                 u, v = g.edges[e]
                 assert estar.owner[e] in (u, v)
                 assert part.in_u[u] and part.in_u[v]
+
+    def test_owner_matches_reference_tour(self):
+        rng = np.random.default_rng(1)
+        for seed in range(12):
+            g = gen_gnp(60, float(rng.uniform(0.1, 0.6)), seed=seed)
+            core = np.flatnonzero(rng.random(60) < 0.5)
+            part = craft_partition(g, core)
+            assert np.array_equal(build_estar(part).owner, reference_owner(part))
+
+    def test_owner_matches_reference_several_components(self):
+        # three core components: a path (two odd ends), a K4 (all odd) and
+        # a C5 (all even), joined through periphery vertices 12, 14 and 15
+        edges = [(0, 5), (5, 1), (1, 9)]
+        edges += [(2, 3), (2, 6), (2, 11), (3, 6), (3, 11), (6, 11)]
+        edges += [(4, 7), (7, 8), (8, 10), (10, 13), (4, 13)]
+        edges += [(12, v) for v in (0, 2, 4)] + [(14, v) for v in (9, 11, 8)]
+        edges += [(15, 1), (15, 3)]
+        g = Graph.build(16, edges)
+        part = craft_partition(g, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13])
+        estar = build_estar(part)
+        assert np.array_equal(estar.owner, reference_owner(part))
+        assert estar_bounds_hold(part, estar)
+
+    def test_owner_matches_reference_on_sampled_partitions(self):
+        profile = small_run_profile()
+        for seed in range(3):
+            g = gen_gnp(200, 0.5, seed=seed)
+            part = sample_partition(g, profile, seed=seed)
+            assert np.array_equal(build_estar(part).owner, reference_owner(part))
 
 
 class TestFinalizeU:

@@ -136,6 +136,11 @@ class TestSerialization:
         with pytest.raises(WeightingCoverageError):
             parse_weighting(p3, "0 1 1\n1 2 1\n0 2 1\n")
 
+    def test_weight_range_is_max_weight(self, p3):
+        with pytest.raises(WeightingCoverageError, match="line 2: weight 4"):
+            parse_weighting(p3, "0 1 1\n1 2 4\n")
+        assert parse_weighting(p3, "0 1 1\n1 2 4\n", max_weight=4).max_weight == 4
+
     def test_weight_bounds_enforced(self):
         with pytest.raises(ValueError):
             EdgeWeighting(weights=np.array([0]), max_weight=3)

@@ -8,16 +8,14 @@ from trisum import analytic
 from trisum.errors import DegenerateLength, InsufficientFW, NoValidAddition
 from trisum.graph import Graph, gen_gnp, gen_random_regular
 from trisum.partition import Partition, sample_partition
+from trisum.profiles import ProfileConstants
 from trisum.wstage import (
     IntervalData,
     SumAdditions,
     XAssignment,
     apply_additions,
-    check_near_location,
-    check_occupancy,
     choose_sum_additions,
     complete_initial_weighting,
-    compute_interval_entry,
     compute_intervals,
     conditional_sum_profile,
     initial_sums,
@@ -26,6 +24,51 @@ from trisum.wstage import (
     resample_w_stage,
     weigh_inner_edges,
 )
+
+
+# Scalar, one-vertex reference oracles for the vectorized w-stage checks.
+
+
+def check_near_location(
+    v: int, s1: np.ndarray, x: XAssignment, part: Partition,
+    profile: ProfileConstants,
+) -> bool:
+    if part.in_u[v]:
+        raise ValueError(f"vertex {v} is not in the periphery")
+    center = part.d_u[v] + part.d_fu[v] + x.x_vertex[v] * part.d_w[v]
+    return bool(abs(s1[v] - center) <= profile.eps_loc * part.d_w[v])
+
+
+def compute_interval_entry(
+    v: int, x: XAssignment, part: Partition, profile: ProfileConstants
+) -> tuple[int, int, float]:
+    """(length, i0, s0) for one vertex; errors if the length degenerates."""
+    if part.in_u[v]:
+        raise ValueError(f"vertex {v} is not in the periphery")
+    d_w = int(part.d_w[v])
+    scale = profile.eps_len * d_w
+    if scale < 1.0:
+        raise DegenerateLength([v])
+    length = int(2 ** int(np.floor(np.log2(scale))))
+    s0 = float(part.d_u[v] + part.d_fu[v] + x.x_vertex[v] * d_w + 3 * length)
+    i0 = int(np.floor(s0 / length)) * length
+    return length, i0, s0
+
+
+def check_occupancy(
+    v: int, intervals: IntervalData, part: Partition, profile: ProfileConstants
+) -> bool:
+    if part.in_u[v]:
+        raise ValueError(f"vertex {v} is not in the periphery")
+    g = part.graph
+    nbrs = g.neighbors(v)
+    nbrs = nbrs[~part.in_u[nbrs]]
+    nbrs = nbrs[part.d_w[nbrs] <= part.d_w[v]]
+    inside = (
+        (intervals.s0[nbrs] >= intervals.i0[v])
+        & (intervals.s0[nbrs] < intervals.i1[v])
+    )
+    return bool(inside.sum() <= profile.frac_i * intervals.length[v])
 
 
 def craft_partition(g: Graph, core_ids, fw_pairs=(), fu_pairs=()) -> Partition:
