@@ -38,7 +38,6 @@ from .profiles import DESK, FULL_SCALE, ProfileConstants, load_profile, resolve_
 from .ustage import EStar, build_estar, final_verify, finalize_u
 from .weighting import (
     EdgeWeighting,
-    WeightedDegrees,
     blow_up_is_locally_irregular,
     conflicts,
     weighted_degrees,
@@ -50,7 +49,6 @@ from .wstage import (
     apply_additions,
     choose_sum_additions,
     compute_intervals,
-    initial_sums,
     resample_w_stage,
     weigh_inner_edges,
 )

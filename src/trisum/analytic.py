@@ -11,61 +11,22 @@ given one endpoint value a is exactly (a - 1) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DomainConstants:
-    beta_lo: float = 1.1
-    beta_hi: float = 2.9
-    beta_mid: float = 1.9
-    log_ratio: float = math.log(2.9 / 1.1)
-
-    def __post_init__(self):
-        if not (self.beta_lo < self.beta_mid < self.beta_hi):
-            raise ValueError("domain endpoints out of order")
-        if self.log_ratio <= 0:
-            raise ValueError("log_ratio must be positive")
+X_LO = 1.1
+X_HI = 2.9
+X_MID = 1.9
+LOG_RATIO = math.log(X_HI / X_LO)
 
 
-DOMAIN = DomainConstants()
-
-X_LO = DOMAIN.beta_lo
-X_HI = DOMAIN.beta_hi
-X_MID = DOMAIN.beta_mid
-LOG_RATIO = DOMAIN.log_ratio
-
-
-@dataclass(frozen=True)
-class RBreakpoints:
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a1 < self.a2 < X_MID):
-            raise ValueError("breakpoints must satisfy 0 < a1 < a2 < 1.9")
-
-
-@dataclass(frozen=True)
-class DBar:
-    value: float
-
-    def __post_init__(self):
-        if not (0.023 < self.value < 0.024):
-            raise ValueError(f"dbar out of its certified range: {self.value}")
-
-
-def breakpoints() -> RBreakpoints:
-    """The two knots of r: hi / ratio**0.95 and hi / ratio**0.45."""
+def breakpoints() -> tuple[float, float]:
+    """The two knots (a1, a2) of r: hi / ratio**0.95 and hi / ratio**0.45."""
     ratio = X_HI / X_LO
-    return RBreakpoints(a1=X_HI / ratio**0.95, a2=X_HI / ratio**0.45)
+    return X_HI / ratio**0.95, X_HI / ratio**0.45
 
 
-_BP = breakpoints()
-A1 = _BP.a1
-A2 = _BP.a2
+A1, A2 = breakpoints()
 
 
 def density_g(x: float) -> float:
@@ -117,13 +78,13 @@ def r_value(x: float) -> float:
     return float(_r_unchecked(np.asarray([x]))[0])
 
 
-def dbar_closed_form() -> DBar:
+def dbar_closed_form() -> float:
     """Closed form of the integral of r * g over [1.1, 1.9]."""
     q = math.log(X_HI / X_MID) / LOG_RATIO
-    return DBar(value=(q + 0.5) ** 2 - 0.1 / LOG_RATIO - 0.75)
+    return (q + 0.5) ** 2 - 0.1 / LOG_RATIO - 0.75
 
 
-DBAR = dbar_closed_form().value
+DBAR = dbar_closed_form()
 
 
 def composite_simpson(f, a: float, b: float, panels: int) -> float:

@@ -178,14 +178,7 @@ def constants(grid):
 
 
 def _experiment_task(args: tuple) -> dict:
-    graph_path, gen_spec, gen_seed, profile_dict, seed = args
-    from .profiles import profile_from_dict
-
-    if graph_path is not None:
-        g = load_edge_list(graph_path)
-    else:
-        g = _parse_gen(gen_spec, gen_seed)
-    profile = profile_from_dict(profile_dict)
+    g, profile, seed = args
     outcome = run_pipeline(g, profile, seed)
     return {
         "seed": seed,
@@ -209,18 +202,18 @@ def _experiment_task(args: tuple) -> dict:
 @click.option("--jobs", type=int, default=1, show_default=True)
 def experiment(graph, gen_spec, gen_seed, seeds, profile_spec, overrides, out, jobs):
     """Fan the pipeline out over seeds and aggregate results into CSV."""
-    seed_list = [int(s) for s in seeds.split(",") if s.strip() != ""]
+    try:
+        seed_list = [int(s) for s in seeds.split(",") if s.strip() != ""]
+    except ValueError:
+        raise click.BadParameter(f"seeds must be integers, got {seeds!r}")
     if len(set(seed_list)) != len(seed_list):
         raise click.BadParameter("seeds must be distinct")
-    if (graph is None) == (gen_spec is None):
-        raise click.UsageError("provide exactly one of --graph and --gen")
     try:
+        g = _load_graph(graph, gen_spec, gen_seed)
         profile = resolve_profile(profile_spec, _parse_overrides(overrides))
-    except (OSError, ValueError) as exc:
+    except (TrisumError, OSError, ValueError) as exc:
         _fail(str(exc))
-    tasks = [
-        (graph, gen_spec, gen_seed, profile.to_dict(), seed) for seed in seed_list
-    ]
+    tasks = [(g, profile, seed) for seed in seed_list]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_task, tasks))

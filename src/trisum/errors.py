@@ -23,7 +23,7 @@ class WeightingCoverageError(TrisumError):
 
 
 class InternalInconsistency(TrisumError):
-    """Two independent computations of the same quantity disagree."""
+    """A construction invariant failed: a fault in the code, not bad luck."""
 
 
 class InfeasibleProfile(TrisumError):

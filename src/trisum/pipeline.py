@@ -18,6 +18,7 @@ from .errors import (
     DegenerateLength,
     InfeasibleProfile,
     InsufficientFW,
+    InternalInconsistency,
     NoValidAddition,
     NoValidPair,
     RetryExhausted,
@@ -133,6 +134,11 @@ def run(
         except InfeasibleProfile as exc:
             last_failure = ("precheck", str(exc))
             break
+        except InternalInconsistency as exc:
+            # A construction fault, not bad luck: report it like a failed
+            # final_verify and do not restart.
+            last_failure = ("verify", str(exc))
+            break
     stage, reason = last_failure
     stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
     return PipelineOutcome(
@@ -192,5 +198,5 @@ def _run_once(
         )
     return PipelineOutcome(
         status="success", stage=None, reason=None, seed=seed,
-        weighting=result.omega3, s3=result.s3, stats=stats,
+        weighting=result.omega3, s3=report.sums, stats=stats,
     )

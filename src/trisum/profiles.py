@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import InfeasibleProfile
@@ -108,11 +108,23 @@ DESK = ProfileConstants(
 BUILTIN_PROFILES = {"full-scale": FULL_SCALE, "desk": DESK}
 
 
+def _check_field_names(names) -> None:
+    unknown = sorted(set(names) - {f.name for f in fields(ProfileConstants)})
+    if unknown:
+        raise ValueError(f"unknown profile fields: {', '.join(unknown)}")
+
+
 def profile_from_dict(data: dict) -> ProfileConstants:
+    if not isinstance(data, dict):
+        raise ValueError("a profile must be a JSON object")
+    _check_field_names(data)
     data = dict(data)
-    if "reserved_residues" in data:
-        data["reserved_residues"] = tuple(data["reserved_residues"])
-    return ProfileConstants(**data)
+    try:
+        if "reserved_residues" in data:
+            data["reserved_residues"] = tuple(data["reserved_residues"])
+        return ProfileConstants(**data)
+    except TypeError as exc:  # a missing field or a value of the wrong type
+        raise ValueError(f"bad profile: {exc}") from None
 
 
 def load_profile(path: str | Path) -> ProfileConstants:
@@ -132,6 +144,7 @@ def resolve_profile(spec: str | None, overrides: dict | None = None) -> ProfileC
     else:
         profile = load_profile(spec)
     if overrides:
+        _check_field_names(overrides)
         profile = replace(profile, **overrides)
     return profile
 

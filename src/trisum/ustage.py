@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NoValidPair
-from .partition import Partition, j_interval, n_u_leq_all
+from .partition import Partition, j_interval, j_interval_bounds, n_u_leq_all
 from .profiles import ProfileConstants
-from .weighting import EdgeWeighting, conflicts, weighted_degrees
+from .weighting import EdgeWeighting, weighted_degrees
 
 
 @dataclass
@@ -137,7 +137,7 @@ def finalize_u(
     g = part.graph
     mod = profile.modulus_m
     w = omega2.weights.copy()
-    s = weighted_degrees(g, w).sums.copy()
+    s = weighted_degrees(g, w)
     n = g.vertex_count
     pair_base = np.full(n, -1, dtype=np.int64)
     processed = np.zeros(n, dtype=bool)
@@ -216,10 +216,7 @@ def finalize_u(
         })
 
     omega3 = EdgeWeighting(weights=w, max_weight=3)
-    s3 = weighted_degrees(g, omega3).sums
-    if not np.array_equal(s3, s):
-        raise InternalInconsistency("tracked sums disagree with a recount")
-    return UStageResult(omega3=omega3, s3=s3, pair_base=pair_base, trace=trace)
+    return UStageResult(omega3=omega3, s3=s, pair_base=pair_base, trace=trace)
 
 
 @dataclass
@@ -231,6 +228,7 @@ class VerifyReport:
     range_violations: list[int]
     interval_violations: list[int]
     strict_ranges: bool = False
+    sums: np.ndarray | None = None  # the verified count; not serialized
 
     @property
     def ok(self) -> bool:
@@ -276,37 +274,30 @@ def final_verify(
 ) -> VerifyReport:
     """Check the final weighting: conflicts, residue classes, sum stability.
 
-    Range and envelope membership of core sums are warning-level unless
-    strict_ranges is set (they are only guaranteed in the full-scale
-    constant regime).
+    The sums are counted here from scratch, once; the report carries that
+    count so a run reports only sums this gate has checked. Range and
+    envelope membership of core sums are warning-level unless strict_ranges
+    is set (they are only guaranteed in the full-scale constant regime).
     """
     g = part.graph
-    s3 = weighted_degrees(g, omega3).sums
+    s3 = weighted_degrees(g, omega3)
     mod = profile.modulus_m
-    reserved = set(profile.reserved_residues)
+    reserved = list(profile.reserved_residues)
+    u_ids, w_ids = part.u_ids, part.w_ids
 
-    conflict_edges = conflicts(g, omega3).tolist()
-    bad_core = [
-        int(u) for u in part.u_ids if int(s3[u]) % mod not in reserved
-    ]
-    bad_periph = [
-        int(v) for v in part.w_ids if int(s3[v]) % mod in reserved
-    ]
+    conflict_edges = np.flatnonzero(s3[g.edges[:, 0]] == s3[g.edges[:, 1]]).tolist()
+    bad_core = u_ids[~np.isin(s3[u_ids] % mod, reserved)].tolist()
+    bad_periph = w_ids[np.isin(s3[w_ids] % mod, reserved)].tolist()
     changed = []
     if expected_periphery_sums is not None:
-        changed = [
-            int(v) for v in part.w_ids
-            if int(s3[v]) != int(expected_periphery_sums[v])
-        ]
-    range_bad = [
-        int(u) for u in part.u_ids
-        if not g.degrees[u] <= s3[u] <= 2 * g.degrees[u]
-    ]
-    interval_bad = []
-    for u in part.u_ids:
-        ju = j_interval(int(u), part, profile)
-        if not ju.lo <= s3[u] <= ju.hi:
-            interval_bad.append(int(u))
+        changed = w_ids[s3[w_ids] != expected_periphery_sums[w_ids]].tolist()
+    deg, su = g.degrees[u_ids], s3[u_ids]
+    range_bad = u_ids[(su < deg) | (su > 2 * deg)].tolist()
+    ju = j_interval_bounds(
+        deg, part.d_fprime[u_ids], part.d_fw[u_ids], part.d_u[u_ids],
+        part.levels[u_ids], profile,
+    )
+    interval_bad = u_ids[(su < ju.lo) | (su > ju.hi)].tolist()
     return VerifyReport(
         conflict_edges=conflict_edges,
         bad_core_residues=bad_core,
@@ -315,6 +306,7 @@ def final_verify(
         range_violations=range_bad,
         interval_violations=interval_bad,
         strict_ranges=strict_ranges,
+        sums=s3,
     )
 
 

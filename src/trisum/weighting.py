@@ -28,15 +28,8 @@ class EdgeWeighting:
             )
 
 
-@dataclass(frozen=True)
-class WeightedDegrees:
-    """Per-vertex sums of incident edge weights."""
-
-    sums: np.ndarray  # int64 per vertex id
-
-
-def weighted_degrees(g: Graph, weighting: EdgeWeighting | np.ndarray) -> WeightedDegrees:
-    """Exact integer sum of incident weights for every vertex."""
+def weighted_degrees(g: Graph, weighting: EdgeWeighting | np.ndarray) -> np.ndarray:
+    """Exact integer sum of incident weights for every vertex (int64)."""
     w = weighting.weights if isinstance(weighting, EdgeWeighting) else weighting
     if w.shape[0] != g.edge_count:
         raise WeightingCoverageError(
@@ -46,12 +39,12 @@ def weighted_degrees(g: Graph, weighting: EdgeWeighting | np.ndarray) -> Weighte
     if g.edge_count:
         sums += np.bincount(g.edges[:, 0], weights=w, minlength=g.vertex_count).astype(np.int64)
         sums += np.bincount(g.edges[:, 1], weights=w, minlength=g.vertex_count).astype(np.int64)
-    return WeightedDegrees(sums=sums)
+    return sums
 
 
 def conflicts(g: Graph, weighting: EdgeWeighting | np.ndarray) -> np.ndarray:
     """Edge ids (ascending) whose endpoints have equal weighted degrees."""
-    s = weighted_degrees(g, weighting).sums
+    s = weighted_degrees(g, weighting)
     if not g.edge_count:
         return np.empty(0, dtype=np.int64)
     equal = s[g.edges[:, 0]] == s[g.edges[:, 1]]

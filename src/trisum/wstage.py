@@ -94,30 +94,6 @@ def complete_initial_weighting(part: Partition, x: XAssignment) -> np.ndarray:
     return w
 
 
-def initial_sums(part: Partition, omega1: np.ndarray) -> np.ndarray:
-    """Per-vertex sums of the initial weighting, cross-checked two ways.
-
-    The direct incident-weight sum must match the closed form
-    d_U + d_FU + d_W + 2 * (number of weight-3 inner edges) on W.
-    """
-    g = part.graph
-    direct = weighted_degrees(g, omega1).sums
-    ep = part.eprime_mask
-    d3 = np.zeros(g.vertex_count, dtype=np.int64)
-    if ep.any():
-        heavy = ep & (omega1 == 3)
-        d3 += np.bincount(g.edges[heavy, 0], minlength=g.vertex_count)
-        d3 += np.bincount(g.edges[heavy, 1], minlength=g.vertex_count)
-    w_ids = part.w_ids
-    formula = part.d_u[w_ids] + part.d_fu[w_ids] + part.d_w[w_ids] + 2 * d3[w_ids]
-    if not np.array_equal(direct[w_ids], formula):
-        bad = w_ids[direct[w_ids] != formula][:5]
-        raise InternalInconsistency(
-            f"initial sums disagree with the closed form at vertices {bad.tolist()}"
-        )
-    return direct
-
-
 def near_location_center(part: Partition, x: XAssignment) -> np.ndarray:
     """d_U + d_FU + X_v * d_W per vertex (NaN outside W)."""
     center = part.d_u + part.d_fu + x.x_vertex * part.d_w
@@ -218,7 +194,7 @@ def resample_w_stage(
     stalled = 0
     for rnd in range(1, rounds + 1):
         omega1 = complete_initial_weighting(part, x)
-        s1 = initial_sums(part, omega1)
+        s1 = weighted_degrees(g, omega1)
         intervals = compute_intervals(part, x, profile)
         near_ok = near_location_ok_mask(part, x, s1, profile)
         occ = occupancy_counts(part, intervals)
@@ -333,13 +309,7 @@ def apply_additions(
                 f"F_W edges at {v} were not all at weight 1 before the raise"
             )
         w2[picked] = 2
-    s2 = weighted_degrees(g, w2).sums
-    w_ids = part.w_ids
-    # The raise must move each periphery sum by exactly its addition.
-    direct1 = weighted_degrees(g, omega1).sums
-    if not np.array_equal(s2[w_ids] - direct1[w_ids], additions.a[w_ids]):
-        raise InternalInconsistency("sum additions were not realised exactly")
-    return EdgeWeighting(weights=w2, max_weight=3), s2
+    return EdgeWeighting(weights=w2, max_weight=3), weighted_degrees(g, w2)
 
 
 def diagnostic_dump(

@@ -24,18 +24,18 @@ class TestConstants:
         assert abs(analytic.LOG_RATIO - REF_LOG_RATIO) < 1e-15
 
     def test_breakpoints_values(self):
-        bp = analytic.breakpoints()
-        assert abs(bp.a1 - REF_A1) < 1e-9
-        assert abs(bp.a2 - REF_A2) < 1e-9
+        a1, a2 = analytic.breakpoints()
+        assert abs(a1 - REF_A1) < 1e-9
+        assert abs(a2 - REF_A2) < 1e-9
 
     def test_breakpoint_ordering(self):
-        bp = analytic.breakpoints()
-        assert 0 < bp.a1 < bp.a2 < 1.9
+        a1, a2 = analytic.breakpoints()
+        assert 0 < a1 < a2 < 1.9
 
     def test_dbar_closed_form(self):
         d = analytic.dbar_closed_form()
-        assert 0.023 < d.value < 0.024
-        assert abs(d.value - REF_DBAR) < 1e-9
+        assert 0.023 < d < 0.024
+        assert abs(d - REF_DBAR) < 1e-9
 
     def test_dbar_quadrature_matches_closed_form(self):
         q = analytic.dbar_quadrature(10_000)

@@ -160,6 +160,22 @@ class TestWeightCommand:
         assert outcome["status"] == "failure"
         assert outcome["stage"] == "precheck"
 
+    def test_unknown_profile_field_gives_json_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["weight", "--gen", "gnp:30,0.5", "--set", "bogus=1",
+             "--out", str(tmp_path / "run")],
+        )
+        assert json_error(result) == "unknown profile fields: bogus"
+        path = tmp_path / "bogus.json"
+        path.write_text('{"bogus": 1}')
+        result = runner.invoke(
+            main,
+            ["weight", "--gen", "gnp:30,0.5", "--profile", str(path),
+             "--out", str(tmp_path / "run")],
+        )
+        assert json_error(result) == "unknown profile fields: bogus"
+
     def test_success_writes_verified_weighting(self, runner, tmp_path):
         # crafted profile tolerant enough that some small instance succeeds
         # end to end is not guaranteed; instead assert the contract that a
@@ -186,6 +202,13 @@ class TestWeightCommand:
         else:
             assert result.exit_code != 0
             assert not weights_path.exists()
+
+
+def json_error(result) -> str:
+    """The message of the JSON error a command wrote to stderr."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    return json.loads(result.stderr.strip().splitlines()[-1])["error"]
 
 
 class TestExperiment:
@@ -219,3 +242,33 @@ class TestExperiment:
              "--out", str(tmp_path / "x.csv")],
         )
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("seeds", ["a,b", "1,x", "1.5"])
+    def test_non_integer_seeds_rejected(self, runner, tmp_path, seeds):
+        result = runner.invoke(
+            main,
+            ["experiment", "--gen", "gnp:30,0.5", "--seeds", seeds,
+             "--out", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "seeds must be integers" in result.output
+
+    def test_malformed_graph_gives_json_error(self, runner, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n1 2 3\n")
+        result = runner.invoke(
+            main,
+            ["experiment", "--graph", str(path), "--seeds", "0",
+             "--out", str(tmp_path / "x.csv")],
+        )
+        assert json_error(result).startswith("line 2: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_profile_field_gives_json_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["experiment", "--gen", "gnp:30,0.5", "--set", "bogus=1",
+             "--out", str(tmp_path / "x.csv")],
+        )
+        assert json_error(result) == "unknown profile fields: bogus"

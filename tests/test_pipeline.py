@@ -1,16 +1,28 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import small_run_profile
+from trisum.errors import InternalInconsistency
 from trisum.graph import Graph, gen_gnp, gen_random_regular
 from trisum.pipeline import Budgets, run
 from trisum.profiles import DESK
-from trisum.weighting import conflicts
+from trisum.weighting import conflicts, weighted_degrees
 
 
 @pytest.fixture(scope="module")
 def small_instance():
     return gen_random_regular(600, 80, seed=2)
+
+
+@pytest.fixture(scope="module")
+def bipartite_instance():
+    """400 x 1200 random bipartite graph, p = 0.7, where DESK runs succeed."""
+    mask = np.random.default_rng([101, 0, 0]).random((400, 1200)) < 0.7
+    left, right = np.nonzero(mask)
+    edges = np.stack([left, right + 400], axis=1).astype(np.int64)
+    return Graph(vertex_count=1600, edges=edges)
 
 
 class TestPrechecks:
@@ -79,6 +91,9 @@ class TestRun:
                 assert outcome.weighting.weights.min() >= 1
                 assert outcome.weighting.weights.max() <= 3
                 assert conflicts(small_instance, outcome.weighting).size == 0
+                assert np.array_equal(
+                    outcome.s3, weighted_degrees(small_instance, outcome.weighting)
+                )
 
     def test_budgets_respected(self, small_instance):
         budgets = Budgets(pipeline_restarts=0, wstage_reruns=0)
@@ -91,3 +106,48 @@ class TestRun:
         outcome = run(small_instance, small_run_profile(), seed=2)
         blob = json.dumps(outcome.to_dict(), default=str)
         assert "status" in blob
+
+    def test_internal_inconsistency_is_a_verify_failure(
+        self, bipartite_instance, monkeypatch
+    ):
+        calls = []
+
+        def broken_estar(part):
+            calls.append(part)
+            raise InternalInconsistency("planted construction fault")
+
+        monkeypatch.setattr("trisum.pipeline.build_estar", broken_estar)
+        outcome = run(bipartite_instance, DESK, seed=0)
+        assert len(calls) == 1  # a construction fault is not retried
+        assert outcome.status == "failure"
+        assert outcome.stage == "verify"
+        assert outcome.reason == "planted construction fault"
+        assert outcome.weighting is None and outcome.s3 is None
+        assert outcome.stats["restarts"] == 0
+
+
+def sha256(outcome) -> str:
+    return hashlib.sha256(outcome.fingerprint().encode()).hexdigest()
+
+
+# sha256 of PipelineOutcome.fingerprint() on the reference cases. A change
+# that moves any of them must update the pin and say why.
+PINNED_BIPARTITE = {
+    0: "bebcab8cb1701a2784ea7d22cde32e2ef1f19b5bc346b10f9aa691dc2ddee6af",
+    1: "70d3e392b27a7d845b9741c10f11e62a06230e7603130d376eb30d3155d69b34",
+    2: "9afaf97c170627cb30f4175b80dd9405d5b1b5981251ce8be1456729e8b4e535",
+}
+PINNED_GNP_1500 = "c406f615dfc4e3e5847e6fa0a43327035d5cec3f7238017c5fd5be69e0a52f60"
+
+
+class TestPinnedFingerprints:
+    @pytest.mark.parametrize("seed", sorted(PINNED_BIPARTITE))
+    def test_bipartite(self, bipartite_instance, seed):
+        outcome = run(bipartite_instance, DESK, seed=seed)
+        assert outcome.success
+        assert sha256(outcome) == PINNED_BIPARTITE[seed]
+
+    def test_gnp_1500(self):
+        outcome = run(gen_gnp(1500, 0.5, seed=42), DESK, seed=0)
+        assert outcome.stage == "ustage"
+        assert sha256(outcome) == PINNED_GNP_1500

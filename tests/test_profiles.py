@@ -101,6 +101,32 @@ def test_profile_from_dict_normalizes_residues():
     assert profile_from_dict(data) == DESK
 
 
+def test_unknown_fields_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown profile fields: bogus"):
+        resolve_profile("desk", {"bogus": 1.0})
+    with pytest.raises(ValueError, match="unknown profile fields: bogus"):
+        profile_from_dict({**DESK.to_dict(), "bogus": 1})
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps({"bogus": 1}))
+    with pytest.raises(ValueError, match="unknown profile fields: bogus"):
+        resolve_profile(str(path))
+
+
+@pytest.mark.parametrize("data, name", [
+    ({k: v for k, v in DESK.to_dict().items() if k != "p_u"}, "p_u"),
+    ({**DESK.to_dict(), "p_u": "x"}, "not supported"),
+    ({**DESK.to_dict(), "reserved_residues": 0}, "not iterable"),
+    ([1, 2], "JSON object"),
+])
+def test_malformed_profile_rejected(tmp_path, data, name):
+    with pytest.raises(ValueError, match=name):
+        profile_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=name):
+        resolve_profile(str(path))
+
+
 def test_feasibility_floor_formula():
     floor = feasibility_floor(DESK)
     assert floor == max(

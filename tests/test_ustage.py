@@ -4,7 +4,7 @@ import pytest
 from conftest import loose_profile, small_run_profile
 from trisum.errors import NoValidPair
 from trisum.graph import Graph, gen_gnp
-from trisum.partition import Partition, sample_partition
+from trisum.partition import Partition, j_interval, sample_partition
 from trisum.ustage import (
     build_estar,
     distinguishing_cases_hold,
@@ -112,6 +112,49 @@ def _reference_circuit(inc, start, used, visited) -> list[tuple[int, int]]:
     return out
 
 
+def reference_final_verify(
+    part: Partition, omega3: EdgeWeighting, profile, expected_periphery_sums=None,
+) -> dict:
+    """The per-vertex loops final_verify once ran, with a plain-loop recount.
+
+    Returns the six violation lists of VerifyReport.to_dict().
+    """
+    g = part.graph
+    s3 = [0] * g.vertex_count
+    for e, (a, b) in enumerate(g.edges.tolist()):
+        s3[a] += int(omega3.weights[e])
+        s3[b] += int(omega3.weights[e])
+    mod = profile.modulus_m
+    reserved = set(profile.reserved_residues)
+    out = {
+        "conflict_edges": [
+            e for e, (a, b) in enumerate(g.edges.tolist()) if s3[a] == s3[b]
+        ],
+        "bad_core_residues": [
+            int(u) for u in part.u_ids if s3[u] % mod not in reserved
+        ],
+        "bad_periphery_residues": [
+            int(v) for v in part.w_ids if s3[v] % mod in reserved
+        ],
+        "changed_periphery_sums": [],
+        "range_violations": [
+            int(u) for u in part.u_ids
+            if not g.degrees[u] <= s3[u] <= 2 * g.degrees[u]
+        ],
+        "interval_violations": [],
+    }
+    if expected_periphery_sums is not None:
+        out["changed_periphery_sums"] = [
+            int(v) for v in part.w_ids
+            if s3[v] != int(expected_periphery_sums[v])
+        ]
+    for u in part.u_ids:
+        ju = j_interval(int(u), part, profile)
+        if not ju.lo <= s3[u] <= ju.hi:
+            out["interval_violations"].append(int(u))
+    return out
+
+
 def hub_triangle(light_leaf_weight: int = 2):
     """Three mutually adjacent core hubs with degrees 20, 50, 120.
 
@@ -215,6 +258,7 @@ class TestFinalizeU:
         assert result.pair_base[[0, 1, 2]].tolist() == [40, 100, 240]
         assert np.array_equal(result.omega3.weights, omega2.weights)
         assert result.s3[[0, 1, 2]].tolist() == [40, 100, 240]
+        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
         report = final_verify(part, result.omega3, profile)
         assert report.ok
         assert distinguishing_cases_hold(
@@ -230,6 +274,7 @@ class TestFinalizeU:
         result = finalize_u(part, omega2, build_estar(part), profile)
         assert result.pair_base[[0, 1, 2]].tolist() == [40, 100, 240]
         assert result.s3[[0, 1, 2]].tolist() == [41, 100, 240]
+        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
         assert result.omega3.weights[edge_id(g, 0, 1)] == 3
         assert result.omega3.weights[edge_id(g, 1, 2)] == 1
         assert result.omega3.weights[edge_id(g, 0, 2)] == 3
@@ -269,6 +314,7 @@ class TestFinalizeU:
         helper_sums = result.s3[helpers]
         assert set(helper_sums.tolist()) <= {10, 11}
         assert (result.pair_base[helpers] == 10).all()
+        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
         report = final_verify(part, result.omega3, profile)
         assert report.ok
         assert distinguishing_cases_hold(
@@ -284,6 +330,7 @@ class TestFinalizeU:
         result = finalize_u(part, omega2, build_estar(part), loose_profile())
         assert result.pair_base[0] == 10
         assert result.s3[0] == 10
+        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
 
     def test_no_valid_pair_zero_degree(self):
         g = Graph.build(8, [(0, leaf) for leaf in range(1, 8)])
@@ -343,7 +390,7 @@ class TestFinalVerify:
         g, part, omega2 = hub_triangle()
         profile = loose_profile()
         result = finalize_u(part, omega2, build_estar(part), profile)
-        expected = weighted_degrees(g, omega2).sums
+        expected = weighted_degrees(g, omega2)
         report = final_verify(
             part, result.omega3, profile, expected_periphery_sums=expected
         )
@@ -368,3 +415,70 @@ class TestFinalVerify:
             part, result.omega3, profile, strict_ranges=True
         )
         assert not strict.ok
+
+    def test_report_carries_its_own_count(self):
+        g, part, omega2 = hub_triangle()
+        report = final_verify(part, omega2, loose_profile())
+        assert np.array_equal(report.sums, weighted_degrees(g, omega2))
+        assert "sums" not in report.to_dict()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_loops(self, seed):
+        # Random weightings on sampled partitions plant conflicts, bad
+        # residues on both sides, range and envelope violations; expected
+        # periphery sums drift at a few random vertices.
+        g = gen_gnp(80, 0.5, seed=seed)
+        profile = small_run_profile(eps_u=0.25, eps_fw=0.45, eps_fu=0.49)
+        part = sample_partition(g, profile, seed=seed)
+        rng = np.random.default_rng(seed)
+        weightings = [
+            rng.integers(1, 4, g.edge_count),
+            np.full(g.edge_count, 3),
+            np.ones(g.edge_count, dtype=np.int64),
+        ]
+        seen = set()
+        for w in weightings:
+            omega = EdgeWeighting(weights=w, max_weight=3)
+            expected = weighted_degrees(g, omega)
+            drifted = expected.copy()
+            drifted[rng.choice(part.w_ids, 3, replace=False)] += 1
+            for exp in (None, expected, drifted):
+                ref = reference_final_verify(part, omega, profile, exp)
+                got = final_verify(part, omega, profile, exp).to_dict()
+                assert {k: got[k] for k in ref} == ref
+                seen |= {k for k, v in ref.items() if v}
+        assert seen == {
+            "conflict_edges", "bad_core_residues", "bad_periphery_residues",
+            "changed_periphery_sums", "range_violations", "interval_violations",
+        }
+
+    def test_matches_reference_on_constructed_weightings(self):
+        for light in (1, 2):
+            g, part, omega2 = hub_triangle(light_leaf_weight=light)
+            profile = loose_profile()
+            result = finalize_u(part, omega2, build_estar(part), profile)
+            expected = weighted_degrees(g, omega2)
+            for omega in (omega2, result.omega3):
+                ref = reference_final_verify(part, omega, profile, expected)
+                got = final_verify(part, omega, profile, expected).to_dict()
+                assert {k: got[k] for k in ref} == ref
+
+    @pytest.mark.parametrize("total", [34, 35, 40, 41])
+    def test_boundaries_match_reference(self, total):
+        # Hub 0 has degree 20, d_U = 2, d_FW = 0 and level 0, so with
+        # eps_fu = 0.5 its envelope is [10, 34] and its range [20, 40]; both
+        # upper ends are integers a sum can hit exactly.
+        g, part, _ = hub_triangle()
+        profile = loose_profile(eps_fu=0.5)
+        w = np.ones(g.edge_count, dtype=np.int64)
+        mine = np.flatnonzero((g.edges == 0).any(axis=1))
+        extra = total - mine.size
+        w[mine[:min(extra, mine.size)]] += 1
+        w[mine[:max(extra - mine.size, 0)]] += 1
+        omega = EdgeWeighting(weights=w, max_weight=3)
+        assert weighted_degrees(g, omega)[0] == total
+        ref = reference_final_verify(part, omega, profile)
+        got = final_verify(part, omega, profile).to_dict()
+        assert {k: got[k] for k in ref} == ref
+        assert (0 in got["interval_violations"]) == (total > 34)
+        assert (0 in got["range_violations"]) == (total > 40)

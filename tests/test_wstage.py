@@ -9,6 +9,7 @@ from trisum.errors import DegenerateLength, InsufficientFW, NoValidAddition
 from trisum.graph import Graph, gen_gnp, gen_random_regular
 from trisum.partition import Partition, sample_partition
 from trisum.profiles import ProfileConstants
+from trisum.weighting import weighted_degrees
 from trisum.wstage import (
     IntervalData,
     SumAdditions,
@@ -18,12 +19,26 @@ from trisum.wstage import (
     complete_initial_weighting,
     compute_intervals,
     conditional_sum_profile,
-    initial_sums,
     near_location_center,
     occupancy_counts,
     resample_w_stage,
     weigh_inner_edges,
 )
+
+
+def closed_form_initial_sums(part: Partition, omega1: np.ndarray) -> np.ndarray:
+    """d_U + d_FU + d_W + 2 * (weight-3 inner edges) per vertex.
+
+    The initial sums of periphery vertices in closed form; resample_w_stage
+    counts them directly, so this is the independent route to the same
+    numbers on W.
+    """
+    g = part.graph
+    heavy = part.eprime_mask & (omega1 == 3)
+    d3 = np.zeros(g.vertex_count, dtype=np.int64)
+    d3 += np.bincount(g.edges[heavy, 0], minlength=g.vertex_count)
+    d3 += np.bincount(g.edges[heavy, 1], minlength=g.vertex_count)
+    return part.d_u + part.d_fu + part.d_w + 2 * d3
 
 
 # Scalar, one-vertex reference oracles for the vectorized w-stage checks.
@@ -126,10 +141,11 @@ class TestWeighInnerEdges:
             x = all_periphery_x(g, part, val)
             x.x_edge[part.eprime_mask] = 1.0
             omega1 = complete_initial_weighting(part, x)
-            s1 = initial_sums(part, omega1)
+            s1 = weighted_degrees(g, omega1)
             d3 = part.d_w * expect3
             expected = part.d_u + part.d_fu + part.d_w + 2 * d3
             assert np.array_equal(s1, expected)
+            assert np.array_equal(s1, closed_form_initial_sums(part, omega1))
 
     def test_initial_sums_cross_check_random(self):
         g = gen_gnp(80, 0.5, seed=5)
@@ -141,8 +157,12 @@ class TestWeighInnerEdges:
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         omega1 = complete_initial_weighting(part, x)
-        s1 = initial_sums(part, omega1)  # raises on formula mismatch
+        s1 = weighted_degrees(g, omega1)
         assert (s1 >= 0).all()
+        w_ids = part.w_ids
+        assert w_ids.size and part.u_ids.size
+        formula = closed_form_initial_sums(part, omega1)
+        assert np.array_equal(s1[w_ids], formula[w_ids])
 
 
 class TestNearLocation:
@@ -168,7 +188,7 @@ class TestNearLocation:
         )
         profile = loose_profile(eps_loc=0.05)
         omega1 = complete_initial_weighting(part, x)
-        s1 = initial_sums(part, omega1)
+        s1 = weighted_degrees(g, omega1)
         heavy = part.eprime_mask & (omega1 == 3)
         d3 = np.zeros(g.vertex_count, dtype=np.int64)
         d3 += np.bincount(g.edges[heavy, 0], minlength=g.vertex_count)
@@ -463,6 +483,7 @@ class TestApplyAdditions:
         adds = SumAdditions(a=np.zeros(4, dtype=np.int64))
         omega2, s2 = apply_additions(part, omega1, adds)
         assert np.array_equal(omega2.weights, omega1)
+        assert np.array_equal(s2, weighted_degrees(g, omega1))
 
     def test_raises_lowest_ids_first(self):
         g, part = self._claw()
@@ -473,6 +494,10 @@ class TestApplyAdditions:
         assert omega2.weights.tolist() == [2, 2, 1]
         assert s2[3] == 5
         assert s2[0] == 2 and s2[1] == 2 and s2[2] == 1
+        # the raise moves each periphery sum by exactly its addition
+        s1 = weighted_degrees(g, omega1)
+        w_ids = part.w_ids
+        assert np.array_equal(s2[w_ids] - s1[w_ids], a[w_ids])
 
     def test_insufficient_fw(self):
         g, part = self._claw()
@@ -500,14 +525,16 @@ class TestApplyAdditions:
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         omega1 = complete_initial_weighting(part, x)
-        s1 = initial_sums(part, omega1)
+        s1 = weighted_degrees(g, omega1)
         data = compute_intervals(part, x, profile)
         adds = choose_sum_additions(part, s1, data, profile)
         omega2, s2 = apply_additions(part, omega1, adds)
+        w_ids = part.w_ids
+        assert adds.a[w_ids].any()
+        assert np.array_equal(s2[w_ids] - s1[w_ids], adds.a[w_ids])
         ep = part.eprime_mask
         e = g.edges[ep]
         assert (s2[e[:, 0]] != s2[e[:, 1]]).all()
-        w_ids = part.w_ids
         assert np.isin(s2[w_ids] % profile.modulus_m,
                        profile.reserved_residues).sum() == 0
         # final sums landed inside the target intervals
