@@ -159,10 +159,9 @@ def oracle(graph, k_max, sweep, n_max, k, out):
     if graph is None:
         raise click.UsageError("provide --graph or --sweep")
     try:
-        g = load_edge_list(graph)
+        result = min_k_weighting(load_edge_list(graph), k_max)
     except (TrisumError, OSError, ValueError) as exc:
         _fail(str(exc))
-    result = min_k_weighting(g, k_max)
     click.echo(json.dumps({
         "min_k": result.min_k,
         "nodes_explored": result.nodes_explored,

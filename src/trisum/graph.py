@@ -8,12 +8,14 @@ indexed by these ids.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .blockio import first_line_no, format_rows, int_rows, split_comments, text_blocks
 from .errors import EdgeListParseError, RetryExhausted, SelfLoopError
 from .rng import TAG_GNP, TAG_REGULAR, stream
 
@@ -53,22 +55,28 @@ class Graph:
 
     @classmethod
     def build(cls, vertex_count: int, pairs) -> "Graph":
-        """Normalize an iterable of vertex pairs into a Graph.
+        """Normalize vertex pairs (an iterable or an (m, 2) array) into a Graph.
 
         Duplicate pairs collapse; orientation is ignored; self-loops raise.
         """
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if arr.size:
             if (arr[:, 0] == arr[:, 1]).any():
                 bad = arr[arr[:, 0] == arr[:, 1]][0]
                 raise SelfLoopError(f"self-loop at vertex {bad[0]}")
             if arr.min() < 0:
                 raise ValueError("negative vertex id")
-            arr = np.sort(arr, axis=1)
-            arr = np.unique(arr, axis=0)
-            vertex_count = max(vertex_count, int(arr.max()) + 1)
-        else:
-            arr = arr.reshape(0, 2)
+            lo = np.minimum(arr[:, 0], arr[:, 1])
+            hi = np.maximum(arr[:, 0], arr[:, 1])
+            base = int(hi.max()) + 1
+            keys = pair_keys(lo, hi, base)
+            if not (keys[1:] > keys[:-1]).all():
+                _, first = np.unique(keys, return_index=True)
+                lo, hi = lo[first], hi[first]
+            arr = np.stack([lo, hi], axis=1)
+            vertex_count = max(vertex_count, base)
         return cls(vertex_count=int(vertex_count), edges=arr)
 
     @property
@@ -120,6 +128,18 @@ def degree_into(g: Graph, v: int, members: IdSet | np.ndarray) -> int:
     return int(mask[nbrs].sum()) if nbrs.size else 0
 
 
+# Largest base b for which pair keys lo * b + hi with hi < b fit in int64.
+_INT64_KEY_BASE = 3_037_000_499
+
+
+def pair_keys(lo: np.ndarray, hi: np.ndarray, base: int) -> np.ndarray:
+    """Keys lo * base + hi, ordered as the pairs (lo, hi) are when
+    0 <= hi < base; Python integers (object dtype) when int64 would overflow."""
+    if base > _INT64_KEY_BASE:
+        lo = lo.astype(object)
+    return lo * base + hi
+
+
 _VERTEX_HINT = "# vertices:"
 
 
@@ -127,11 +147,43 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated vertex pairs; '#' comments, blanks ignored.
 
     A `# vertices: N` comment, when present, pins the vertex count so
-    graphs with trailing isolated vertices round-trip.
+    graphs with trailing isolated vertices round-trip. The text is read in
+    blocks (see `blockio`); a block that is not plainly well formed is
+    read line by line, and the first bad line raises.
     """
-    pairs: list[tuple[int, int]] = []
     hinted = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    blocks: list[np.ndarray] = []
+    for offset, block in text_blocks(text):
+        parsed = _edge_block(block)
+        if parsed is None:
+            parsed = _scan_edge_lines(block.splitlines(), first_line_no(text, offset))
+        rows, hint = parsed
+        blocks.append(rows)
+        hinted = hinted if hint is None else hint
+    return Graph.build(hinted, np.concatenate(blocks) if blocks else ())
+
+
+def _edge_block(block: str) -> tuple[np.ndarray, int | None] | None:
+    """Pairs and last vertex-count hint of a block, or None unless every
+    line of it is plainly well formed."""
+    body, comments = split_comments(block)
+    rows = int_rows(body, 2)
+    if rows is None or (rows[:, 0] == rows[:, 1]).any() or (rows < 0).any():
+        return None
+    try:
+        hints = [int(c[len(_VERTEX_HINT):].strip())
+                 for c in comments if c.startswith(_VERTEX_HINT)]
+    except ValueError:
+        return None
+    return rows, hints[-1] if hints else None
+
+
+def _scan_edge_lines(lines: list[str], first: int) -> tuple[np.ndarray, int | None]:
+    """Pairs and last vertex-count hint of lines read one by one, numbered
+    from first; raises at the first malformed line."""
+    pairs: list[tuple[int, int]] = []
+    hinted = None
+    for line_no, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line:
             continue
@@ -154,21 +206,27 @@ def parse_edge_list(text: str) -> Graph:
         if u < 0 or v < 0:
             raise EdgeListParseError("negative vertex id", line_no)
         pairs.append((u, v))
-    return Graph.build(hinted, pairs)
+    # Python integers: an id beyond int64 raises in Graph.build, after
+    # every line has been checked.
+    return np.array(pairs, dtype=object).reshape(-1, 2), hinted
 
 
 def load_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(Path(path).read_text())
 
 
+def _edge_list_text(g: Graph) -> Iterator[str]:
+    yield f"{_VERTEX_HINT} {g.vertex_count}\n"
+    yield from format_rows(g.edges)
+
+
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{_VERTEX_HINT} {g.vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return "".join(_edge_list_text(g))
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(g))
+    with open(path, "w") as fh:
+        fh.writelines(_edge_list_text(g))
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -200,34 +258,32 @@ def gen_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) -> Gr
     rng = stream(seed, TAG_REGULAR)
 
     for _ in range(max_attempts):
-        edges: set[tuple[int, int]] = set()
+        placed: set[int] = set()    # keys lo * n + hi of the edges so far
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        dead = False
         while stubs.size:
             rng.shuffle(stubs)
-            leftovers: list[int] = []
-            placed = 0
-            for a, b in stubs.reshape(-1, 2):
-                a, b = (int(a), int(b)) if a < b else (int(b), int(a))
-                if a == b or (a, b) in edges:
-                    leftovers.extend((a, b))
-                else:
-                    edges.add((a, b))
-                    placed += 1
-            if leftovers and placed == 0 and not _has_suitable(edges, leftovers):
-                dead = True
-                break
-            stubs = np.asarray(leftovers, dtype=np.int64)
-        if not dead and not stubs.size:
-            return Graph.build(n, edges)
+            pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+            keys = pairs[:, 0] * n + pairs[:, 1]
+            fresh = np.zeros(keys.size, dtype=bool)
+            fresh[np.unique(keys, return_index=True)[1]] = True
+            fresh &= pairs[:, 0] != pairs[:, 1]
+            if placed:
+                fresh &= ~np.fromiter(map(placed.__contains__, keys.tolist()),
+                                      dtype=bool, count=keys.size)
+            placed.update(keys[fresh].tolist())
+            # Clashing pairs keep their order, so the next shuffle draws
+            # the same values as a pair-by-pair repair would.
+            stubs = pairs[~fresh].ravel()
+            if stubs.size and not fresh.any() and not _has_suitable(placed, stubs, n):
+                break   # dead end: restart the attempt
+        else:
+            keys = np.sort(np.fromiter(placed, dtype=np.int64, count=len(placed)))
+            return Graph(vertex_count=n, edges=np.stack([keys // n, keys % n], axis=1))
     raise RetryExhausted("random-regular", [], max_attempts)
 
 
-def _has_suitable(edges: set[tuple[int, int]], stubs: list[int]) -> bool:
+def _has_suitable(placed: set[int], stubs: np.ndarray, n: int) -> bool:
     """Whether any pair of remaining stubs can still form a fresh edge."""
-    uniq = sorted(set(stubs))
-    for i, a in enumerate(uniq):
-        for b in uniq[i + 1:]:
-            if (a, b) not in edges:
-                return True
-    return False
+    uniq = np.unique(stubs)
+    i, j = np.triu_indices(uniq.size, k=1)
+    return not placed.issuperset((uniq[i] * n + uniq[j]).tolist())

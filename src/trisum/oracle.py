@@ -7,6 +7,7 @@ to a vertex budget and reports any instance needing more than a given k.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -105,9 +106,19 @@ def _search(g: Graph, k: int, order: list[int]) -> tuple[np.ndarray | None, int]
 
 
 def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
-    """Least k in 1..k_max admitting a no-adjacent-equal-sums weighting."""
+    """Least k in 1..k_max admitting a no-adjacent-equal-sums weighting.
+
+    The search recurses once per edge, so graphs with more edges than half
+    the interpreter's recursion limit are refused with a ValueError.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    limit = sys.getrecursionlimit()
+    if g.edge_count > limit // 2:
+        raise ValueError(
+            f"graph has {g.edge_count} edges; the exact search takes at most "
+            f"{limit // 2} (half the recursion limit {limit})"
+        )
     order = _bfs_edge_order(g)
     total_nodes = 0
     for k in range(1, k_max + 1):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .blockio import first_line_no, format_rows, int_rows, split_comments, text_blocks
 from .errors import WeightingCoverageError
-from .graph import Graph
+from .graph import Graph, pair_keys
 
 
 @dataclass(frozen=True)
@@ -63,28 +65,84 @@ def blow_up_is_locally_irregular(g: Graph, weighting: EdgeWeighting) -> bool:
     reps = w.astype(np.int64)
     ends = np.concatenate([np.repeat(g.edges[:, 0], reps), np.repeat(g.edges[:, 1], reps)])
     multi_deg = np.bincount(ends, minlength=g.vertex_count)
-    for u, v in g.edges:
-        if multi_deg[u] == multi_deg[v]:
-            return False
-    return True
+    return bool((multi_deg[g.edges[:, 0]] != multi_deg[g.edges[:, 1]]).all())
+
+
+def _weighting_text(g: Graph, weighting: EdgeWeighting) -> Iterator[str]:
+    return format_rows(np.column_stack([g.edges, weighting.weights]))
 
 
 def format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
     """One "u v w" line per edge, in edge-id order."""
-    w = weighting.weights
-    lines = [f"{u} {v} {w[e]}" for e, (u, v) in enumerate(g.edges)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_weighting_text(g, weighting))
 
 
 def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
     """Parse "u v w" lines; must cover every edge of g exactly once.
 
-    Every weight must be an integer in [1, max_weight].
+    Every weight must be an integer in [1, max_weight]; a pair may repeat
+    only with the same weight. The text is read in blocks (see `blockio`);
+    a block that is not plainly well formed is read line by line, and the
+    first bad line raises.
     """
-    pair_to_id = {(int(u), int(v)): e for e, (u, v) in enumerate(g.edges)}
+    table = _EdgeTable(g)
     w = np.zeros(g.edge_count, dtype=np.int64)
     seen = np.zeros(g.edge_count, dtype=bool)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for offset, block in text_blocks(text):
+        rows = int_rows(split_comments(block)[0], 3)
+        if rows is None or not _record_block(table, rows, max_weight, w, seen):
+            _scan_weight_lines(table, block.splitlines(), first_line_no(text, offset),
+                               max_weight, w, seen)
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
+        raise WeightingCoverageError(f"no weight given for edge id {missing}")
+    return EdgeWeighting(weights=w, max_weight=max_weight)
+
+
+class _EdgeTable:
+    """Edge ids of vertex pairs, by binary search on the sorted edge keys."""
+
+    def __init__(self, g: Graph):
+        self.n = g.vertex_count
+        self.keys = pair_keys(g.edges[:, 0], g.edges[:, 1], self.n)
+
+    def ids(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Edge id of each pair lo <= hi, -1 where it is not an edge."""
+        inside = (lo >= 0) & (hi < self.n)
+        keys = pair_keys(np.where(inside, lo, 0), np.where(inside, hi, 0), self.n)
+        ids = np.searchsorted(self.keys, keys)
+        hit = inside & (ids < self.keys.size)
+        hit[hit] = self.keys[ids[hit]] == keys[hit]
+        return np.where(hit, ids, -1)
+
+    def id_of(self, lo: int, hi: int) -> int:
+        return int(self.ids(np.array([lo]), np.array([hi]))[0])
+
+
+def _record_block(table: _EdgeTable, rows: np.ndarray, max_weight: int,
+                  w: np.ndarray, seen: np.ndarray) -> bool:
+    """Record a block's weights; False, recording nothing, when a weight is
+    out of range, a pair is not an edge or an edge gets a second weight."""
+    u, v, wt = rows.T
+    if not ((wt >= 1) & (wt <= max_weight)).all():
+        return False
+    e = table.ids(np.minimum(u, v), np.maximum(u, v))
+    if (e < 0).any():
+        return False
+    ids, first, slot = np.unique(e, return_index=True, return_inverse=True)
+    settled = np.where(seen[ids], w[ids], wt[first])
+    if (wt != settled[slot]).any():
+        return False
+    w[ids] = settled
+    seen[ids] = True
+    return True
+
+
+def _scan_weight_lines(table: _EdgeTable, lines: list[str], first: int,
+                       max_weight: int, w: np.ndarray, seen: np.ndarray) -> None:
+    """Record weights from lines read one by one, numbered from first;
+    raises at the first malformed line."""
+    for line_no, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -100,21 +158,18 @@ def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
                 f"line {line_no}: weight {wt} outside [1, {max_weight}]"
             )
         key = (u, v) if u < v else (v, u)
-        if key not in pair_to_id:
+        e = table.id_of(*key)
+        if e < 0:
             raise WeightingCoverageError(f"line {line_no}: {key} is not an edge")
-        e = pair_to_id[key]
         if seen[e] and w[e] != wt:
             raise WeightingCoverageError(f"line {line_no}: conflicting weight for {key}")
         seen[e] = True
         w[e] = wt
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise WeightingCoverageError(f"no weight given for edge id {missing}")
-    return EdgeWeighting(weights=w, max_weight=max_weight)
 
 
 def write_weighting(g: Graph, weighting: EdgeWeighting, path: str | Path) -> None:
-    Path(path).write_text(format_weighting(g, weighting))
+    with open(path, "w") as fh:
+        fh.writelines(_weighting_text(g, weighting))
 
 
 def load_weighting(g: Graph, path: str | Path) -> EdgeWeighting:

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from trisum.cli import EXPERIMENT_COLUMNS, main
-from trisum.graph import Graph, format_edge_list, load_edge_list
+from trisum.graph import Graph, format_edge_list, gen_gnp, load_edge_list
 from trisum.weighting import EdgeWeighting, format_weighting
 
 
@@ -124,6 +124,15 @@ class TestOracleCommand:
         assert isinstance(result.exception, SystemExit)
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"].startswith("line 2: ")
+
+    def test_graph_above_edge_bound_gives_json_error(self, runner, tmp_path):
+        path = tmp_path / "g60.txt"
+        path.write_text(format_edge_list(gen_gnp(60, 0.9, 1)))
+        result = runner.invoke(main, ["oracle", "--graph", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        err = json.loads(result.stderr.strip().splitlines()[-1])
+        assert err["error"].startswith("graph has 1595 edges; the exact search takes at most ")
 
     def test_sweep_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from trisum.graph import Graph
+from trisum.graph import Graph, gen_gnp
 from trisum.oracle import min_k_weighting, sweep_small_graphs
 from trisum.weighting import conflicts
 
@@ -26,6 +28,21 @@ class TestMinK:
 
     def test_triangle_fails_at_two(self, k3):
         assert min_k_weighting(k3, 2).min_k is None
+
+    def test_edge_bound_from_recursion_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "getrecursionlimit", lambda: 40)
+        path = Graph.build(21, [(i, i + 1) for i in range(20)])
+        assert min_k_weighting(path, 3).min_k == 2
+        longer = Graph.build(22, [(i, i + 1) for i in range(21)])
+        with pytest.raises(ValueError, match="graph has 21 edges; the exact search "
+                           r"takes at most 20 \(half the recursion limit 40\)"):
+            min_k_weighting(longer, 3)
+
+    def test_large_graph_refused_not_recursion_error(self):
+        g = gen_gnp(60, 0.9, 1)
+        assert g.edge_count == 1595
+        with pytest.raises(ValueError, match="graph has 1595 edges"):
+            min_k_weighting(g, 3)
 
     def test_cycle_needs_two(self, c4):
         result = min_k_weighting(c4, 3)

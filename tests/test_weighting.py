@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisum import blockio
 from trisum.errors import WeightingCoverageError
 from trisum.graph import Graph, gen_gnp
 from trisum.weighting import (
@@ -10,9 +11,61 @@ from trisum.weighting import (
     blow_up_is_locally_irregular,
     conflicts,
     format_weighting,
+    load_weighting,
     parse_weighting,
     weighted_degrees,
+    write_weighting,
 )
+
+
+def reference_parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
+    """The line-by-line parser with a pair dict that the block reader
+    replaced: the oracle for its results and for its error messages."""
+    pair_to_id = {(int(u), int(v)): e for e, (u, v) in enumerate(g.edges)}
+    w = np.zeros(g.edge_count, dtype=np.int64)
+    seen = np.zeros(g.edge_count, dtype=bool)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise WeightingCoverageError(f"line {line_no}: expected 'u v w'")
+        try:
+            u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise WeightingCoverageError(f"line {line_no}: non-integer value in {line!r}")
+        if not 1 <= wt <= max_weight:
+            raise WeightingCoverageError(
+                f"line {line_no}: weight {wt} outside [1, {max_weight}]"
+            )
+        key = (u, v) if u < v else (v, u)
+        if key not in pair_to_id:
+            raise WeightingCoverageError(f"line {line_no}: {key} is not an edge")
+        e = pair_to_id[key]
+        if seen[e] and w[e] != wt:
+            raise WeightingCoverageError(f"line {line_no}: conflicting weight for {key}")
+        seen[e] = True
+        w[e] = wt
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
+        raise WeightingCoverageError(f"no weight given for edge id {missing}")
+    return EdgeWeighting(weights=w, max_weight=max_weight)
+
+
+def reference_format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
+    w = weighting.weights
+    lines = [f"{u} {v} {w[e]}" for e, (u, v) in enumerate(g.edges)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def weighting_outcome(g: Graph, text: str, parse, max_weight: int = 3):
+    """A parser's weights, or its error's type and message."""
+    try:
+        w = parse(g, text, max_weight)
+    except Exception as exc:  # compared, never swallowed: see callers
+        return ("error", type(exc), str(exc))
+    return ("weights", w.max_weight, w.weights.dtype, w.weights.tolist())
 
 
 def weighting_by_pairs(g: Graph, mapping: dict, max_weight: int = 3) -> EdgeWeighting:
@@ -146,3 +199,111 @@ class TestSerialization:
             EdgeWeighting(weights=np.array([0]), max_weight=3)
         with pytest.raises(ValueError):
             EdgeWeighting(weights=np.array([4]), max_weight=3)
+
+
+@st.composite
+def weighted_graphs(draw):
+    g = gen_gnp(draw(st.integers(0, 9)), draw(st.floats(0.0, 1.0)), draw(st.integers(0, 1000)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=g.edge_count, max_size=g.edge_count))
+    return g, EdgeWeighting(weights=np.array(weights, dtype=np.int64), max_weight=3)
+
+
+_SEP = st.sampled_from([" ", "  ", "\t"])
+# Malformed lines, and lines in unusual whitespace, digits or syntax.
+_ODD_FIELDS = st.sampled_from([
+    "0 1", "0 1 2 3", "a 1 1", "0 1 x", "0 1 1.5", "0 1 0", "0 1 4", "0 1 -1",
+    "0 0 1", "-1 2 1", "0 9 1", f"0 {2**70} 1", f"0 1 {2**70}", "0 1 1 # c",
+    "+0 1 +1", "0 1 \u0663", "0\xa01 1", "0\x0c1 1 1", "0\x1f1 1", "0 1\x1e1 1",
+    "0\x1f1 2 3", "0 1\x0c1", "0\x1c1 1", "0 1\x1d1", "0 1\x0b1",
+])
+
+
+@st.composite
+def weighting_texts(draw):
+    """A graph and a weighting text for it: its edges in any order and
+    orientation, some repeated or left out, among comments, blanks and
+    malformed lines."""
+    g, weighting = draw(weighted_graphs())
+    rows = []
+    for e in draw(st.permutations(range(g.edge_count))):
+        u, v = g.edges[e].tolist()
+        if draw(st.booleans()):
+            u, v = v, u
+        wt = int(weighting.weights[e])
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
+            shown = draw(st.sampled_from([wt, wt, 1, 2, 3]))
+            rows.append(f"{u}{draw(_SEP)}{v}{draw(_SEP)}{draw(st.sampled_from(['', '+']))}{shown}")
+    for _ in range(draw(st.integers(0, 4))):
+        noise = draw(st.one_of(_ODD_FIELDS, st.sampled_from(["", "  ", "# note", "\t# x"])))
+        rows.insert(draw(st.integers(0, len(rows))), noise)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return g, end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+class TestParseWeightingAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(weighting_texts(), st.sampled_from([None, 1, 9, 40]), st.sampled_from([2, 3, 4]))
+    def test_same_result_or_error(self, case, block_chars, max_weight):
+        g, text = case
+        with pytest.MonkeyPatch.context() as mp:
+            if block_chars is not None:
+                mp.setattr(blockio, "BLOCK_CHARS", block_chars)
+            got = weighting_outcome(g, text, parse_weighting, max_weight)
+        assert got == weighting_outcome(g, text, reference_parse_weighting, max_weight)
+
+    def test_first_error_in_second_block(self):
+        g = gen_gnp(500, 0.6, seed=2)
+        w = EdgeWeighting(weights=(np.arange(g.edge_count) % 3 + 1), max_weight=3)
+        lines = format_weighting(g, w).splitlines()
+        assert len("\n".join(lines[:60_000])) > blockio.BLOCK_CHARS
+        u, v, wt = lines[10].split()
+        lines.insert(60_000, f"{v} {u} {int(wt) % 3 + 1}")
+        lines.insert(65_000, "0 1 9")
+        text = "\n".join(lines)
+        got = weighting_outcome(g, text, parse_weighting)
+        assert got == ("error", WeightingCoverageError,
+                       f"line 60001: conflicting weight for ({u}, {v})")
+        assert got == weighting_outcome(g, text, reference_parse_weighting)
+
+    def test_missing_edge_after_many_blocks(self):
+        g = gen_gnp(500, 0.6, seed=2)
+        w = EdgeWeighting(weights=np.full(g.edge_count, 2), max_weight=3)
+        lines = format_weighting(g, w).splitlines()
+        del lines[70_000]
+        text = "\n".join(lines)
+        assert weighting_outcome(g, text, parse_weighting) == (
+            "error", WeightingCoverageError, "no weight given for edge id 70000")
+
+    def test_values_beyond_int64(self, p3):
+        for text in (f"0 1 1\n1 {2**70} 1\n", f"0 1 {2**70}\n", f"{-2**70} 1 1\n"):
+            assert weighting_outcome(p3, text, parse_weighting) == weighting_outcome(
+                p3, text, reference_parse_weighting)
+
+    def test_vertex_ids_beyond_key_range(self):
+        big = 2**62
+        g = Graph.build(0, [(0, big), (1, big)])
+        text = f"{big} 0 2\n1 {big} 3\n"
+        assert parse_weighting(g, text).weights.tolist() == [2, 3]
+        assert weighting_outcome(g, "0 1 1\n", parse_weighting) == (
+            "error", WeightingCoverageError, "line 1: (0, 1) is not an edge")
+
+
+class TestWeightingRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_graphs())
+    def test_format_parse_round_trip(self, case):
+        g, w = case
+        text = format_weighting(g, w)
+        assert text == reference_format_weighting(g, w)
+        back = parse_weighting(g, text)
+        assert back.weights.dtype == w.weights.dtype
+        assert np.array_equal(back.weights, w.weights)
+
+    def test_written_file_matches_format(self, tmp_path):
+        g = gen_gnp(500, 0.6, seed=4)
+        w = EdgeWeighting(weights=np.random.default_rng(4).integers(1, 4, g.edge_count),
+                          max_weight=3)
+        path = tmp_path / "w.txt"
+        write_weighting(g, w, path)
+        assert path.read_bytes() == reference_format_weighting(g, w).encode()
+        assert np.array_equal(load_weighting(g, path).weights, w.weights)
