@@ -11,13 +11,10 @@ from .analytic import (
     dbar_quadrature,
     density_g,
     r_value,
-    sample_x,
     weight3_probability,
 )
 from .graph import (
     Graph,
-    IdSet,
-    degree_into,
     gen_gnp,
     gen_random_regular,
     load_edge_list,
@@ -29,13 +26,12 @@ from .partition import (
     Partition,
     audit_partition,
     initial_outer_weights,
-    j_interval,
     n_u_leq,
     sample_partition,
 )
 from .pipeline import Budgets, PipelineOutcome, run
 from .profiles import DESK, FULL_SCALE, ProfileConstants, load_profile, resolve_profile
-from .ustage import EStar, build_estar, final_verify, finalize_u
+from .ustage import build_estar, final_verify, finalize_u
 from .weighting import (
     EdgeWeighting,
     blow_up_is_locally_irregular,
@@ -44,7 +40,6 @@ from .weighting import (
 )
 from .wstage import (
     IntervalData,
-    SumAdditions,
     XAssignment,
     apply_additions,
     choose_sum_additions,

@@ -48,11 +48,6 @@ def x_from_uniform(t):
     return X_LO * (X_HI / X_LO) ** np.asarray(t, dtype=np.float64)
 
 
-def sample_x(rng: np.random.Generator) -> float:
-    """Draw one vertex variable by inverse-CDF sampling."""
-    return float(x_from_uniform(rng.random()))
-
-
 def sample_x_many(rng: np.random.Generator, size: int) -> np.ndarray:
     return x_from_uniform(rng.random(size))
 
@@ -160,14 +155,6 @@ def edge_weight3_mask(x_a, x_b, x_e) -> np.ndarray:
         prob = _r_unchecked(small[lo]) * _r_unchecked(big[lo]) / DBAR
         out[lo] = x_e[lo] <= prob
     return out
-
-
-def simulate_weight3_frequency(alpha: float, trials: int, rng: np.random.Generator) -> float:
-    """Monte Carlo frequency of weight 3 at a pinned endpoint value."""
-    x_u = sample_x_many(rng, trials)
-    x_e = rng.random(trials)
-    mask = edge_weight3_mask(np.full(trials, alpha), x_u, x_e)
-    return float(mask.mean())
 
 
 def constants_report(r_grid: int = 9) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +29,18 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
+def _json_errors(command):
+    """Report a bad input, a bad argument or an unwritable output of a
+    command as one JSON error on stderr with exit status 2."""
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (TrisumError, OSError, ValueError) as exc:
+            _fail(str(exc))
+    return wrapper
+
+
 def _parse_gen(spec: str, seed: int) -> Graph:
     """gnp:n,p or reg:n,d."""
     try:
@@ -40,13 +53,13 @@ def _parse_gen(spec: str, seed: int) -> Graph:
             n, d = int(parts[0]), int(parts[1])
             return gen_random_regular(n, d, seed)
     except (ValueError, IndexError) as exc:
-        raise click.BadParameter(f"bad generator spec {spec!r}: {exc}")
-    raise click.BadParameter(f"unknown generator kind in {spec!r}")
+        raise ValueError(f"bad generator spec {spec!r}: {exc}") from None
+    raise ValueError(f"unknown generator kind in {spec!r}")
 
 
 def _load_graph(graph: str | None, gen: str | None, gen_seed: int) -> Graph:
     if (graph is None) == (gen is None):
-        raise click.UsageError("provide exactly one of --graph and --gen")
+        raise ValueError("provide exactly one of --graph and --gen")
     if graph is not None:
         return load_edge_list(graph)
     return _parse_gen(gen, gen_seed)
@@ -56,7 +69,7 @@ def _parse_overrides(pairs: tuple[str, ...]) -> dict:
     out: dict = {}
     for pair in pairs:
         if "=" not in pair:
-            raise click.BadParameter(f"--set expects key=value, got {pair!r}")
+            raise ValueError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         if key in ("m_levels", "modulus_m"):
             out[key] = int(value)
@@ -76,6 +89,7 @@ def main():
 @click.option("--gen", required=True, help="Generator spec: gnp:n,p or reg:n,d")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path))
+@_json_errors
 def gen(gen: str, seed: int, out: Path):
     """Generate a graph and write it as an edge list."""
     g = _parse_gen(gen, seed)
@@ -93,14 +107,12 @@ def gen(gen: str, seed: int, out: Path):
 @click.option("--set", "overrides", multiple=True,
               help="Profile override key=value; repeatable")
 @click.option("--out", required=True, help="Output prefix for .weights.txt / .outcome.json")
+@_json_errors
 def weight(graph, gen_spec, gen_seed, seed, profile_spec, overrides, out):
     """Run the full construction; write the weighting only on verified success."""
-    try:
-        g = _load_graph(graph, gen_spec, gen_seed)
-        profile = resolve_profile(profile_spec, _parse_overrides(overrides))
-        outcome = run_pipeline(g, profile, seed)
-    except (TrisumError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    g = _load_graph(graph, gen_spec, gen_seed)
+    profile = resolve_profile(profile_spec, _parse_overrides(overrides))
+    outcome = run_pipeline(g, profile, seed)
     Path(f"{out}.outcome.json").write_text(
         json.dumps(outcome.to_dict(), indent=2, default=str) + "\n"
     )
@@ -114,13 +126,11 @@ def weight(graph, gen_spec, gen_seed, seed, profile_spec, overrides, out):
 @main.command()
 @click.option("--graph", required=True, type=click.Path(exists=True))
 @click.option("--weights", required=True, type=click.Path(exists=True))
+@_json_errors
 def verify(graph, weights):
     """Check a (graph, weighting) pair for adjacent equal sums."""
-    try:
-        g = load_edge_list(graph)
-        w = load_weighting(g, weights)
-    except (TrisumError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    g = load_edge_list(graph)
+    w = load_weighting(g, weights)
     bad = conflicts(g, w)
     report = {
         "edges": g.edge_count,
@@ -140,6 +150,7 @@ def verify(graph, weights):
 @click.option("--k", type=int, default=3, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="CSV report path for --sweep")
+@_json_errors
 def oracle(graph, k_max, sweep, n_max, k, out):
     """Exact minimum-k search, or a sweep over all small connected graphs."""
     if sweep:
@@ -157,11 +168,8 @@ def oracle(graph, k_max, sweep, n_max, k, out):
         }))
         sys.exit(0 if not report.counterexamples else 1)
     if graph is None:
-        raise click.UsageError("provide --graph or --sweep")
-    try:
-        result = min_k_weighting(load_edge_list(graph), k_max)
-    except (TrisumError, OSError, ValueError) as exc:
-        _fail(str(exc))
+        raise ValueError("provide --graph or --sweep")
+    result = min_k_weighting(load_edge_list(graph), k_max)
     click.echo(json.dumps({
         "min_k": result.min_k,
         "nodes_explored": result.nodes_explored,
@@ -171,6 +179,7 @@ def oracle(graph, k_max, sweep, n_max, k, out):
 @main.command()
 @click.option("--grid", type=int, default=9, show_default=True,
               help="Number of r-table points")
+@_json_errors
 def constants(grid):
     """Print the analytic constants report as JSON."""
     click.echo(json.dumps(analytic.constants_report(grid), indent=2))
@@ -199,19 +208,17 @@ def _experiment_task(args: tuple) -> dict:
 @click.option("--set", "overrides", multiple=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--jobs", type=int, default=1, show_default=True)
+@_json_errors
 def experiment(graph, gen_spec, gen_seed, seeds, profile_spec, overrides, out, jobs):
     """Fan the pipeline out over seeds and aggregate results into CSV."""
     try:
         seed_list = [int(s) for s in seeds.split(",") if s.strip() != ""]
     except ValueError:
-        raise click.BadParameter(f"seeds must be integers, got {seeds!r}")
+        raise ValueError(f"seeds must be integers, got {seeds!r}") from None
     if len(set(seed_list)) != len(seed_list):
-        raise click.BadParameter("seeds must be distinct")
-    try:
-        g = _load_graph(graph, gen_spec, gen_seed)
-        profile = resolve_profile(profile_spec, _parse_overrides(overrides))
-    except (TrisumError, OSError, ValueError) as exc:
-        _fail(str(exc))
+        raise ValueError("seeds must be distinct")
+    g = _load_graph(graph, gen_spec, gen_seed)
+    profile = resolve_profile(profile_spec, _parse_overrides(overrides))
     tasks = [(g, profile, seed) for seed in seed_list]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

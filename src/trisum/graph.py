@@ -21,32 +21,6 @@ from .rng import TAG_GNP, TAG_REGULAR, stream
 
 
 @dataclass(frozen=True)
-class IdSet:
-    """Membership mask over dense ids with O(1) lookup."""
-
-    mask: np.ndarray
-
-    @classmethod
-    def from_ids(cls, size: int, ids) -> "IdSet":
-        mask = np.zeros(size, dtype=bool)
-        ids = np.asarray(list(ids), dtype=np.int64)
-        if ids.size:
-            if ids.min() < 0 or ids.max() >= size:
-                raise ValueError("id out of range for host of size %d" % size)
-            mask[ids] = True
-        return cls(mask)
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask[i])
-
-    def __len__(self) -> int:
-        return int(self.mask.sum())
-
-    def ids(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple graph. No self-loops, no parallel edges."""
 
@@ -119,13 +93,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return int(self.degrees.min()) if self.vertex_count else 0
-
-
-def degree_into(g: Graph, v: int, members: IdSet | np.ndarray) -> int:
-    """Number of neighbours of v inside the given vertex set."""
-    mask = members.mask if isinstance(members, IdSet) else members
-    nbrs = g.neighbors(v)
-    return int(mask[nbrs].sum()) if nbrs.size else 0
 
 
 # Largest base b for which pair keys lo * b + hi with hi < b fit in int64.

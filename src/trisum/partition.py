@@ -21,21 +21,6 @@ from .profiles import ProfileConstants, check_partition_feasible
 from .rng import TAG_PART_FU, TAG_PART_FW, TAG_PART_LEVEL, TAG_PART_U, stream
 
 
-@dataclass(frozen=True)
-class JInterval:
-    """Envelope that ends up containing a core vertex's final sum."""
-
-    lo: float
-    hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def overlaps(self, other: "JInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-
 @dataclass
 class Partition:
     graph: Graph
@@ -44,19 +29,18 @@ class Partition:
     f_mask: np.ndarray      # bool[m], edges between U and W
     fw_mask: np.ndarray     # bool[m], F_W subset of F
     fu_mask: np.ndarray     # bool[m], F_U subset of F'
-    # cached per-vertex counts (recomputable from the masks)
-    d_u: np.ndarray = field(default=None)
-    d_fw: np.ndarray = field(default=None)
-    d_fprime: np.ndarray = field(default=None)
-    d_fu: np.ndarray = field(default=None)
+    # per-vertex counts, computed once from the masks
+    d_u: np.ndarray = field(init=False)
+    d_fw: np.ndarray = field(init=False)
+    d_fprime: np.ndarray = field(init=False)
+    d_fu: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.d_u is None:
-            g = self.graph
-            self.d_u = _count_neighbors_in(g, self.in_u)
-            self.d_fw = _count_incident(g, self.fw_mask)
-            self.d_fprime = _count_incident(g, self.fprime_mask)
-            self.d_fu = _count_incident(g, self.fu_mask)
+        g = self.graph
+        self.d_u = _count_neighbors_in(g, self.in_u)
+        self.d_fw = _count_incident(g, self.fw_mask)
+        self.d_fprime = _count_incident(g, self.fprime_mask)
+        self.d_fu = _count_incident(g, self.fu_mask)
 
     @property
     def fprime_mask(self) -> np.ndarray:
@@ -97,22 +81,6 @@ class Partition:
             "e_prime": int(self.eprime_mask.sum()),
         }
 
-    def debug_dump(self) -> str:
-        """Labeled vertex and edge lists, one item per line."""
-        lines = ["# vertices: id side level"]
-        for v in range(self.graph.vertex_count):
-            side = "U" if self.in_u[v] else "W"
-            lines.append(f"{v} {side} {int(self.levels[v])}")
-        lines.append("# edges: id u v label")
-        labels = np.full(self.graph.edge_count, "E'", dtype=object)
-        labels[self.f_mask] = "F"
-        labels[self.fw_mask] = "F_W"
-        labels[self.fu_mask] = "F_U"
-        labels[self.eu_mask] = "E(U)"
-        for e, (u, v) in enumerate(self.graph.edges):
-            lines.append(f"{e} {u} {v} {labels[e]}")
-        return "\n".join(lines) + "\n"
-
 
 def _count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
     """d_A(v) for every v, where A is the masked vertex set."""
@@ -141,29 +109,16 @@ def j_interval_bounds(
     deg: float | np.ndarray, d_fprime: float | np.ndarray,
     d_fw: float | np.ndarray, d_u: float | np.ndarray, level: int | np.ndarray,
     profile: ProfileConstants,
-) -> JInterval:
-    """J interval from raw per-vertex counts (usable on synthetic numbers).
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Bounds (lo, hi) of the J interval, the envelope that ends up holding
+    a core vertex's final sum, from raw per-vertex counts.
 
-    Given equal-shape arrays, it returns the intervals of many vertices at
-    once as a JInterval whose lo and hi are arrays.
+    Given equal-shape arrays, it returns the bounds of many vertices at once.
     """
     base = deg + (level / profile.m_levels) * d_fprime
     lo = base - profile.eps_fu * deg
     hi = base + profile.eps_fu * deg + d_fw + 2.0 * d_u
-    return JInterval(lo=lo, hi=hi)
-
-
-def j_interval(u: int, part: Partition, profile: ProfileConstants) -> JInterval:
-    if not part.in_u[u]:
-        raise ValueError(f"vertex {u} is not in the core")
-    return j_interval_bounds(
-        float(part.graph.degrees[u]),
-        float(part.d_fprime[u]),
-        float(part.d_fw[u]),
-        float(part.d_u[u]),
-        int(part.levels[u]),
-        profile,
-    )
+    return lo, hi
 
 
 def n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
@@ -181,11 +136,11 @@ def n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
     if not cand.size:
         return cand
     ids = np.concatenate([[u], cand])
-    j = j_interval_bounds(
+    lo, hi = j_interval_bounds(
         g.degrees[ids], part.d_fprime[ids], part.d_fw[ids], part.d_u[ids],
         part.levels[ids], profile,
     )
-    overlap = (j.lo[1:] <= j.hi[0]) & (j.lo[0] <= j.hi[1:])
+    overlap = (lo[1:] <= hi[0]) & (lo[0] <= hi[1:])
     return cand[overlap]
 
 
@@ -198,8 +153,8 @@ def _comparable_pairs(
     e0, e1 = g.edges[:, 0], g.edges[:, 1]
     uu = in_u[e0] & in_u[e1]
     a, b = e0[uu], e1[uu]
-    j = j_interval_bounds(g.degrees, d_fprime, d_fw, d_u, levels, profile)
-    overlap = (j.lo[a] <= j.hi[b]) & (j.lo[b] <= j.hi[a])
+    lo, hi = j_interval_bounds(g.degrees, d_fprime, d_fw, d_u, levels, profile)
+    overlap = (lo[a] <= hi[b]) & (lo[b] <= hi[a])
     deg = g.degrees
     b_for_a = overlap & (deg[b] >= 0.5 * deg[a]) & (deg[b] <= deg[a])
     a_for_b = overlap & (deg[a] >= 0.5 * deg[b]) & (deg[a] <= deg[b])

@@ -181,9 +181,9 @@ def _run_once(
                 raise
     omega2, s2 = apply_additions(part, state.omega1, additions)
 
-    estar = build_estar(part)
-    stats["audits"]["estar_bounds"] = estar_bounds_hold(part, estar)
-    result = finalize_u(part, omega2, estar, profile)
+    owner = build_estar(part)
+    stats["audits"]["estar_bounds"] = estar_bounds_hold(part, owner)
+    result = finalize_u(part, omega2, owner, profile)
 
     report = final_verify(
         part, result.omega3, profile, expected_periphery_sums=s2,

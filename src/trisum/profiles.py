@@ -131,10 +131,6 @@ def load_profile(path: str | Path) -> ProfileConstants:
     return profile_from_dict(json.loads(Path(path).read_text()))
 
 
-def save_profile(profile: ProfileConstants, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(profile.to_dict(), indent=2) + "\n")
-
-
 def resolve_profile(spec: str | None, overrides: dict | None = None) -> ProfileConstants:
     """Builtin name, JSON path, or None (desk); overrides win over the file."""
     if spec is None:

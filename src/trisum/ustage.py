@@ -16,39 +16,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NoValidPair
-from .partition import Partition, j_interval, j_interval_bounds, n_u_leq_all
+from .partition import Partition, j_interval_bounds, n_u_leq_all
 from .profiles import ProfileConstants
 from .weighting import EdgeWeighting, weighted_degrees
 
 
-@dataclass
-class EStar:
-    """Disjoint owned-edge sets over the core, as an edge -> owner map."""
-
-    owner: np.ndarray  # int64[m]; -1 where unowned
-
-    def owned_lists(self, n: int) -> list[np.ndarray]:
-        """Owned edge ids per vertex, grouped once for fast lookup."""
-        eids = np.flatnonzero(self.owner >= 0)
-        owners = self.owner[eids]
-        order = np.lexsort((eids, owners))
-        eids, owners = eids[order], owners[order]
-        starts = np.searchsorted(owners, np.arange(n + 1))
-        return [eids[starts[v]:starts[v + 1]] for v in range(n)]
-
-    def owned_count(self, n: int) -> np.ndarray:
-        owned = self.owner[self.owner >= 0]
-        return np.bincount(owned, minlength=n)
+def _owned_lists(owner: np.ndarray, n: int) -> list[np.ndarray]:
+    """Owned edge ids per vertex, ascending, from the edge -> owner map."""
+    eids = np.flatnonzero(owner >= 0)
+    owners = owner[eids]
+    order = np.lexsort((eids, owners))
+    eids, owners = eids[order], owners[order]
+    starts = np.searchsorted(owners, np.arange(n + 1))
+    return [eids[starts[v]:starts[v + 1]] for v in range(n)]
 
 
-def build_estar(part: Partition) -> EStar:
+def build_estar(part: Partition) -> np.ndarray:
     """Orient the core-internal edges along Euler tours and assign owners.
 
     An auxiliary vertex is joined to every odd-degree core vertex so each
     component of the augmented graph is eulerian; tours start at the
     lowest-id real vertex of their component and leave each vertex by its
     lowest-neighbour unused edge. A real edge is owned by the vertex the
-    walk leaves it from; the auxiliary edges are discarded.
+    walk leaves it from; the auxiliary edges are discarded. Returns the
+    owned-edge sets E* as an int64 edge -> owner array, -1 where unowned.
     """
     g = part.graph
     n, m = g.vertex_count, g.edge_count
@@ -89,17 +80,17 @@ def build_estar(part: Partition) -> EStar:
     owner = np.asarray(tail[:m], dtype=np.int64)
     if (owner[part.eu_mask] < 0).any():
         raise InternalInconsistency("some core edges were never traversed")
-    return EStar(owner=owner)
+    return owner
 
 
-def estar_bounds_hold(part: Partition, estar: EStar) -> bool:
+def estar_bounds_hold(part: Partition, owner: np.ndarray) -> bool:
     """Ownership disjointness is structural; check coverage and size bound."""
     eu = part.eu_mask
-    if eu.any() and (estar.owner[eu] < 0).any():
+    if eu.any() and (owner[eu] < 0).any():
         return False
-    if (~eu).any() and (estar.owner[~eu] >= 0).any():
+    if (~eu).any() and (owner[~eu] >= 0).any():
         return False
-    owned = estar.owned_count(part.graph.vertex_count)
+    owned = np.bincount(owner[owner >= 0], minlength=part.graph.vertex_count)
     u = part.u_ids
     if not u.size:
         return True
@@ -123,7 +114,7 @@ class UStageResult:
 def finalize_u(
     part: Partition,
     omega2: EdgeWeighting,
-    estar: EStar,
+    owner: np.ndarray,
     profile: ProfileConstants,
 ) -> UStageResult:
     """Assign residue pairs to core vertices and realise them by edge flips.
@@ -146,7 +137,7 @@ def finalize_u(
     u_ids = part.u_ids
     order = u_ids[np.lexsort((u_ids, g.degrees[u_ids]))]
     nu_cache = n_u_leq_all(part, profile)
-    owned_lists = estar.owned_lists(n)
+    owned_lists = _owned_lists(owner, n)
 
     for u in order:
         u = int(u)
@@ -293,11 +284,11 @@ def final_verify(
         changed = w_ids[s3[w_ids] != expected_periphery_sums[w_ids]].tolist()
     deg, su = g.degrees[u_ids], s3[u_ids]
     range_bad = u_ids[(su < deg) | (su > 2 * deg)].tolist()
-    ju = j_interval_bounds(
+    j_lo, j_hi = j_interval_bounds(
         deg, part.d_fprime[u_ids], part.d_fw[u_ids], part.d_u[u_ids],
         part.levels[u_ids], profile,
     )
-    interval_bad = u_ids[(su < ju.lo) | (su > ju.hi)].tolist()
+    interval_bad = u_ids[(su < j_lo) | (su > j_hi)].tolist()
     return VerifyReport(
         conflict_edges=conflict_edges,
         bad_core_residues=bad_core,
@@ -308,30 +299,3 @@ def final_verify(
         strict_ranges=strict_ranges,
         sums=s3,
     )
-
-
-def distinguishing_cases_hold(
-    part: Partition, profile: ProfileConstants, s3: np.ndarray,
-    pair_base: np.ndarray,
-) -> bool:
-    """Every core-core edge falls into one of the three separating cases.
-
-    Either the degrees differ by more than a factor two, or the J envelopes
-    are disjoint, or the two endpoints carry distinct residue pairs.
-    """
-    g = part.graph
-    eu_ids = np.flatnonzero(part.eu_mask)
-    for e in eu_ids:
-        a, b = int(g.edges[e, 0]), int(g.edges[e, 1])
-        if g.degrees[a] > g.degrees[b]:
-            a, b = b, a
-        if g.degrees[a] < 0.5 * g.degrees[b]:
-            continue
-        ja = j_interval(a, part, profile)
-        jb = j_interval(b, part, profile)
-        if not ja.overlaps(jb):
-            continue
-        if pair_base[a] != pair_base[b]:
-            continue
-        return False
-    return True

@@ -56,11 +56,6 @@ class IntervalData:
 
 
 @dataclass
-class SumAdditions:
-    a: np.ndarray  # int64[n], 0 outside W
-
-
-@dataclass
 class WStageState:
     x: XAssignment
     omega1: np.ndarray          # int64[m], complete initial weighting
@@ -157,6 +152,11 @@ def occupancy_counts(part: Partition, intervals: IntervalData) -> np.ndarray:
     return counts
 
 
+# Rounds without a drop in the violator count after which a w-stage run
+# is abandoned.
+STALL_LIMIT = 25
+
+
 def resample_w_stage(
     part: Partition,
     profile: ProfileConstants,
@@ -164,7 +164,6 @@ def resample_w_stage(
     *,
     rounds: int = 150,
     rerun: int = 0,
-    stall_limit: int = 25,
 ) -> WStageState:
     """Sample X values until both periphery checks hold everywhere.
 
@@ -172,7 +171,7 @@ def resample_w_stage(
     inner edges; everything else is recomputed deterministically. Because
     the scope is local, a globally skewed initial sample can leave
     violations that no local redraw can repair; a run whose violator count
-    stops improving for stall_limit rounds is abandoned early.
+    stops improving for STALL_LIMIT rounds is abandoned early.
     """
     g = part.graph
     n, m = g.vertex_count, g.edge_count
@@ -210,7 +209,7 @@ def resample_w_stage(
             best, stalled = count, 0
         else:
             stalled += 1
-            if stalled >= stall_limit:
+            if stalled >= STALL_LIMIT:
                 raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), rnd)
         fresh_x = analytic.x_from_uniform(
             stream(seed, TAG_W_VERTEX, rerun, rnd).random(n)
@@ -228,12 +227,12 @@ def choose_sum_additions(
     s1: np.ndarray,
     intervals: IntervalData,
     profile: ProfileConstants,
-) -> SumAdditions:
+) -> np.ndarray:
     """Pick a(v) for every periphery vertex in ascending d_W order.
 
     The chosen target s1(v) + a(v) lies in I(v), avoids reserved residues
     mod modulus_m, and differs from the final sum of every already-processed
-    periphery neighbour.
+    periphery neighbour. Returns a as an int64 array, 0 outside W.
     """
     g = part.graph
     n = g.vertex_count
@@ -270,13 +269,13 @@ def choose_sum_additions(
         a[v] = chosen - int(s1[v])
         final[v] = chosen
         done[v] = True
-    return SumAdditions(a=a)
+    return a
 
 
 def apply_additions(
     part: Partition,
     omega1: np.ndarray,
-    additions: SumAdditions,
+    additions: np.ndarray,
 ) -> tuple[EdgeWeighting, np.ndarray]:
     """Raise a(v) lowest-id F_W edges at each periphery vertex from 1 to 2.
 
@@ -295,7 +294,7 @@ def apply_additions(
         starts = np.searchsorted(w_end_sorted, np.arange(g.vertex_count + 1))
     for v in part.w_ids:
         v = int(v)
-        need = int(additions.a[v])
+        need = int(additions[v])
         if need == 0:
             continue
         if not fw_ids.size:
@@ -310,62 +309,3 @@ def apply_additions(
             )
         w2[picked] = 2
     return EdgeWeighting(weights=w2, max_weight=3), weighted_degrees(g, w2)
-
-
-def diagnostic_dump(
-    part: Partition,
-    x: XAssignment,
-    s1: np.ndarray,
-    intervals: IntervalData,
-    additions: SumAdditions | None = None,
-    s2: np.ndarray | None = None,
-) -> list[dict]:
-    """JSON-serializable per-vertex snapshot for debugging failed runs."""
-    rows = []
-    for v in part.w_ids:
-        v = int(v)
-        row = {
-            "v": v,
-            "x": float(x.x_vertex[v]),
-            "s1": int(s1[v]),
-            "s0": float(intervals.s0[v]),
-            "l": int(intervals.length[v]),
-            "interval": [int(intervals.i0[v]), int(intervals.i1[v])],
-        }
-        if additions is not None:
-            row["a"] = int(additions.a[v])
-        if s2 is not None:
-            row["s2"] = int(s2[v])
-        rows.append(row)
-    return rows
-
-
-def conditional_sum_profile(
-    part: Partition,
-    x: XAssignment,
-    s1: np.ndarray,
-    bin_width: float = 0.1,
-) -> list[dict]:
-    """Binned means of the initial sums against their design centers.
-
-    For each X bin, reports the empirical mean of s1 over periphery
-    vertices in the bin and the mean of d_U + d_FU + x_mid * d_W.
-    """
-    w_ids = part.w_ids
-    edges = np.arange(analytic.X_LO, analytic.X_HI + bin_width / 2, bin_width)
-    rows = []
-    xs = x.x_vertex[w_ids]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = w_ids[(xs >= lo) & (xs < hi)]
-        if not sel.size:
-            continue
-        mid = (lo + hi) / 2.0
-        center = part.d_u[sel] + part.d_fu[sel] + mid * part.d_w[sel]
-        rows.append({
-            "x_lo": float(lo),
-            "x_hi": float(hi),
-            "count": int(sel.size),
-            "mean_s1": float(s1[sel].mean()),
-            "mean_center": float(center.mean()),
-        })
-    return rows

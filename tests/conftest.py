@@ -1,11 +1,15 @@
-"""Shared fixtures and tiny-graph profiles for the unit tests."""
+"""Shared fixtures, tiny-graph profiles and reference oracles for the tests."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from trisum import analytic
 from trisum.graph import Graph
+from trisum.partition import Partition, j_interval_bounds
 from trisum.profiles import ProfileConstants
+from trisum.wstage import XAssignment
 
 
 @pytest.fixture
@@ -50,3 +54,54 @@ def small_run_profile(**overrides) -> ProfileConstants:
     )
     params.update(overrides)
     return ProfileConstants(**params)
+
+
+# Reference oracles shared by several test modules.
+
+
+def j_interval(u: int, part: Partition, profile: ProfileConstants) -> tuple[float, float]:
+    """(lo, hi) of one core vertex's J interval, from scalar counts."""
+    return j_interval_bounds(
+        float(part.graph.degrees[u]),
+        float(part.d_fprime[u]),
+        float(part.d_fw[u]),
+        float(part.d_u[u]),
+        int(part.levels[u]),
+        profile,
+    )
+
+
+def conditional_sum_profile(
+    part: Partition, x: XAssignment, s1: np.ndarray, bin_width: float = 0.1,
+) -> list[dict]:
+    """Binned means of the initial sums against their design centers.
+
+    For each X bin, reports the empirical mean of s1 over periphery
+    vertices in the bin and the mean of d_U + d_FU + x_mid * d_W.
+    """
+    w_ids = part.w_ids
+    edges = np.arange(analytic.X_LO, analytic.X_HI + bin_width / 2, bin_width)
+    rows = []
+    xs = x.x_vertex[w_ids]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = w_ids[(xs >= lo) & (xs < hi)]
+        if not sel.size:
+            continue
+        mid = (lo + hi) / 2.0
+        center = part.d_u[sel] + part.d_fu[sel] + mid * part.d_w[sel]
+        rows.append({
+            "x_lo": float(lo),
+            "x_hi": float(hi),
+            "count": int(sel.size),
+            "mean_s1": float(s1[sel].mean()),
+            "mean_center": float(center.mean()),
+        })
+    return rows
+
+
+def simulate_weight3_frequency(alpha: float, trials: int, rng: np.random.Generator) -> float:
+    """Monte Carlo frequency of weight 3 at a pinned endpoint value."""
+    x_u = analytic.sample_x_many(rng, trials)
+    x_e = rng.random(trials)
+    mask = analytic.edge_weight3_mask(np.full(trials, alpha), x_u, x_e)
+    return float(mask.mean())

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import conditional_sum_profile, simulate_weight3_frequency
 from trisum import analytic
 from trisum.graph import Graph, gen_gnp, gen_random_regular
 from trisum.oracle import min_k_weighting, sweep_small_graphs
@@ -90,7 +91,7 @@ def test_criterion_2_probability_identity():
     mc_report = []
     for i, alpha in enumerate([1.2, 1.5, analytic.A2, 2.0, 2.5]):
         rng = np.random.default_rng(1000 + i)
-        freq = analytic.simulate_weight3_frequency(alpha, n, rng)
+        freq = simulate_weight3_frequency(alpha, n, rng)
         p = (alpha - 1) / 2
         bound = 3 * math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) < bound, f"alpha={alpha}: {freq} vs {p}"
@@ -163,8 +164,8 @@ def test_criterion_5_structural_invariants(gnp_instance):
         audit = audit_partition(part, DESK)
         assert audit.ok, f"seed {seed}: {audit.summary()}"
 
-        estar = build_estar(part)
-        assert estar_bounds_hold(part, estar), f"seed {seed}: E* bounds"
+        owner = build_estar(part)
+        assert estar_bounds_hold(part, owner), f"seed {seed}: E* bounds"
 
         state = resample_w_stage(part, DESK, seed=seed)
         data = compute_intervals(part, state.x, DESK)
@@ -236,8 +237,6 @@ def test_criterion_7_conditional_expectation_shape(regular_instance):
     g = regular_instance
     part = sample_partition(g, DESK, seed=0)
     state = resample_w_stage(part, DESK, seed=0)
-
-    from trisum.wstage import conditional_sum_profile
 
     rows = [
         r for r in conditional_sum_profile(part, state.x, state.s1, bin_width=0.1)

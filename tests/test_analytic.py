@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import simulate_weight3_frequency
 from trisum import analytic
 
 # Frozen 50-digit reference values (mpmath), rounded to double precision.
@@ -96,8 +97,7 @@ class TestSampler:
 
     def test_sample_x_scalar(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            x = analytic.sample_x(rng)
+        for x in analytic.sample_x_many(rng, 100):
             assert 1.1 <= x <= 2.9
 
 
@@ -183,7 +183,7 @@ class TestEdgeRule:
     def test_monte_carlo_marginal(self, alpha):
         rng = np.random.default_rng(17)
         n = 200_000
-        freq = analytic.simulate_weight3_frequency(alpha, n, rng)
+        freq = simulate_weight3_frequency(alpha, n, rng)
         p = (alpha - 1) / 2
         assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / n)
 

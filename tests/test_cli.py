@@ -1,9 +1,13 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisum.cli import EXPERIMENT_COLUMNS, main
 from trisum.graph import Graph, format_edge_list, gen_gnp, load_edge_list
@@ -281,3 +285,175 @@ class TestExperiment:
              "--out", str(tmp_path / "x.csv")],
         )
         assert json_error(result) == "unknown profile fields: bogus"
+
+
+class TestStructuredErrors:
+    """Bad arguments and unwritable outputs end in one JSON error, exit 2."""
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--gen", "gnp:10,0.5"],
+        ["weight", "--gen", "gnp:10,0.5"],
+        ["experiment", "--gen", "gnp:10,0.5", "--seeds", "0"],
+        ["oracle", "--sweep", "--n-max", "3"],
+    ], ids=["gen", "weight", "experiment", "oracle-sweep"])
+    def test_unwritable_out(self, runner, args):
+        result = runner.invoke(main, args + ["--out", "/nonexistent/x"])
+        assert "No such file or directory" in json_error(result)
+
+    def test_sweep_n_max_above_budget(self, runner):
+        result = runner.invoke(main, ["oracle", "--sweep", "--n-max", "9"])
+        assert json_error(result).startswith("n_max above 8")
+
+    def test_sweep_k_zero(self, runner):
+        result = runner.invoke(main, ["oracle", "--sweep", "--k", "0"])
+        assert json_error(result) == "k_max must be at least 1"
+
+    def test_negative_grid(self, runner):
+        result = runner.invoke(main, ["constants", "--grid", "-1"])
+        assert "-1" in json_error(result)
+
+
+# Exit-code properties: every generated input ends in exit 0, exit 1 with
+# the conflicts (verify) or exit 2 with one JSON object on stderr.
+
+_token = st.one_of(
+    st.integers(-1, 7).map(str),
+    st.sampled_from(["x", "1.5", "+2", "#", "# vertices: 9", "# vertices: x"]),
+)
+_line = st.lists(_token, min_size=0, max_size=4).map(" ".join)
+
+
+@st.composite
+def _graph_case(draw, n: int = 7):
+    """(edge-list text, edges) on vertices below n: sparse or near-complete,
+    sometimes with one random, often malformed, line inserted."""
+    every = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    dropped = draw(st.sets(st.sampled_from(every), max_size=len(every)))
+    if draw(st.booleans()):
+        dropped = set(every) - dropped
+    edges = [e for e in every if e not in dropped]
+    lines = [f"{u} {v}" for u, v in draw(st.permutations(edges))]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_line))
+    return "".join(line + "\n" for line in lines), edges
+
+
+@st.composite
+def _weighting_text(draw, edges):
+    """Weights 1..3 on every edge, sometimes one of them out of range,
+    missing, repeated or followed by a random line."""
+    rows = [[u, v, draw(st.integers(1, 3))] for u, v in edges]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["range", "missing", "repeat", "line"]))
+        if fault == "range":
+            rows[i][2] = draw(st.sampled_from([0, 4, 7]))
+        elif fault == "missing":
+            del rows[i]
+        elif fault == "repeat":
+            rows.append([rows[i][1], rows[i][0], draw(st.integers(1, 3))])
+        else:
+            rows.append(draw(_line).split())
+    return "".join(" ".join(map(str, r)) + "\n" for r in draw(st.permutations(rows)))
+
+
+def assert_structured(result, verify: bool = False) -> None:
+    """exit 0, exit 1 with a conflict list (verify only), or exit 2 with
+    exactly one JSON object on stderr; never a traceback."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exception
+    )
+    if result.exit_code in (0, 1) and verify:
+        report = json.loads(result.stdout)
+        assert report["ok"] is (result.exit_code == 0)
+        assert bool(report["conflict_edges"]) is (result.exit_code == 1)
+        return
+    if result.exit_code == 0:
+        return
+    assert result.exit_code == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, result.stderr
+    assert isinstance(json.loads(lines[0])["error"], str)
+
+
+def _files(directory: str, **texts: str) -> dict[str, str]:
+    paths = {}
+    for name, text in texts.items():
+        path = Path(directory) / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+# Profile overrides: a loose set that lets runs on 7 vertices pass the
+# precheck and reach the later stages, or a few single ones, some invalid.
+_LOOSE = ["min_delta_ratio=0", "eps_u=0.45", "p_fw=0.5", "eps_fw=1",
+          "eps_fu=1", "eps_len=0.5", "eps_loc=0.5"]
+_overrides = st.one_of(
+    st.just(_LOOSE),
+    st.lists(st.sampled_from(_LOOSE + [
+        "p_u=2", "m_levels=x", "bogus=1", "p_u", "modulus_m=3",
+    ]), max_size=3),
+)
+
+
+class TestExitCodeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_verify(self, data):
+        graph_text, edges = data.draw(_graph_case())
+        weights_text = data.draw(_weighting_text(edges))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _files(tmp, graph=graph_text, weights=weights_text)
+            result = CliRunner().invoke(
+                main, ["verify", "--graph", paths["graph"], "--weights", paths["weights"]]
+            )
+        assert_structured(result, verify=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_graph_case(), st.integers(-2, 2**64), _overrides)
+    def test_weight(self, graph, seed, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _files(tmp, graph=graph[0])
+            args = ["weight", "--graph", paths["graph"], "--seed", str(seed),
+                    "--out", str(Path(tmp) / "run")]
+            for pair in overrides:
+                args += ["--set", pair]
+            result = CliRunner().invoke(main, args)
+        assert_structured(result)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(_graph_case().map(lambda c: ("--graph", c[0])), st.sampled_from([
+            "gnp:7,0.9", "gnp:-1,0.5", "gnp:5,2", "reg:7,4", "reg:5,3", "reg:4,4",
+            "gnp:5", "tree:4",
+        ]).map(lambda spec: ("--gen", spec))),
+        st.one_of(
+            st.lists(st.integers(-2, 9), max_size=3).map(lambda s: ",".join(map(str, s))),
+            st.text("0123456789,-x. ", max_size=8),
+        ),
+        _overrides,
+        st.booleans(),
+    )
+    def test_experiment(self, source, seeds, overrides, writable):
+        with tempfile.TemporaryDirectory() as tmp:
+            kind, value = source
+            if kind == "--graph":
+                value = _files(tmp, graph=value)["graph"]
+            out = Path(tmp) / "runs.csv" if writable else Path(tmp) / "missing" / "runs.csv"
+            args = ["experiment", kind, value, "--seeds", seeds, "--out", str(out)]
+            for pair in overrides:
+                args += ["--set", pair]
+            result = CliRunner().invoke(main, args)
+        assert_structured(result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_graph_case(n=6), st.integers(-1, 4))
+    def test_oracle_graph(self, graph, k_max):
+        # six vertices keep the exact search at sweep size
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _files(tmp, graph=graph[0])
+            result = CliRunner().invoke(
+                main, ["oracle", "--graph", paths["graph"], "--k-max", str(k_max)]
+            )
+        assert_structured(result)

@@ -9,8 +9,6 @@ from trisum import blockio
 from trisum.errors import EdgeListParseError, RetryExhausted, SelfLoopError
 from trisum.graph import (
     Graph,
-    IdSet,
-    degree_into,
     format_edge_list,
     gen_gnp,
     gen_random_regular,
@@ -238,24 +236,12 @@ class TestGenerators:
             gen_random_regular(600, 80, 2, max_attempts=0)
 
 
-class TestDegreeInto:
-    def test_k3_full_set(self, k3):
-        assert degree_into(k3, 0, IdSet.from_ids(3, [1, 2])) == 2
-
-    def test_k3_empty_set(self, k3):
-        assert degree_into(k3, 0, IdSet.from_ids(3, [])) == 0
-
-    def test_p3_middle_one_endpoint(self, p3):
-        assert degree_into(p3, 1, IdSet.from_ids(3, [0])) == 1
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 30), st.floats(0.0, 1.0), st.integers(0, 10_000))
 def test_degree_identities(n, p, seed):
     g = gen_gnp(n, p, seed)
-    full = IdSet.from_ids(n, range(n))
     for v in range(n):
-        assert degree_into(g, v, full) == g.degree(v)
+        assert g.neighbors(v).size == g.degree(v)
     assert g.degrees.sum() == 2 * g.edge_count
 
 
@@ -264,18 +250,10 @@ def test_degree_identities(n, p, seed):
 def test_cut_size_identity(n, seed, data):
     g = gen_gnp(n, 0.5, seed)
     split = data.draw(st.integers(1, n - 1))
-    a_ids = list(range(split))
-    b_ids = list(range(split, n))
-    b_set = IdSet.from_ids(n, b_ids)
     crossing = sum(
         1 for u, v in g.edges if (u < split) != (v < split)
     )
-    assert crossing == sum(degree_into(g, v, b_set) for v in a_ids)
-
-
-def test_idset_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        IdSet.from_ids(3, [5])
+    assert crossing == sum(int((g.neighbors(v) >= split).sum()) for v in range(split))
 
 
 def test_adjacency_symmetric(k3):

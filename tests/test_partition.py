@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loose_profile, small_run_profile
+from conftest import j_interval, loose_profile, small_run_profile
 from trisum.errors import InfeasibleProfile, RetryExhausted
 from trisum.graph import Graph, gen_gnp
 from trisum.partition import (
@@ -12,7 +12,6 @@ from trisum.partition import (
     _comparable_pairs,
     audit_partition,
     initial_outer_weights,
-    j_interval,
     j_interval_bounds,
     n_u_leq,
     n_u_leq_all,
@@ -95,10 +94,10 @@ class TestSamplePartition:
 class TestJInterval:
     def test_all_addenda_vanish(self):
         profile = loose_profile(eps_fu=0.3)
-        j = j_interval_bounds(deg=100, d_fprime=50, d_fw=0, d_u=0, level=0,
-                              profile=profile)
-        assert j.lo == pytest.approx(100 - 30)
-        assert j.hi == pytest.approx(100 + 30)
+        lo, hi = j_interval_bounds(deg=100, d_fprime=50, d_fw=0, d_u=0, level=0,
+                                   profile=profile)
+        assert lo == pytest.approx(100 - 30)
+        assert hi == pytest.approx(100 + 30)
 
     def test_width_formula_random(self):
         g = gen_gnp(200, 0.5, seed=4)
@@ -106,12 +105,12 @@ class TestJInterval:
         part = sample_partition(g, profile, seed=4)
         for u in part.u_ids[:100]:
             u = int(u)
-            j = j_interval(u, part, profile)
+            lo, hi = j_interval(u, part, profile)
             expect = (
                 2 * profile.eps_fu * g.degrees[u]
                 + part.d_fw[u] + 2 * part.d_u[u]
             )
-            assert j.width == pytest.approx(expect)
+            assert hi - lo == pytest.approx(expect)
 
     def test_full_scale_width_and_spacing_bounds(self):
         # synthetic per-vertex counts satisfying the full-scale constraints
@@ -123,19 +122,20 @@ class TestJInterval:
             d_fw = d_w * rng.uniform(1e-4 - 1e-6, 1e-4 + 1e-6)
             d_fprime = d_w - d_fw
             level = int(rng.integers(0, 1000))
-            j = j_interval_bounds(deg, d_fprime, d_fw, d_u, level, FULL_SCALE)
-            assert j.width < 3.23e-4 * deg
+            lo, hi = j_interval_bounds(deg, d_fprime, d_fw, d_u, level, FULL_SCALE)
+            assert hi - lo < 3.23e-4 * deg
             spacing = d_fprime / FULL_SCALE.m_levels
             assert spacing > 9.9e-4 * deg
-            assert spacing > j.width
+            assert spacing > hi - lo
 
     def test_non_core_vertex_rejected(self):
+        # J intervals and N^U_<= exist only for core vertices
         g = gen_gnp(60, 0.5, seed=4)
         profile = loose_profile()
         part = sample_partition(g, profile, seed=4)
         w = int(part.w_ids[0])
         with pytest.raises(ValueError):
-            j_interval(w, part, profile)
+            n_u_leq(w, part, profile)
 
 
 class TestNuLeq:
@@ -197,20 +197,6 @@ class TestNuLeq:
         all_sets = n_u_leq_all(part, profile)
         for u in part.u_ids:
             assert counts[u] == len(all_sets[u]) == n_u_leq(int(u), part, profile).size
-
-
-def test_debug_dump_labels():
-    g = gen_gnp(40, 0.5, seed=2)
-    profile = loose_profile()
-    part = sample_partition(g, profile, seed=2)
-    dump = part.debug_dump()
-    lines = dump.splitlines()
-    assert lines[0].startswith("# vertices")
-    vertex_lines = lines[1:1 + g.vertex_count]
-    assert sum(1 for ln in vertex_lines if " U " in ln) == len(part.u_ids)
-    edge_lines = lines[2 + g.vertex_count:]
-    assert len(edge_lines) == g.edge_count
-    assert any(ln.endswith("F_W") for ln in edge_lines) or not part.fw_mask.any()
 
 
 class TestInitialOuterWeights:

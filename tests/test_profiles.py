@@ -13,7 +13,6 @@ from trisum.profiles import (
     load_profile,
     profile_from_dict,
     resolve_profile,
-    save_profile,
 )
 
 
@@ -76,7 +75,7 @@ def test_reserved_residues_fixed():
 
 def test_json_round_trip(tmp_path):
     path = tmp_path / "profile.json"
-    save_profile(DESK, path)
+    path.write_text(json.dumps(DESK.to_dict()))
     back = load_profile(path)
     assert back == DESK
     # schema mirrors the field names
@@ -91,7 +90,7 @@ def test_resolve_profile_builtins_and_overrides(tmp_path):
     tuned = resolve_profile("desk", {"p_u": 0.25})
     assert tuned.p_u == 0.25
     path = tmp_path / "p.json"
-    save_profile(DESK, path)
+    path.write_text(json.dumps(DESK.to_dict()))
     assert resolve_profile(str(path)) == DESK
 
 

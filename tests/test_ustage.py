@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import loose_profile, small_run_profile
+from conftest import j_interval, loose_profile, small_run_profile
 from trisum.errors import NoValidPair
 from trisum.graph import Graph, gen_gnp
-from trisum.partition import Partition, j_interval, sample_partition
+from trisum.partition import Partition, sample_partition
 from trisum.ustage import (
     build_estar,
-    distinguishing_cases_hold,
     estar_bounds_hold,
     final_verify,
     finalize_u,
@@ -149,10 +148,36 @@ def reference_final_verify(
             if s3[v] != int(expected_periphery_sums[v])
         ]
     for u in part.u_ids:
-        ju = j_interval(int(u), part, profile)
-        if not ju.lo <= s3[u] <= ju.hi:
+        lo, hi = j_interval(int(u), part, profile)
+        if not lo <= s3[u] <= hi:
             out["interval_violations"].append(int(u))
     return out
+
+
+def distinguishing_cases_hold(
+    part: Partition, profile, s3: np.ndarray, pair_base: np.ndarray,
+) -> bool:
+    """Every core-core edge falls into one of the three separating cases.
+
+    Either the degrees differ by more than a factor two, or the J envelopes
+    are disjoint, or the two endpoints carry distinct residue pairs.
+    """
+    g = part.graph
+    eu_ids = np.flatnonzero(part.eu_mask)
+    for e in eu_ids:
+        a, b = int(g.edges[e, 0]), int(g.edges[e, 1])
+        if g.degrees[a] > g.degrees[b]:
+            a, b = b, a
+        if g.degrees[a] < 0.5 * g.degrees[b]:
+            continue
+        a_lo, a_hi = j_interval(a, part, profile)
+        b_lo, b_hi = j_interval(b, part, profile)
+        if not (a_lo <= b_hi and b_lo <= a_hi):
+            continue
+        if pair_base[a] != pair_base[b]:
+            continue
+        return False
+    return True
 
 
 def hub_triangle(light_leaf_weight: int = 2):
@@ -178,33 +203,33 @@ class TestBuildEstar:
     def test_single_core_edge(self):
         g = Graph.build(4, [(0, 1), (0, 2), (1, 3)])
         part = craft_partition(g, [0, 1])
-        estar = build_estar(part)
+        owner = build_estar(part)
         e01 = edge_id(g, 0, 1)
-        assert estar.owner[e01] in (0, 1)
-        assert estar_bounds_hold(part, estar)
+        assert owner[e01] in (0, 1)
+        assert estar_bounds_hold(part, owner)
 
     def test_cycle_each_owns_one(self):
         # C4 inside the core plus periphery padding
         edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
         g = Graph.build(5, edges)
         part = craft_partition(g, [0, 1, 2, 3])
-        estar = build_estar(part)
-        counts = estar.owned_count(5)
+        owner = build_estar(part)
+        counts = np.bincount(owner[owner >= 0], minlength=5)
         assert counts[:4].tolist() == [1, 1, 1, 1]
-        assert estar_bounds_hold(part, estar)
+        assert estar_bounds_hold(part, owner)
 
     def test_triangle_orientation(self):
         g, part, _ = hub_triangle()
-        estar = build_estar(part)
-        assert estar.owner[edge_id(g, 0, 1)] == 0
-        assert estar.owner[edge_id(g, 1, 2)] == 1
-        assert estar.owner[edge_id(g, 0, 2)] == 2
+        owner = build_estar(part)
+        assert owner[edge_id(g, 0, 1)] == 0
+        assert owner[edge_id(g, 1, 2)] == 1
+        assert owner[edge_id(g, 0, 2)] == 2
 
     def test_empty_core(self):
         g = gen_gnp(10, 0.5, seed=0)
         part = craft_partition(g, [])
-        estar = build_estar(part)
-        assert (estar.owner == -1).all()
+        owner = build_estar(part)
+        assert (owner == -1).all()
 
     def test_random_partitions_satisfy_bounds(self):
         rng = np.random.default_rng(0)
@@ -212,12 +237,12 @@ class TestBuildEstar:
             g = gen_gnp(40, 0.4, seed=seed)
             core = np.flatnonzero(rng.random(40) < 0.5)
             part = craft_partition(g, core)
-            estar = build_estar(part)
-            assert estar_bounds_hold(part, estar)
+            owner = build_estar(part)
+            assert estar_bounds_hold(part, owner)
             # owners only own their own incident core edges
-            for e in np.flatnonzero(estar.owner >= 0):
+            for e in np.flatnonzero(owner >= 0):
                 u, v = g.edges[e]
-                assert estar.owner[e] in (u, v)
+                assert owner[e] in (u, v)
                 assert part.in_u[u] and part.in_u[v]
 
     def test_owner_matches_reference_tour(self):
@@ -226,7 +251,7 @@ class TestBuildEstar:
             g = gen_gnp(60, float(rng.uniform(0.1, 0.6)), seed=seed)
             core = np.flatnonzero(rng.random(60) < 0.5)
             part = craft_partition(g, core)
-            assert np.array_equal(build_estar(part).owner, reference_owner(part))
+            assert np.array_equal(build_estar(part), reference_owner(part))
 
     def test_owner_matches_reference_several_components(self):
         # three core components: a path (two odd ends), a K4 (all odd) and
@@ -238,16 +263,16 @@ class TestBuildEstar:
         edges += [(15, 1), (15, 3)]
         g = Graph.build(16, edges)
         part = craft_partition(g, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13])
-        estar = build_estar(part)
-        assert np.array_equal(estar.owner, reference_owner(part))
-        assert estar_bounds_hold(part, estar)
+        owner = build_estar(part)
+        assert np.array_equal(owner, reference_owner(part))
+        assert estar_bounds_hold(part, owner)
 
     def test_owner_matches_reference_on_sampled_partitions(self):
         profile = small_run_profile()
         for seed in range(3):
             g = gen_gnp(200, 0.5, seed=seed)
             part = sample_partition(g, profile, seed=seed)
-            assert np.array_equal(build_estar(part).owner, reference_owner(part))
+            assert np.array_equal(build_estar(part), reference_owner(part))
 
 
 class TestFinalizeU:
@@ -356,14 +381,14 @@ class TestFinalizeU:
 
     def test_trace_records_choices(self):
         g, part, omega2 = hub_triangle()
-        estar = build_estar(part)
-        result = finalize_u(part, omega2, estar, loose_profile())
+        owner = build_estar(part)
+        result = finalize_u(part, omega2, owner, loose_profile())
         assert [t["u"] for t in result.trace] == [0, 1, 2]
         assert all("reachable" in t and "target" in t for t in result.trace)
         # first vertex has only unprocessed partners: its reachable range
         # spans two moves per owned edge plus the current sum
         lo, hi = result.trace[0]["reachable"]
-        owned0 = int((estar.owner == 0).sum())
+        owned0 = int((owner == 0).sum())
         assert hi - lo + 1 == 2 * owned0 + 1
         assert hi - lo + 1 >= owned0 + 1
 

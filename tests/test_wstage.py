@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loose_profile, small_run_profile
+from conftest import conditional_sum_profile, loose_profile, small_run_profile
 from trisum import analytic
 from trisum.errors import DegenerateLength, InsufficientFW, NoValidAddition
 from trisum.graph import Graph, gen_gnp, gen_random_regular
@@ -12,13 +12,11 @@ from trisum.profiles import ProfileConstants
 from trisum.weighting import weighted_degrees
 from trisum.wstage import (
     IntervalData,
-    SumAdditions,
     XAssignment,
     apply_additions,
     choose_sum_additions,
     complete_initial_weighting,
     compute_intervals,
-    conditional_sum_profile,
     near_location_center,
     occupancy_counts,
     resample_w_stage,
@@ -393,17 +391,6 @@ class TestResampleWStage:
             assert state.s1[v] >= data.i1[v] - 6 * data.length[v]
         assert checked > 0
 
-    def test_diagnostic_dump_serializable(self, instance):
-        import json
-
-        from trisum.wstage import diagnostic_dump
-
-        _, profile, part, state = instance
-        rows = diagnostic_dump(part, state.x, state.s1, state.intervals)
-        assert len(rows) == part.w_ids.size
-        blob = json.dumps(rows)
-        assert '"s0"' in blob and '"interval"' in blob
-
     def test_weight_marginal_matches_analytic(self, instance):
         # empirical heavy-edge rate conditioned on a bin of the larger
         # endpoint value tracks the analytic marginal
@@ -437,8 +424,8 @@ class TestChooseAdditions:
             s0=np.full(2, 13.5),
         )
         adds = choose_sum_additions(part, s1, data, profile)
-        assert adds.a[0] == 0          # 13 itself is allowed
-        assert adds.a[1] == 1          # 13 is taken by the earlier vertex
+        assert adds[0] == 0          # 13 itself is allowed
+        assert adds[1] == 1          # 13 is taken by the earlier vertex
 
     def test_reserved_residues_skipped(self):
         g = Graph.build(2, [(0, 1)])
@@ -451,7 +438,7 @@ class TestChooseAdditions:
             s0=np.array([0.0, 21.0]),
         )
         adds = choose_sum_additions(part, s1, data, profile)
-        assert adds.a[1] == 2          # 20 and 21 are reserved, 22 is not
+        assert adds[1] == 2          # 20 and 21 are reserved, 22 is not
 
     def test_no_valid_addition(self):
         _, part = self._pair_graph()
@@ -480,7 +467,7 @@ class TestApplyAdditions:
     def test_zero_additions_identity(self):
         g, part = self._claw()
         omega1 = np.ones(3, dtype=np.int64)
-        adds = SumAdditions(a=np.zeros(4, dtype=np.int64))
+        adds = np.zeros(4, dtype=np.int64)
         omega2, s2 = apply_additions(part, omega1, adds)
         assert np.array_equal(omega2.weights, omega1)
         assert np.array_equal(s2, weighted_degrees(g, omega1))
@@ -490,7 +477,7 @@ class TestApplyAdditions:
         omega1 = np.ones(3, dtype=np.int64)
         a = np.zeros(4, dtype=np.int64)
         a[3] = 2
-        omega2, s2 = apply_additions(part, omega1, SumAdditions(a=a))
+        omega2, s2 = apply_additions(part, omega1, a)
         assert omega2.weights.tolist() == [2, 2, 1]
         assert s2[3] == 5
         assert s2[0] == 2 and s2[1] == 2 and s2[2] == 1
@@ -505,7 +492,7 @@ class TestApplyAdditions:
         a = np.zeros(4, dtype=np.int64)
         a[3] = 4
         with pytest.raises(InsufficientFW):
-            apply_additions(part, omega1, SumAdditions(a=a))
+            apply_additions(part, omega1, a)
 
     def test_periphery_distinct_after_additions(self):
         # crafted core-heavy split: every boundary edge is adjustable, so
@@ -530,8 +517,8 @@ class TestApplyAdditions:
         adds = choose_sum_additions(part, s1, data, profile)
         omega2, s2 = apply_additions(part, omega1, adds)
         w_ids = part.w_ids
-        assert adds.a[w_ids].any()
-        assert np.array_equal(s2[w_ids] - s1[w_ids], adds.a[w_ids])
+        assert adds[w_ids].any()
+        assert np.array_equal(s2[w_ids] - s1[w_ids], adds[w_ids])
         ep = part.eprime_mask
         e = g.edges[ep]
         assert (s2[e[:, 0]] != s2[e[:, 1]]).all()
