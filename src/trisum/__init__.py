@@ -29,7 +29,7 @@ from .partition import (
     n_u_leq,
     sample_partition,
 )
-from .pipeline import Budgets, PipelineOutcome, run
+from .pipeline import PipelineOutcome, run
 from .profiles import DESK, FULL_SCALE, ProfileConstants, load_profile, resolve_profile
 from .ustage import build_estar, final_verify, finalize_u
 from .weighting import (

@@ -7,6 +7,7 @@ import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import click
@@ -16,7 +17,7 @@ from .errors import TrisumError
 from .graph import Graph, gen_gnp, gen_random_regular, load_edge_list, write_edge_list
 from .oracle import min_k_weighting, sweep_small_graphs
 from .pipeline import run as run_pipeline
-from .profiles import resolve_profile
+from .profiles import check_field_names, resolve_profile
 from .weighting import conflicts, load_weighting, write_weighting
 
 EXPERIMENT_COLUMNS = [
@@ -41,6 +42,12 @@ def _json_errors(command):
     return wrapper
 
 
+def _check_seeds(option: str, seeds) -> None:
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"{option} must be non-negative, got {seed}")
+
+
 def _parse_gen(spec: str, seed: int) -> Graph:
     """gnp:n,p or reg:n,d."""
     try:
@@ -62,6 +69,7 @@ def _load_graph(graph: str | None, gen: str | None, gen_seed: int) -> Graph:
         raise ValueError("provide exactly one of --graph and --gen")
     if graph is not None:
         return load_edge_list(graph)
+    _check_seeds("--gen-seed", [gen_seed])
     return _parse_gen(gen, gen_seed)
 
 
@@ -71,10 +79,9 @@ def _parse_overrides(pairs: tuple[str, ...]) -> dict:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
+        check_field_names([key])
         if key in ("m_levels", "modulus_m"):
             out[key] = int(value)
-        elif key == "reserved_residues":
-            out[key] = tuple(int(x) for x in value.split(","))
         else:
             out[key] = float(value)
     return out
@@ -92,6 +99,7 @@ def main():
 @_json_errors
 def gen(gen: str, seed: int, out: Path):
     """Generate a graph and write it as an edge list."""
+    _check_seeds("--seed", [seed])
     g = _parse_gen(gen, seed)
     write_edge_list(g, out)
     click.echo(f"wrote {g.vertex_count} vertices, {g.edge_count} edges to {out}")
@@ -110,12 +118,12 @@ def gen(gen: str, seed: int, out: Path):
 @_json_errors
 def weight(graph, gen_spec, gen_seed, seed, profile_spec, overrides, out):
     """Run the full construction; write the weighting only on verified success."""
+    _check_seeds("--seed", [seed])
     g = _load_graph(graph, gen_spec, gen_seed)
     profile = resolve_profile(profile_spec, _parse_overrides(overrides))
-    outcome = run_pipeline(g, profile, seed)
-    Path(f"{out}.outcome.json").write_text(
-        json.dumps(outcome.to_dict(), indent=2, default=str) + "\n"
-    )
+    with open(f"{out}.outcome.json", "w") as fh:
+        outcome = run_pipeline(g, profile, seed)
+        fh.write(json.dumps(outcome.to_dict(), indent=2, default=str) + "\n")
     if outcome.success:
         write_weighting(g, outcome.weighting, f"{out}.weights.txt")
         click.echo(f"success: weighting written to {out}.weights.txt")
@@ -154,9 +162,9 @@ def verify(graph, weights):
 def oracle(graph, k_max, sweep, n_max, k, out):
     """Exact minimum-k search, or a sweep over all small connected graphs."""
     if sweep:
-        report = sweep_small_graphs(n_max, k)
-        if out is not None:
-            with open(out, "w", newline="") as fh:
+        with open(out, "w", newline="") if out is not None else nullcontext() as fh:
+            report = sweep_small_graphs(n_max, k)
+            if fh is not None:
                 writer = csv.writer(fh)
                 writer.writerow(["graph_id", "n", "m", "min_k"])
                 for row in report.rows:
@@ -217,15 +225,16 @@ def experiment(graph, gen_spec, gen_seed, seeds, profile_spec, overrides, out, j
         raise ValueError(f"seeds must be integers, got {seeds!r}") from None
     if len(set(seed_list)) != len(seed_list):
         raise ValueError("seeds must be distinct")
+    _check_seeds("--seeds", seed_list)
     g = _load_graph(graph, gen_spec, gen_seed)
     profile = resolve_profile(profile_spec, _parse_overrides(overrides))
     tasks = [(g, profile, seed) for seed in seed_list]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_experiment_task, tasks))
-    else:
-        rows = [_experiment_task(t) for t in tasks]
     with open(out, "w", newline="") as fh:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_experiment_task, tasks))
+        else:
+            rows = [_experiment_task(t) for t in tasks]
         writer = csv.DictWriter(fh, fieldnames=EXPERIMENT_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)

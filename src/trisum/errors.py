@@ -22,19 +22,38 @@ class WeightingCoverageError(TrisumError):
     """A weighting does not cover the graph's edge set exactly."""
 
 
-class InternalInconsistency(TrisumError):
-    """A construction invariant failed: a fault in the code, not bad luck."""
+class StageFailure(TrisumError):
+    """A construction stage stopped. A run reports it under `outcome_stage`
+    and may start a fresh attempt only if it is `restartable`."""
+
+    outcome_stage = ""
+    restartable = True
 
 
-class InfeasibleProfile(TrisumError):
+class InternalInconsistency(StageFailure):
+    """A construction invariant failed: a fault in the code, not bad luck.
+
+    Reported like a failed final verification, and never retried.
+    """
+
+    outcome_stage = "verify"
+    restartable = False
+
+
+class InfeasibleProfile(StageFailure):
     """Profile tolerances cannot be met even in expectation on this graph."""
 
+    outcome_stage = "precheck"
+    restartable = False
 
-class RetryExhausted(TrisumError):
+
+class RetryExhausted(StageFailure):
     """A resampling stage ran out of budget; carries the worst violators."""
 
     def __init__(self, stage: str, violators, rounds: int):
         self.stage = stage
+        # "partition:u" is reported as "partition", "w-stage" as "wstage"
+        self.outcome_stage = stage.split(":")[0].replace("-", "")
         self.violators = list(violators)
         self.rounds = rounds
         shown = ", ".join(str(v) for v in self.violators[:8])
@@ -45,8 +64,10 @@ class RetryExhausted(TrisumError):
         )
 
 
-class DegenerateLength(TrisumError):
+class DegenerateLength(StageFailure):
     """Interval length would fall below 1 for some vertex; profile too fine."""
+
+    outcome_stage = "wstage"
 
     def __init__(self, vertices):
         self.vertices = list(vertices)
@@ -56,8 +77,10 @@ class DegenerateLength(TrisumError):
         )
 
 
-class NoValidAddition(TrisumError):
+class NoValidAddition(StageFailure):
     """No sum addition satisfies interval, residue and distinctness rules."""
+
+    outcome_stage = "wstage"
 
     def __init__(self, vertex: int, diagnostics: dict):
         self.vertex = vertex
@@ -65,8 +88,10 @@ class NoValidAddition(TrisumError):
         super().__init__(f"no valid sum addition for vertex {vertex}: {diagnostics}")
 
 
-class InsufficientFW(TrisumError):
+class InsufficientFW(StageFailure):
     """A vertex needs more weight-adjustable boundary edges than it has."""
+
+    outcome_stage = "wstage"
 
     def __init__(self, vertex: int, needed: int, available: int):
         self.vertex = vertex
@@ -77,8 +102,10 @@ class InsufficientFW(TrisumError):
         )
 
 
-class NoValidPair(TrisumError):
+class NoValidPair(StageFailure):
     """No reachable reserved-residue pair remains for a core vertex."""
+
+    outcome_stage = "ustage"
 
     def __init__(self, vertex: int, diagnostics: dict):
         self.vertex = vertex

@@ -95,6 +95,14 @@ class Graph:
         return int(self.degrees.min()) if self.vertex_count else 0
 
 
+def group_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
+    """For each key k in 0..n-1, the values paired with k, ascending."""
+    order = np.lexsort((values, keys))
+    values = values[order]
+    starts = np.searchsorted(keys[order], np.arange(n + 1))
+    return [values[starts[k]:starts[k + 1]] for k in range(n)]
+
+
 # Largest base b for which pair keys lo * b + hi with hi < b fit in int64.
 _INT64_KEY_BASE = 3_037_000_499
 
@@ -209,7 +217,11 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(vertex_count=n, edges=pairs.astype(np.int64))
 
 
-def gen_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) -> Graph:
+# Pairing attempts of the random regular generator before it gives up.
+REGULAR_ATTEMPTS = 200
+
+
+def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via stub pairing with per-round repair.
 
     Clashing stubs (loops / repeated pairs) are re-paired among themselves
@@ -224,7 +236,7 @@ def gen_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) -> Gr
         raise ValueError("d must be smaller than n")
     rng = stream(seed, TAG_REGULAR)
 
-    for _ in range(max_attempts):
+    for _ in range(REGULAR_ATTEMPTS):
         placed: set[int] = set()    # keys lo * n + hi of the edges so far
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         while stubs.size:
@@ -246,7 +258,7 @@ def gen_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) -> Gr
         else:
             keys = np.sort(np.fromiter(placed, dtype=np.int64, count=len(placed)))
             return Graph(vertex_count=n, edges=np.stack([keys // n, keys % n], axis=1))
-    raise RetryExhausted("random-regular", [], max_attempts)
+    raise RetryExhausted("random-regular", [], REGULAR_ATTEMPTS)
 
 
 def _has_suitable(placed: set[int], stubs: np.ndarray, n: int) -> bool:

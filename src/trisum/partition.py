@@ -16,9 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RetryExhausted
-from .graph import Graph
+from .graph import Graph, group_by
 from .profiles import ProfileConstants, check_partition_feasible
 from .rng import TAG_PART_FU, TAG_PART_FW, TAG_PART_LEVEL, TAG_PART_U, stream
+
+# Resampling rounds per stage, and whole samples drawn before giving up.
+STAGE_ROUNDS = 80
+SAMPLE_ATTEMPTS = 3
 
 
 @dataclass
@@ -165,15 +169,11 @@ def _comparable_pairs(
 
 def n_u_leq_all(part: Partition, profile: ProfileConstants) -> list[np.ndarray]:
     """N^U_<=(u) for every core vertex at once, grouped from core-core edges."""
-    n = part.graph.vertex_count
     hosts, members = _comparable_pairs(
         part.graph, part.in_u, part.levels, part.d_fprime, part.d_fw, part.d_u,
         profile,
     )
-    order = np.lexsort((members, hosts))
-    hosts, members = hosts[order], members[order]
-    starts = np.searchsorted(hosts, np.arange(n + 1))
-    return [members[starts[v]:starts[v + 1]] for v in range(n)]
+    return group_by(hosts, members, part.graph.vertex_count)
 
 
 def initial_outer_weights(part: Partition) -> np.ndarray:
@@ -192,7 +192,6 @@ def initial_outer_weights(part: Partition) -> np.ndarray:
 class SampleStats:
     rounds: dict = field(default_factory=dict)
     resampled: int = 0
-    retries: int = 0
 
 
 def sample_partition(
@@ -200,33 +199,28 @@ def sample_partition(
     profile: ProfileConstants,
     seed: int,
     *,
-    stage_rounds: int = 80,
-    global_retries: int = 2,
     stats: SampleStats | None = None,
 ) -> Partition:
     """Sample a partition satisfying all five constraint families.
 
     Stage order: core memberships first, then F_W coins, then levels and
     F_U coins jointly. A violated constraint redraws only the choices in
-    its scope; a stage that cannot stabilize within the round budget
-    restarts the whole sample with fresh streams.
+    its scope; a stage that cannot stabilize within STAGE_ROUNDS rounds
+    restarts the whole sample with fresh streams, up to SAMPLE_ATTEMPTS
+    samples in all.
     """
     check_partition_feasible(g, profile)
-    last_exc: RetryExhausted | None = None
-    for attempt in range(global_retries + 1):
-        if stats is not None:
-            stats.retries = attempt
+    for attempt in range(SAMPLE_ATTEMPTS - 1):
         try:
-            return _sample_once(g, profile, seed, attempt, stage_rounds, stats)
-        except RetryExhausted as exc:
-            last_exc = exc
-    assert last_exc is not None
-    raise last_exc
+            return _sample_once(g, profile, seed, attempt, stats)
+        except RetryExhausted:
+            pass
+    return _sample_once(g, profile, seed, SAMPLE_ATTEMPTS - 1, stats)
 
 
 def _sample_once(
     g: Graph, profile: ProfileConstants, seed: int, attempt: int,
-    stage_rounds: int, stats: SampleStats | None,
+    stats: SampleStats | None,
 ) -> Partition:
     n, m = g.vertex_count, g.edge_count
     deg = g.degrees
@@ -240,7 +234,7 @@ def _sample_once(
     # Stage 1: core memberships under the degree-concentration constraint.
     in_u = stream(seed, TAG_PART_U, attempt, 0).random(n) < profile.p_u
     resampled = 0
-    for rnd in range(1, stage_rounds + 1):
+    for rnd in range(1, STAGE_ROUNDS + 1):
         d_u = _count_neighbors_in(g, in_u)
         viol = np.abs(d_u - profile.p_u * deg) > profile.eps_u * deg
         if not viol.any():
@@ -255,7 +249,7 @@ def _sample_once(
         resampled += int(scope.sum())
     else:
         viol_ids = np.flatnonzero(viol)
-        raise RetryExhausted("partition:u", viol_ids.tolist(), stage_rounds)
+        raise RetryExhausted("partition:u", viol_ids.tolist(), STAGE_ROUNDS)
 
     d_u = _count_neighbors_in(g, in_u)
     d_w = deg - d_u
@@ -264,7 +258,7 @@ def _sample_once(
     # Stage 2: F_W coins under both degree constraints.
     coins = stream(seed, TAG_PART_FW, attempt, 0).random(m)
     resampled = 0
-    for rnd in range(1, stage_rounds + 1):
+    for rnd in range(1, STAGE_ROUNDS + 1):
         fw_mask = f_mask & (coins < profile.p_fw)
         d_fw = _count_incident(g, fw_mask)
         viol_w = ~in_u & (np.abs(d_fw - profile.p_fw * d_u) > profile.eps_fw * d_u)
@@ -278,7 +272,7 @@ def _sample_once(
         coins[scope_e] = fresh[scope_e]
         resampled += int(scope_e.sum())
     else:
-        raise RetryExhausted("partition:fw", np.flatnonzero(viol).tolist(), stage_rounds)
+        raise RetryExhausted("partition:fw", np.flatnonzero(viol).tolist(), STAGE_ROUNDS)
 
     fw_mask = f_mask & (coins < profile.p_fw)
     d_fw = _count_incident(g, fw_mask)
@@ -294,7 +288,7 @@ def _sample_once(
     w_end = np.where(in_u[e0], e1, e0) if m else np.empty(0, int)
     mean_frac = (1.0 - 1.0 / mlev) / 2.0
     resampled = 0
-    for rnd in range(1, stage_rounds + 1):
+    for rnd in range(1, STAGE_ROUNDS + 1):
         fu_mask = fprime_mask & (unif < levels[u_end] / mlev)
         d_fu = _count_incident(g, fu_mask)
         viol_a4 = in_u & (
@@ -318,7 +312,7 @@ def _sample_once(
         unif[scope_e] = fresh_u[scope_e]
         resampled += int(scope_e.sum()) + int(viol_levels.sum())
     else:
-        raise RetryExhausted("partition:fu", np.flatnonzero(viol).tolist(), stage_rounds)
+        raise RetryExhausted("partition:fu", np.flatnonzero(viol).tolist(), STAGE_ROUNDS)
 
     fu_mask = fprime_mask & (unif < levels[u_end] / mlev)
     return Partition(

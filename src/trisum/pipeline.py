@@ -3,7 +3,7 @@
 A run either returns a fully verified weighting with weights in {1, 2, 3}
 and no adjacent equal sums, or a structured stage failure; it never
 returns an unverified success. Outcomes are deterministic functions of
-(graph, profile, seed, budgets).
+(graph, profile, seed).
 """
 
 from __future__ import annotations
@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateLength,
-    InfeasibleProfile,
-    InsufficientFW,
-    InternalInconsistency,
-    NoValidAddition,
-    NoValidPair,
-    RetryExhausted,
-)
+from .errors import InfeasibleProfile, InternalInconsistency, NoValidAddition, StageFailure
 from .graph import Graph
 from .partition import SampleStats, audit_partition, sample_partition
 from .profiles import ProfileConstants, check_degree_regime, check_partition_feasible
@@ -31,14 +23,10 @@ from .ustage import build_estar, estar_bounds_hold, final_verify, finalize_u
 from .weighting import EdgeWeighting
 from .wstage import apply_additions, choose_sum_additions, resample_w_stage
 
-
-@dataclass(frozen=True)
-class Budgets:
-    partition_rounds: int = 80
-    partition_retries: int = 2
-    wstage_rounds: int = 150
-    wstage_reruns: int = 1
-    pipeline_restarts: int = 1
+# Fresh-stream reruns of the w-stage when no sum addition can be placed,
+# and whole-construction restarts after a restartable stage failure.
+WSTAGE_RERUNS = 1
+RESTARTS = 1
 
 
 @dataclass
@@ -89,14 +77,10 @@ def _precheck(g: Graph, profile: ProfileConstants) -> None:
     check_partition_feasible(g, profile)
 
 
-def run(
-    g: Graph,
-    profile: ProfileConstants,
-    seed: int,
-    budgets: Budgets | None = None,
-) -> PipelineOutcome:
-    """Run the full construction; restart once on a stage failure."""
-    budgets = budgets or Budgets()
+def run(g: Graph, profile: ProfileConstants, seed: int) -> PipelineOutcome:
+    """Run the full construction; restart after a restartable stage failure."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     t0 = time.perf_counter()
     stats: dict = {
         "resamples_partition": 0,
@@ -109,37 +93,23 @@ def run(
     try:
         _precheck(g, profile)
     except InfeasibleProfile as exc:
-        stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-        return PipelineOutcome(
-            status="failure", stage="precheck", reason=str(exc),
-            seed=seed, weighting=None, s3=None, stats=stats,
-        )
-
-    last_failure: tuple[str, str] | None = None
-    for attempt in range(budgets.pipeline_restarts + 1):
-        stats["restarts"] = attempt
-        attempt_seed = seed if attempt == 0 else derive_seed(seed, TAG_RESTART, attempt)
-        try:
-            outcome = _run_once(g, profile, attempt_seed, budgets, stats)
-            outcome.seed = seed
-            stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-            return outcome
-        except RetryExhausted as exc:
-            stage = "partition" if exc.stage.startswith("partition") else "wstage"
-            last_failure = (stage, str(exc))
-        except (DegenerateLength, NoValidAddition, InsufficientFW) as exc:
-            last_failure = ("wstage", str(exc))
-        except NoValidPair as exc:
-            last_failure = ("ustage", str(exc))
-        except InfeasibleProfile as exc:
-            last_failure = ("precheck", str(exc))
-            break
-        except InternalInconsistency as exc:
-            # A construction fault, not bad luck: report it like a failed
-            # final_verify and do not restart.
-            last_failure = ("verify", str(exc))
-            break
-    stage, reason = last_failure
+        stage, reason = exc.outcome_stage, str(exc)
+    else:
+        for attempt in range(RESTARTS + 1):
+            stats["restarts"] = attempt
+            attempt_seed = seed if attempt == 0 else derive_seed(seed, TAG_RESTART, attempt)
+            try:
+                outcome = _run_once(g, profile, attempt_seed, stats)
+            except StageFailure as exc:
+                # Keep no reference to exc: its traceback holds the
+                # attempt's arrays alive through the restart.
+                stage, reason = exc.outcome_stage, str(exc)
+                if not exc.restartable:
+                    break
+            else:
+                outcome.seed = seed
+                stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+                return outcome
     stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
     return PipelineOutcome(
         status="failure", stage=stage, reason=reason,
@@ -148,36 +118,26 @@ def run(
 
 
 def _run_once(
-    g: Graph, profile: ProfileConstants, seed: int, budgets: Budgets,
-    stats: dict,
+    g: Graph, profile: ProfileConstants, seed: int, stats: dict,
 ) -> PipelineOutcome:
     part_stats = SampleStats()
-    part = sample_partition(
-        g, profile, seed,
-        stage_rounds=budgets.partition_rounds,
-        global_retries=budgets.partition_retries,
-        stats=part_stats,
-    )
+    part = sample_partition(g, profile, seed, stats=part_stats)
     stats["resamples_partition"] += part_stats.resampled
     stats["rounds"]["partition"] = part_stats.rounds
     stats["audits"]["partition"] = audit_partition(part, profile).ok
     stats["partition_shape"] = part.describe()
 
-    # Periphery stage, with one fresh-stream rerun if the addition step
+    # Periphery stage, with a fresh-stream rerun if the addition step
     # cannot place some vertex.
-    state = None
-    additions = None
-    for rerun in range(budgets.wstage_reruns + 1):
-        state = resample_w_stage(
-            part, profile, seed, rounds=budgets.wstage_rounds, rerun=rerun,
-        )
+    for rerun in range(WSTAGE_RERUNS + 1):
+        state = resample_w_stage(part, profile, seed, rerun=rerun)
         stats["resamples_wstage"] += state.resampled
         stats["rounds"]["wstage"] = state.rounds
         try:
             additions = choose_sum_additions(part, state.s1, state.intervals, profile)
             break
         except NoValidAddition:
-            if rerun == budgets.wstage_reruns:
+            if rerun == WSTAGE_RERUNS:
                 raise
     omega2, s2 = apply_additions(part, state.omega1, additions)
 
@@ -192,10 +152,7 @@ def _run_once(
     stats["verify"] = report.to_dict()
     if not report.ok:
         # Construction bug rather than bad luck; surface as a verify failure.
-        return PipelineOutcome(
-            status="failure", stage="verify", reason=report.summary(),
-            seed=seed, weighting=None, s3=None, stats=stats,
-        )
+        raise InternalInconsistency(report.summary())
     return PipelineOutcome(
         status="success", stage=None, reason=None, seed=seed,
         weighting=result.omega3, s3=report.sums, stats=stats,

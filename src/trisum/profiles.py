@@ -34,7 +34,6 @@ class ProfileConstants:
     frac_i: float           # interval occupancy bound factor
     modulus_m: int          # reserved-residue modulus
     min_delta_ratio: float  # required delta / ln(Delta)
-    reserved_residues: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
         for name in ("p_u", "p_fw"):
@@ -56,15 +55,14 @@ class ProfileConstants:
             raise ValueError("frac_nu must be in (0, 1]")
         if self.min_delta_ratio < 0.0:
             raise ValueError("min_delta_ratio must be non-negative")
-        if tuple(self.reserved_residues) != (0, 1):
-            # The pair family {k*M, k*M + 1} hard-wires these two classes.
-            raise ValueError("reserved_residues must be (0, 1)")
-        object.__setattr__(self, "reserved_residues", tuple(self.reserved_residues))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["reserved_residues"] = list(self.reserved_residues)
-        return d
+        return asdict(self)
+
+
+# Residues mod modulus_m that core sums take and periphery sums avoid. The
+# core's pair family {k*M, k*M + 1} hard-wires these two classes.
+RESERVED_RESIDUES = (0, 1)
 
 
 # Constants of the guaranteed regime (minimum degree >= 1e20 ln(max degree)).
@@ -108,7 +106,7 @@ DESK = ProfileConstants(
 BUILTIN_PROFILES = {"full-scale": FULL_SCALE, "desk": DESK}
 
 
-def _check_field_names(names) -> None:
+def check_field_names(names) -> None:
     unknown = sorted(set(names) - {f.name for f in fields(ProfileConstants)})
     if unknown:
         raise ValueError(f"unknown profile fields: {', '.join(unknown)}")
@@ -117,11 +115,8 @@ def _check_field_names(names) -> None:
 def profile_from_dict(data: dict) -> ProfileConstants:
     if not isinstance(data, dict):
         raise ValueError("a profile must be a JSON object")
-    _check_field_names(data)
-    data = dict(data)
+    check_field_names(data)
     try:
-        if "reserved_residues" in data:
-            data["reserved_residues"] = tuple(data["reserved_residues"])
         return ProfileConstants(**data)
     except TypeError as exc:  # a missing field or a value of the wrong type
         raise ValueError(f"bad profile: {exc}") from None
@@ -140,7 +135,7 @@ def resolve_profile(spec: str | None, overrides: dict | None = None) -> ProfileC
     else:
         profile = load_profile(spec)
     if overrides:
-        _check_field_names(overrides)
+        check_field_names(overrides)
         profile = replace(profile, **overrides)
     return profile
 

@@ -16,19 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NoValidPair
+from .graph import group_by
 from .partition import Partition, j_interval_bounds, n_u_leq_all
-from .profiles import ProfileConstants
+from .profiles import RESERVED_RESIDUES, ProfileConstants
 from .weighting import EdgeWeighting, weighted_degrees
-
-
-def _owned_lists(owner: np.ndarray, n: int) -> list[np.ndarray]:
-    """Owned edge ids per vertex, ascending, from the edge -> owner map."""
-    eids = np.flatnonzero(owner >= 0)
-    owners = owner[eids]
-    order = np.lexsort((eids, owners))
-    eids, owners = eids[order], owners[order]
-    starts = np.searchsorted(owners, np.arange(n + 1))
-    return [eids[starts[v]:starts[v + 1]] for v in range(n)]
 
 
 def build_estar(part: Partition) -> np.ndarray:
@@ -137,7 +128,8 @@ def finalize_u(
     u_ids = part.u_ids
     order = u_ids[np.lexsort((u_ids, g.degrees[u_ids]))]
     nu_cache = n_u_leq_all(part, profile)
-    owned_lists = _owned_lists(owner, n)
+    owned_eids = np.flatnonzero(owner >= 0)
+    owned_lists = group_by(owner[owned_eids], owned_eids, n)
 
     for u in order:
         u = int(u)
@@ -273,12 +265,11 @@ def final_verify(
     g = part.graph
     s3 = weighted_degrees(g, omega3)
     mod = profile.modulus_m
-    reserved = list(profile.reserved_residues)
     u_ids, w_ids = part.u_ids, part.w_ids
 
     conflict_edges = np.flatnonzero(s3[g.edges[:, 0]] == s3[g.edges[:, 1]]).tolist()
-    bad_core = u_ids[~np.isin(s3[u_ids] % mod, reserved)].tolist()
-    bad_periph = w_ids[np.isin(s3[w_ids] % mod, reserved)].tolist()
+    bad_core = u_ids[~np.isin(s3[u_ids] % mod, RESERVED_RESIDUES)].tolist()
+    bad_periph = w_ids[np.isin(s3[w_ids] % mod, RESERVED_RESIDUES)].tolist()
     changed = []
     if expected_periphery_sums is not None:
         changed = w_ids[s3[w_ids] != expected_periphery_sums[w_ids]].tolist()

@@ -24,8 +24,9 @@ from .errors import (
     NoValidAddition,
     RetryExhausted,
 )
+from .graph import group_by
 from .partition import Partition, initial_outer_weights
-from .profiles import ProfileConstants
+from .profiles import RESERVED_RESIDUES, ProfileConstants
 from .rng import TAG_W_EDGE, TAG_W_VERTEX, stream
 from .weighting import EdgeWeighting, weighted_degrees
 
@@ -152,8 +153,9 @@ def occupancy_counts(part: Partition, intervals: IntervalData) -> np.ndarray:
     return counts
 
 
-# Rounds without a drop in the violator count after which a w-stage run
-# is abandoned.
+# Rounds a w-stage run may take, and rounds without a drop in the
+# violator count after which it is abandoned.
+ROUND_LIMIT = 150
 STALL_LIMIT = 25
 
 
@@ -162,7 +164,6 @@ def resample_w_stage(
     profile: ProfileConstants,
     seed: int,
     *,
-    rounds: int = 150,
     rerun: int = 0,
 ) -> WStageState:
     """Sample X values until both periphery checks hold everywhere.
@@ -171,7 +172,8 @@ def resample_w_stage(
     inner edges; everything else is recomputed deterministically. Because
     the scope is local, a globally skewed initial sample can leave
     violations that no local redraw can repair; a run whose violator count
-    stops improving for STALL_LIMIT rounds is abandoned early.
+    stops improving for STALL_LIMIT rounds is abandoned early, and any run
+    ends after ROUND_LIMIT rounds.
     """
     g = part.graph
     n, m = g.vertex_count, g.edge_count
@@ -191,7 +193,7 @@ def resample_w_stage(
     resampled = 0
     best = None
     stalled = 0
-    for rnd in range(1, rounds + 1):
+    for rnd in range(1, ROUND_LIMIT + 1):
         omega1 = complete_initial_weighting(part, x)
         s1 = weighted_degrees(g, omega1)
         intervals = compute_intervals(part, x, profile)
@@ -219,7 +221,7 @@ def resample_w_stage(
         fresh_e = stream(seed, TAG_W_EDGE, rerun, rnd).random(m)
         x.x_edge[scope_e] = fresh_e[scope_e]
         resampled += count
-    raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), rounds)
+    raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), ROUND_LIMIT)
 
 
 def choose_sum_additions(
@@ -240,7 +242,6 @@ def choose_sum_additions(
     order = w_ids[np.lexsort((w_ids, part.d_w[w_ids]))]
     rank = np.full(n, -1, dtype=np.int64)
     rank[order] = np.arange(order.size)
-    reserved = set(profile.reserved_residues)
     mod = profile.modulus_m
     a = np.zeros(n, dtype=np.int64)
     final = np.zeros(n, dtype=np.int64)
@@ -254,7 +255,7 @@ def choose_sum_additions(
         blocked = set(final[nbrs].tolist())
         chosen = None
         for t in range(lo, hi):
-            if t % mod in reserved:
+            if t % mod in RESERVED_RESIDUES:
                 continue
             if t in blocked:
                 continue
@@ -285,21 +286,15 @@ def apply_additions(
     g = part.graph
     w2 = omega1.copy()
     fw_ids = np.flatnonzero(part.fw_mask)
-    if fw_ids.size:
-        e = g.edges[fw_ids]
-        w_end = np.where(part.in_u[e[:, 0]], e[:, 1], e[:, 0])
-        order = np.lexsort((fw_ids, w_end))
-        fw_sorted = fw_ids[order]
-        w_end_sorted = w_end[order]
-        starts = np.searchsorted(w_end_sorted, np.arange(g.vertex_count + 1))
+    e = g.edges[fw_ids]
+    w_end = np.where(part.in_u[e[:, 0]], e[:, 1], e[:, 0])
+    fw_lists = group_by(w_end, fw_ids, g.vertex_count)
     for v in part.w_ids:
         v = int(v)
         need = int(additions[v])
         if need == 0:
             continue
-        if not fw_ids.size:
-            raise InsufficientFW(v, need, 0)
-        mine = fw_sorted[starts[v]:starts[v + 1]]
+        mine = fw_lists[v]
         if mine.size < need:
             raise InsufficientFW(v, need, int(mine.size))
         picked = mine[:need]

@@ -300,6 +300,40 @@ class TestStructuredErrors:
         result = runner.invoke(main, args + ["--out", "/nonexistent/x"])
         assert "No such file or directory" in json_error(result)
 
+    @pytest.mark.parametrize("args, target", [
+        (["weight", "--gen", "gnp:10,0.5"], "run_pipeline"),
+        (["experiment", "--gen", "gnp:10,0.5", "--seeds", "0"], "run_pipeline"),
+        (["oracle", "--sweep", "--n-max", "3"], "sweep_small_graphs"),
+    ], ids=["weight", "experiment", "oracle-sweep"])
+    def test_out_opened_before_work(self, runner, monkeypatch, args, target):
+        calls = []
+        monkeypatch.setattr(f"trisum.cli.{target}", lambda *a: calls.append(a))
+        result = runner.invoke(main, args + ["--out", "/nonexistent/d/x"])
+        assert "No such file or directory" in json_error(result)
+        assert calls == []
+
+    @pytest.mark.parametrize("args, message", [
+        (["weight", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["weight", "--gen-seed", "-3"], "--gen-seed must be non-negative, got -3"),
+        (["experiment", "--seeds", "1,-2"], "--seeds must be non-negative, got -2"),
+        (["gen", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    ], ids=["weight-seed", "weight-gen-seed", "experiment-seeds", "gen-seed"])
+    def test_negative_seed_names_option(self, runner, tmp_path, monkeypatch,
+                                        args, message):
+        calls = []
+        monkeypatch.setattr("trisum.cli.run_pipeline", lambda *a: calls.append(a))
+        result = runner.invoke(main, args[:1] + ["--gen", "gnp:40,0.9"] + args[1:]
+                               + ["--out", str(tmp_path / "x")])
+        assert json_error(result) == message
+        assert calls == []
+        assert not (tmp_path / "x").exists()
+
+    def test_reserved_residues_not_settable(self, runner, tmp_path):
+        result = runner.invoke(main, ["weight", "--gen", "gnp:40,0.9",
+                                      "--set", "reserved_residues=0,1",
+                                      "--out", str(tmp_path / "run")])
+        assert json_error(result) == "unknown profile fields: reserved_residues"
+
     def test_sweep_n_max_above_budget(self, runner):
         result = runner.invoke(main, ["oracle", "--sweep", "--n-max", "9"])
         assert json_error(result).startswith("n_max above 8")

@@ -231,9 +231,10 @@ class TestGenerators:
         assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
             "3d5d4bd6cfc098b317e5625414bb02f8eed43a858618ed5c42677bd448eda31c")
 
-    def test_regular_retry_exhausted(self):
+    def test_regular_retry_exhausted(self, monkeypatch):
+        monkeypatch.setattr("trisum.graph.REGULAR_ATTEMPTS", 0)
         with pytest.raises(RetryExhausted):
-            gen_random_regular(600, 80, 2, max_attempts=0)
+            gen_random_regular(600, 80, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 
 import numpy as np
@@ -108,6 +110,15 @@ class TestSweep:
         report = sweep_small_graphs(4, 3)
         assert len(report.rows) == report.total_checked
         assert all(r.min_k in (1, 2, 3) for r in report.rows)
+
+    def test_rows_pinned(self):
+        # sha256 of the (graph_id, n, m, min_k) rows in report order; any
+        # rewrite of the search or the enumeration must keep them
+        report = sweep_small_graphs(5, 3)
+        rows = [[r.graph_id, r.n, r.m, r.min_k] for r in report.rows]
+        assert len(rows) == 770
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "58baf74964de2d969d1b47bdd0925a03bf2f383397937397d9eb418a689d8621")
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):

@@ -70,18 +70,20 @@ class TestSamplePartition:
         with pytest.raises(InfeasibleProfile):
             sample_partition(g, profile, seed=0)
 
-    def test_retry_exhausted_is_structured(self):
+    def test_retry_exhausted_is_structured(self, monkeypatch):
         # complete bipartite K(10, 10): every vertex must see 4..6 core
         # neighbours among its 10, which local resampling cannot stabilize
         # within a two-round budget for most seeds.
         edges = [(i, 10 + j) for i in range(10) for j in range(10)]
         g = Graph.build(20, edges)
         profile = loose_profile(eps_u=0.101)
+        monkeypatch.setattr("trisum.partition.STAGE_ROUNDS", 2)
+        monkeypatch.setattr("trisum.partition.SAMPLE_ATTEMPTS", 1)
         with pytest.raises(RetryExhausted) as exc:
-            sample_partition(
-                g, profile, seed=1, stage_rounds=2, global_retries=0
-            )
+            sample_partition(g, profile, seed=1)
         assert exc.value.stage.startswith("partition")
+        assert exc.value.outcome_stage == "partition"
+        assert exc.value.rounds == 2
         assert exc.value.violators
 
     def test_stats_recorded(self):

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import small_run_profile
-from trisum.errors import InternalInconsistency
+from trisum.errors import (
+    DegenerateLength,
+    InsufficientFW,
+    InternalInconsistency,
+    NoValidAddition,
+    NoValidPair,
+    RetryExhausted,
+)
 from trisum.graph import Graph, gen_gnp, gen_random_regular
-from trisum.pipeline import Budgets, run
+from trisum.pipeline import run
 from trisum.profiles import DESK
 from trisum.weighting import conflicts, weighted_degrees
 
@@ -95,9 +102,10 @@ class TestRun:
                     outcome.s3, weighted_degrees(small_instance, outcome.weighting)
                 )
 
-    def test_budgets_respected(self, small_instance):
-        budgets = Budgets(pipeline_restarts=0, wstage_reruns=0)
-        outcome = run(small_instance, small_run_profile(), seed=0, budgets=budgets)
+    def test_budgets_respected(self, small_instance, monkeypatch):
+        monkeypatch.setattr("trisum.pipeline.RESTARTS", 0)
+        monkeypatch.setattr("trisum.pipeline.WSTAGE_RERUNS", 0)
+        outcome = run(small_instance, small_run_profile(), seed=0)
         assert outcome.stats["restarts"] == 0
 
     def test_outcome_serializable(self, small_instance):
@@ -124,6 +132,48 @@ class TestRun:
         assert outcome.reason == "planted construction fault"
         assert outcome.weighting is None and outcome.s3 is None
         assert outcome.stats["restarts"] == 0
+
+
+class TestStageFailures:
+    # a construction fault is covered by
+    # TestRun::test_internal_inconsistency_is_a_verify_failure
+    @pytest.mark.parametrize("exc, stage", [
+        (RetryExhausted("partition:fu", [4, 9], 80), "partition"),
+        (RetryExhausted("w-stage", [3], 26), "wstage"),
+        (DegenerateLength([5]), "wstage"),
+        (NoValidAddition(5, {"i0": 8}), "wstage"),
+        (InsufficientFW(5, 3, 1), "wstage"),
+        (NoValidPair(5, {"sum": 40}), "ustage"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_outcome_stage_and_restart(self, bipartite_instance, monkeypatch,
+                                       exc, stage):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args[2])
+            raise exc
+
+        monkeypatch.setattr("trisum.pipeline.sample_partition", failing)
+        outcome = run(bipartite_instance, DESK, seed=3)
+        assert outcome.status == "failure"
+        assert outcome.stage == stage
+        assert outcome.reason == str(exc)
+        assert outcome.seed == 3
+        assert len(calls) == 2 and calls[0] == 3  # one restart, fresh seed
+        assert outcome.stats["restarts"] == 1
+
+    @pytest.mark.parametrize("graph", ["k3", "bipartite"])
+    def test_negative_seed_rejected_before_any_stage(
+        self, bipartite_instance, monkeypatch, graph
+    ):
+        g = Graph.build(3, [(0, 1), (1, 2), (0, 2)]) if graph == "k3" else bipartite_instance
+
+        def never(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr("trisum.pipeline._precheck", never)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            run(g, DESK, seed=-1)
 
 
 def sha256(outcome) -> str:

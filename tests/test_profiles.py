@@ -7,6 +7,7 @@ from trisum.graph import gen_gnp
 from trisum.profiles import (
     DESK,
     FULL_SCALE,
+    RESERVED_RESIDUES,
     ProfileConstants,
     check_partition_feasible,
     feasibility_floor,
@@ -28,7 +29,6 @@ def test_full_scale_profile_values():
     assert FULL_SCALE.eps_len == 1e-9
     assert FULL_SCALE.frac_i == 0.95
     assert FULL_SCALE.modulus_m == 100
-    assert FULL_SCALE.reserved_residues == (0, 1)
     assert FULL_SCALE.min_delta_ratio == 1e20
 
 
@@ -52,7 +52,6 @@ def test_desk_profile_valid():
 ])
 def test_validation_rejects(field, value):
     params = DESK.to_dict()
-    params["reserved_residues"] = tuple(params["reserved_residues"])
     params[field] = value
     with pytest.raises(ValueError):
         ProfileConstants(**params)
@@ -60,17 +59,17 @@ def test_validation_rejects(field, value):
 
 def test_eps_u_must_be_below_p_u():
     params = DESK.to_dict()
-    params["reserved_residues"] = (0, 1)
     params["eps_u"] = params["p_u"]
     with pytest.raises(ValueError):
         ProfileConstants(**params)
 
 
 def test_reserved_residues_fixed():
-    params = DESK.to_dict()
-    params["reserved_residues"] = (0, 2)
-    with pytest.raises(ValueError):
-        ProfileConstants(**params)
+    # the core's pair family {k*M, k*M + 1} fixes the residues; a profile
+    # cannot name them
+    assert RESERVED_RESIDUES == (0, 1)
+    with pytest.raises(ValueError, match="unknown profile fields: reserved_residues"):
+        resolve_profile("desk", {"reserved_residues": (0, 1)})
 
 
 def test_json_round_trip(tmp_path):
@@ -94,12 +93,6 @@ def test_resolve_profile_builtins_and_overrides(tmp_path):
     assert resolve_profile(str(path)) == DESK
 
 
-def test_profile_from_dict_normalizes_residues():
-    data = DESK.to_dict()
-    assert isinstance(data["reserved_residues"], list)
-    assert profile_from_dict(data) == DESK
-
-
 def test_unknown_fields_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown profile fields: bogus"):
         resolve_profile("desk", {"bogus": 1.0})
@@ -114,7 +107,7 @@ def test_unknown_fields_rejected(tmp_path):
 @pytest.mark.parametrize("data, name", [
     ({k: v for k, v in DESK.to_dict().items() if k != "p_u"}, "p_u"),
     ({**DESK.to_dict(), "p_u": "x"}, "not supported"),
-    ({**DESK.to_dict(), "reserved_residues": 0}, "not iterable"),
+    ({**DESK.to_dict(), "reserved_residues": [0, 1]}, "unknown profile fields"),
     ([1, 2], "JSON object"),
 ])
 def test_malformed_profile_rejected(tmp_path, data, name):

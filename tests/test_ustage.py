@@ -124,7 +124,7 @@ def reference_final_verify(
         s3[a] += int(omega3.weights[e])
         s3[b] += int(omega3.weights[e])
     mod = profile.modulus_m
-    reserved = set(profile.reserved_residues)
+    reserved = {0, 1}
     out = {
         "conflict_edges": [
             e for e, (a, b) in enumerate(g.edges.tolist()) if s3[a] == s3[b]
