@@ -15,7 +15,7 @@ import click
 from . import analytic
 from .errors import TrisumError
 from .graph import Graph, gen_gnp, gen_random_regular, load_edge_list, write_edge_list
-from .oracle import min_k_weighting, sweep_small_graphs
+from .oracle import check_sweep_args, min_k_weighting, sweep_small_graphs
 from .pipeline import run as run_pipeline
 from .profiles import check_field_names, resolve_profile
 from .weighting import conflicts, load_weighting, write_weighting
@@ -162,6 +162,7 @@ def verify(graph, weights):
 def oracle(graph, k_max, sweep, n_max, k, out):
     """Exact minimum-k search, or a sweep over all small connected graphs."""
     if sweep:
+        check_sweep_args(n_max, k)
         with open(out, "w", newline="") if out is not None else nullcontext() as fh:
             report = sweep_small_graphs(n_max, k)
             if fh is not None:

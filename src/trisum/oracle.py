@@ -7,7 +7,6 @@ to a vertex budget and reports any instance needing more than a given k.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -15,6 +14,9 @@ import numpy as np
 
 from .graph import Graph
 from .weighting import EdgeWeighting, conflicts
+
+# Largest edge count the exact search accepts; its cost grows as k^m.
+MAX_EDGES = 500
 
 
 @dataclass
@@ -24,25 +26,24 @@ class OracleResult:
     nodes_explored: int
 
 
-def _bfs_edge_order(g: Graph) -> list[int]:
-    """Edges in BFS-discovery order from a maximum-degree root per component."""
-    n, m = g.vertex_count, g.edge_count
-    seen_edge = np.zeros(m, dtype=bool)
-    seen_vertex = np.zeros(n, dtype=bool)
+def _bfs_edge_order(adj: list[list[tuple[int, int]]]) -> list[int]:
+    """Edges in BFS-discovery order from a maximum-degree root per component.
+
+    adj[v] lists (neighbour, edge id) pairs of v by ascending neighbour.
+    """
+    n = len(adj)
+    seen_edge: set[int] = set()
+    seen_vertex = [False] * n
     order: list[int] = []
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    for root in by_degree:
-        if seen_vertex[root] or g.degree(root) == 0:
+    for root in sorted(range(n), key=lambda v: (-len(adj[v]), v)):
+        if seen_vertex[root] or not adj[root]:
             continue
         queue = [root]
         seen_vertex[root] = True
-        while queue:
-            v = queue.pop(0)
-            nbrs = g.neighbors(v)
-            eids = g.incident_edges(v)
-            for u, e in zip(nbrs.tolist(), eids.tolist()):
-                if not seen_edge[e]:
-                    seen_edge[e] = True
+        for v in queue:
+            for u, e in adj[v]:
+                if e not in seen_edge:
+                    seen_edge.add(e)
                     order.append(e)
                 if not seen_vertex[u]:
                     seen_vertex[u] = True
@@ -50,81 +51,95 @@ def _bfs_edge_order(g: Graph) -> list[int]:
     return order
 
 
-def _search(g: Graph, k: int, order: list[int]) -> tuple[np.ndarray | None, int]:
-    """Backtrack over edges in the given order; prune on completed vertices."""
-    n, m = g.vertex_count, g.edge_count
-    remaining = g.degrees.copy()
-    # completes_at[p]: vertices whose last incident edge sits at position p
-    completes_at: list[list[int]] = [[] for _ in range(m)]
-    pos_of: dict[int, int] = {e: p for p, e in enumerate(order)}
-    last_pos = np.full(n, -1, dtype=np.int64)
-    for e, p in pos_of.items():
-        u, v = g.edges[e]
-        last_pos[u] = max(last_pos[u], p)
-        last_pos[v] = max(last_pos[v], p)
-    for v in range(n):
-        if last_pos[v] >= 0:
-            completes_at[last_pos[v]].append(v)
+def _search(
+    k: int, ends: list[list[int]], finishing: list[list[int]],
+    nbrs: list[list[int]],
+) -> tuple[list[int] | None, int]:
+    """Backtrack over edge positions; prune on vertices completed there.
 
-    adj = {v: g.neighbors(v).tolist() for v in range(n)}
-    sums = np.zeros(n, dtype=np.int64)
-    complete = np.zeros(n, dtype=bool)
-    weights = np.zeros(m, dtype=np.int64)
+    ends[p] are the endpoints of the edge at position p, finishing[p] the
+    vertices whose last incident edge it is. Returns the weight chosen at
+    each position (None when no weighting exists) and the weights tried.
+    """
+    m = len(ends)
+    sums = [0] * len(nbrs)
+    complete = [False] * len(nbrs)
+    chosen = [0] * m     # weight tried at each position, 0 before the first
     nodes = 0
-
-    def rec(p: int) -> bool:
-        nonlocal nodes
-        if p == m:
-            return True
-        e = order[p]
-        u, v = int(g.edges[e, 0]), int(g.edges[e, 1])
-        finishing = completes_at[p]
-        for w in range(1, k + 1):
-            nodes += 1
-            sums[u] += w
-            sums[v] += w
-            ok = True
-            for x in finishing:
-                complete[x] = True
-                for y in adj[x]:
-                    if complete[y] and sums[y] == sums[x]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and rec(p + 1):
-                weights[e] = w
-                return True
-            for x in finishing:
+    p = 0
+    while p < m:
+        u, v = ends[p]
+        w = chosen[p]
+        if w:
+            for x in finishing[p]:
                 complete[x] = False
             sums[u] -= w
             sums[v] -= w
-        return False
-
-    found = rec(0)
-    return (weights if found else None), nodes
+        if w == k:
+            chosen[p] = 0
+            if p == 0:
+                return None, nodes
+            p -= 1
+            continue
+        w += 1
+        chosen[p] = w
+        nodes += 1
+        sums[u] += w
+        sums[v] += w
+        ok = True
+        for x in finishing[p]:
+            complete[x] = True
+            s = sums[x]
+            for y in nbrs[x]:
+                if complete[y] and sums[y] == s:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            p += 1
+    return chosen, nodes
 
 
 def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
     """Least k in 1..k_max admitting a no-adjacent-equal-sums weighting.
 
-    The search recurses once per edge, so graphs with more edges than half
-    the interpreter's recursion limit are refused with a ValueError.
+    Graphs with more than MAX_EDGES edges are refused with a ValueError.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    limit = sys.getrecursionlimit()
-    if g.edge_count > limit // 2:
+    if g.edge_count > MAX_EDGES:
         raise ValueError(
             f"graph has {g.edge_count} edges; the exact search takes at most "
-            f"{limit // 2} (half the recursion limit {limit})"
+            f"{MAX_EDGES}"
         )
-    order = _bfs_edge_order(g)
+    n = g.vertex_count
+    edges = g.edges.tolist()
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    for pairs in adj:
+        pairs.sort()
+    order = _bfs_edge_order(adj)
+    ends = [edges[e] for e in order]
+    # finishing[p]: vertices whose last incident edge sits at position p
+    finishing: list[list[int]] = [[] for _ in order]
+    last_pos = [-1] * n
+    for p, (u, v) in enumerate(ends):
+        last_pos[u] = last_pos[v] = p
+    for v, p in enumerate(last_pos):
+        if p >= 0:
+            finishing[p].append(v)
+    nbrs = [[u for u, _ in pairs] for pairs in adj]
+
     total_nodes = 0
     for k in range(1, k_max + 1):
-        weights, nodes = _search(g, k, order)
+        chosen, nodes = _search(k, ends, finishing, nbrs)
         total_nodes += nodes
-        if weights is not None:
+        if chosen is not None:
+            weights = np.zeros(len(order), dtype=np.int64)
+            weights[order] = chosen
             witness = EdgeWeighting(weights=weights, max_weight=k)
             leftover = conflicts(g, witness)
             if leftover.size:
@@ -165,6 +180,14 @@ def _connected(n: int, adj_bits: list[int]) -> bool:
     return seen == (1 << n) - 1
 
 
+def check_sweep_args(n_max: int, k: int) -> None:
+    """Refuse a sweep beyond the enumeration budget or with k below 1."""
+    if n_max > 8:
+        raise ValueError("n_max above 8 exceeds the enumeration budget")
+    if k < 1:
+        raise ValueError("k_max must be at least 1")
+
+
 def sweep_small_graphs(n_max: int, k: int, keep_rows: bool = True) -> SweepReport:
     """Check every connected labeled graph with >= 2 edges on <= n_max vertices.
 
@@ -172,8 +195,7 @@ def sweep_small_graphs(n_max: int, k: int, keep_rows: bool = True) -> SweepRepor
     counterexample is a graph whose minimum k exceeds the given k (or that
     has no witness at all up to it).
     """
-    if n_max > 8:
-        raise ValueError("n_max above 8 exceeds the enumeration budget")
+    check_sweep_args(n_max, k)
     rows: list[SweepRow] = []
     counterexamples: list[SweepRow] = []
     total = 0
@@ -193,7 +215,7 @@ def sweep_small_graphs(n_max: int, k: int, keep_rows: bool = True) -> SweepRepor
                 continue
             if not _connected(n, adj_bits):
                 continue
-            g = Graph.build(n, edges)
+            g = Graph(vertex_count=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
             total += 1
             result = min_k_weighting(g, k)
             row = SweepRow(graph_id=mask, n=n, m=len(edges), min_k=result.min_k)

@@ -9,6 +9,7 @@ returns an unverified success. Outcomes are deterministic functions of
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -79,6 +80,10 @@ def _precheck(g: Graph, profile: ProfileConstants) -> None:
 
 def run(g: Graph, profile: ProfileConstants, seed: int) -> PipelineOutcome:
     """Run the full construction; restart after a restartable stage failure."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     t0 = time.perf_counter()

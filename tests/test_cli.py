@@ -342,6 +342,15 @@ class TestStructuredErrors:
         result = runner.invoke(main, ["oracle", "--sweep", "--k", "0"])
         assert json_error(result) == "k_max must be at least 1"
 
+    @pytest.mark.parametrize("args", [["--k", "0"], ["--n-max", "9"]],
+                             ids=["k-zero", "n-max-nine"])
+    def test_bad_sweep_args_leave_no_out_file(self, runner, tmp_path, args):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["oracle", "--sweep", *args, "--out", str(out)])
+        json_error(result)
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_negative_grid(self, runner):
         result = runner.invoke(main, ["constants", "--grid", "-1"])
         assert "-1" in json_error(result)

@@ -175,6 +175,26 @@ class TestStageFailures:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             run(g, DESK, seed=-1)
 
+    @pytest.mark.parametrize("graph", ["k3", "bipartite"])
+    def test_non_integer_seed_rejected_before_any_stage(
+        self, bipartite_instance, monkeypatch, graph
+    ):
+        g = Graph.build(3, [(0, 1), (1, 2), (0, 2)]) if graph == "k3" else bipartite_instance
+
+        def never(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr("trisum.pipeline._precheck", never)
+        for seed in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer, got "):
+                run(g, DESK, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        g = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
+        outcome = run(g, DESK, seed=np.int64(4))
+        assert outcome.seed == 4 and type(outcome.seed) is int
+        assert outcome.fingerprint() == run(g, DESK, seed=4).fingerprint()
+
 
 def sha256(outcome) -> str:
     return hashlib.sha256(outcome.fingerprint().encode()).hexdigest()
