@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import click
@@ -30,16 +29,36 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _json_errors(command):
-    """Report a bad input, a bad argument or an unwritable output of a
-    command as one JSON error on stderr with exit status 2."""
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except (TrisumError, OSError, ValueError) as exc:
-            _fail(str(exc))
-    return wrapper
+# Click 8.2 and later show the help of a bare `trisum` as a usage error.
+_SHOW_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+@contextmanager
+def _json_errors():
+    """Report a bad input, a bad argument, an unwritable output or a usage
+    error (an option value of the wrong type, an unknown option or command,
+    a missing input file) as one JSON error on stderr with exit status 2."""
+    try:
+        yield
+    except _SHOW_HELP:
+        raise
+    except click.UsageError as exc:
+        _fail(exc.format_message())
+    except (TrisumError, OSError, ValueError) as exc:
+        _fail(str(exc))
+
+
+class _JsonErrorGroup(click.Group):
+    """A command group whose own and whose commands' errors go through
+    `_json_errors`: parsing in `make_context`, the command in `invoke`."""
+
+    def make_context(self, *args, **kwargs):
+        with _json_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _json_errors():
+            return super().invoke(ctx)
 
 
 def _check_seeds(option: str, seeds) -> None:
@@ -87,7 +106,7 @@ def _parse_overrides(pairs: tuple[str, ...]) -> dict:
     return out
 
 
-@click.group()
+@click.group(cls=_JsonErrorGroup)
 def main():
     """Vertex-distinguishing 3-weightings: construction, oracle, verification."""
 
@@ -96,7 +115,6 @@ def main():
 @click.option("--gen", required=True, help="Generator spec: gnp:n,p or reg:n,d")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path))
-@_json_errors
 def gen(gen: str, seed: int, out: Path):
     """Generate a graph and write it as an edge list."""
     _check_seeds("--seed", [seed])
@@ -115,7 +133,6 @@ def gen(gen: str, seed: int, out: Path):
 @click.option("--set", "overrides", multiple=True,
               help="Profile override key=value; repeatable")
 @click.option("--out", required=True, help="Output prefix for .weights.txt / .outcome.json")
-@_json_errors
 def weight(graph, gen_spec, gen_seed, seed, profile_spec, overrides, out):
     """Run the full construction; write the weighting only on verified success."""
     _check_seeds("--seed", [seed])
@@ -134,7 +151,6 @@ def weight(graph, gen_spec, gen_seed, seed, profile_spec, overrides, out):
 @main.command()
 @click.option("--graph", required=True, type=click.Path(exists=True))
 @click.option("--weights", required=True, type=click.Path(exists=True))
-@_json_errors
 def verify(graph, weights):
     """Check a (graph, weighting) pair for adjacent equal sums."""
     g = load_edge_list(graph)
@@ -158,7 +174,6 @@ def verify(graph, weights):
 @click.option("--k", type=int, default=3, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="CSV report path for --sweep")
-@_json_errors
 def oracle(graph, k_max, sweep, n_max, k, out):
     """Exact minimum-k search, or a sweep over all small connected graphs."""
     if sweep:
@@ -188,7 +203,6 @@ def oracle(graph, k_max, sweep, n_max, k, out):
 @main.command()
 @click.option("--grid", type=int, default=9, show_default=True,
               help="Number of r-table points")
-@_json_errors
 def constants(grid):
     """Print the analytic constants report as JSON."""
     click.echo(json.dumps(analytic.constants_report(grid), indent=2))
@@ -217,7 +231,6 @@ def _experiment_task(args: tuple) -> dict:
 @click.option("--set", "overrides", multiple=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--jobs", type=int, default=1, show_default=True)
-@_json_errors
 def experiment(graph, gen_spec, gen_seed, seeds, profile_spec, overrides, out, jobs):
     """Fan the pipeline out over seeds and aggregate results into CSV."""
     try:

@@ -71,11 +71,12 @@ class Graph:
         n, m = self.vertex_count, self.edge_count
         src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        eid = np.concatenate([np.arange(m), np.arange(m)])
-        order = np.lexsort((dst, src))
+        # Each directed pair occurs once, so the keys are distinct and any
+        # sort of them gives the (src, dst) order; entry i is edge i % m.
+        order = np.argsort(pair_keys(src, dst, n))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst[order], eid[order]
+        return indptr, dst[order], order % m if m else order
 
     def neighbors(self, v: int) -> np.ndarray:
         indptr, nbrs, _ = self._csr
@@ -237,32 +238,47 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     rng = stream(seed, TAG_REGULAR)
 
     for _ in range(REGULAR_ATTEMPTS):
-        placed: set[int] = set()    # keys lo * n + hi of the edges so far
+        placed = np.empty(0, dtype=np.int64)   # keys lo * n + hi of the edges, ascending
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         while stubs.size:
             rng.shuffle(stubs)
-            pairs = np.sort(stubs.reshape(-1, 2), axis=1)
-            keys = pairs[:, 0] * n + pairs[:, 1]
-            fresh = np.zeros(keys.size, dtype=bool)
-            fresh[np.unique(keys, return_index=True)[1]] = True
-            fresh &= pairs[:, 0] != pairs[:, 1]
-            if placed:
-                fresh &= ~np.fromiter(map(placed.__contains__, keys.tolist()),
-                                      dtype=bool, count=keys.size)
-            placed.update(keys[fresh].tolist())
+            lo = np.minimum(stubs[0::2], stubs[1::2])
+            hi = np.maximum(stubs[0::2], stubs[1::2])
+            keys, first = _first_of_keys(lo * n + hi)
+            ok = (lo[first] != hi[first]) & ~_in_sorted(placed, keys)
+            fresh = np.zeros(lo.size, dtype=bool)
+            fresh[first[ok]] = True
+            new = keys[ok]
+            placed = np.insert(placed, np.searchsorted(placed, new), new)
             # Clashing pairs keep their order, so the next shuffle draws
             # the same values as a pair-by-pair repair would.
-            stubs = pairs[~fresh].ravel()
-            if stubs.size and not fresh.any() and not _has_suitable(placed, stubs, n):
+            stubs = np.stack([lo[~fresh], hi[~fresh]], axis=1).ravel()
+            if stubs.size and not new.size and not _has_suitable(placed, stubs, n):
                 break   # dead end: restart the attempt
         else:
-            keys = np.sort(np.fromiter(placed, dtype=np.int64, count=len(placed)))
-            return Graph(vertex_count=n, edges=np.stack([keys // n, keys % n], axis=1))
+            return Graph(vertex_count=n, edges=np.stack([placed // n, placed % n], axis=1))
     raise RetryExhausted("random-regular", [], REGULAR_ATTEMPTS)
 
 
-def _has_suitable(placed: set[int], stubs: np.ndarray, n: int) -> bool:
+def _first_of_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the index of each one's first
+    occurrence in keys."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of keys occur in the ascending array sorted_keys."""
+    if not sorted_keys.size:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
+def _has_suitable(placed: np.ndarray, stubs: np.ndarray, n: int) -> bool:
     """Whether any pair of remaining stubs can still form a fresh edge."""
     uniq = np.unique(stubs)
     i, j = np.triu_indices(uniq.size, k=1)
-    return not placed.issuperset((uniq[i] * n + uniq[j]).tolist())
+    return not _in_sorted(placed, uniq[i] * n + uniq[j]).all()

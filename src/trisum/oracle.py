@@ -181,7 +181,10 @@ def _connected(n: int, adj_bits: list[int]) -> bool:
 
 
 def check_sweep_args(n_max: int, k: int) -> None:
-    """Refuse a sweep beyond the enumeration budget or with k below 1."""
+    """Refuse a sweep that would check no graph, one beyond the
+    enumeration budget, or one with k below 1."""
+    if n_max < 3:
+        raise ValueError(f"n_max below 3 checks no graph, got {n_max}")
     if n_max > 8:
         raise ValueError("n_max above 8 exceeds the enumeration budget")
     if k < 1:

@@ -342,8 +342,14 @@ class TestStructuredErrors:
         result = runner.invoke(main, ["oracle", "--sweep", "--k", "0"])
         assert json_error(result) == "k_max must be at least 1"
 
-    @pytest.mark.parametrize("args", [["--k", "0"], ["--n-max", "9"]],
-                             ids=["k-zero", "n-max-nine"])
+    def test_sweep_n_max_below_three(self, runner):
+        result = runner.invoke(main, ["oracle", "--sweep", "--n-max", "2"])
+        assert json_error(result) == "n_max below 3 checks no graph, got 2"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--k", "0"], ["--n-max", "9"], ["--n-max", "2"], ["--n-max", "-5"],
+    ], ids=["k-zero", "n-max-nine", "n-max-two", "n-max-negative"])
     def test_bad_sweep_args_leave_no_out_file(self, runner, tmp_path, args):
         out = tmp_path / "x.csv"
         result = runner.invoke(main, ["oracle", "--sweep", *args, "--out", str(out)])
@@ -354,6 +360,34 @@ class TestStructuredErrors:
     def test_negative_grid(self, runner):
         result = runner.invoke(main, ["constants", "--grid", "-1"])
         assert "-1" in json_error(result)
+
+    @pytest.mark.parametrize("args, message", [
+        (["gen", "--gen", "gnp:5,0.5", "--seed", "abc", "--out", "z.txt"],
+         "Invalid value for '--seed': 'abc' is not a valid integer."),
+        (["gen", "--gen", "gnp:5,0.5", "--bogus", "--out", "z.txt"],
+         "No such option '--bogus'"),
+        (["--bogus", "gen"], "No such option '--bogus'."),
+        (["nosuch"], "No such command 'nosuch'."),
+        (["gen", "--out", "z.txt"], "Missing option '--gen'."),
+        (["verify", "--graph", "/nonexistent", "--weights", "/nonexistent"],
+         "Invalid value for '--graph': Path '/nonexistent' does not exist."),
+    ], ids=["wrong-type", "unknown-option", "unknown-group-option",
+            "unknown-command", "missing-option", "missing-file"])
+    def test_usage_error_is_json(self, runner, args, message):
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, args)
+            assert not Path("z.txt").exists()
+        assert_structured(result)
+        assert json_error(result).startswith(message)
+        assert "Usage:" not in result.output
+
+    @pytest.mark.parametrize("args", [[], ["--help"], ["gen", "--help"]],
+                             ids=["bare", "help", "gen-help"])
+    def test_help_stays_text(self, runner, args):
+        # a bare `trisum` exits 0 before click 8.2 and 2 from then on
+        result = runner.invoke(main, args)
+        assert result.output.startswith("Usage:")
+        assert result.exit_code == 0 or not args
 
 
 # Exit-code properties: every generated input ends in exit 0, exit 1 with
@@ -488,6 +522,18 @@ class TestExitCodeProperties:
             for pair in overrides:
                 args += ["--set", pair]
             result = CliRunner().invoke(main, args)
+        assert_structured(result)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["gnp:7,0.9", "reg:6,3", "reg:5,3", "gnp:x"]),
+        st.one_of(st.integers(-2, 99).map(str), st.text("0123456789-x.", max_size=4)),
+        st.sampled_from([[], ["--bogus"], ["--out"], ["extra"]]),
+    )
+    def test_gen(self, spec, seed, extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            args = ["gen", "--gen", spec, "--seed", seed, "--out", str(Path(tmp) / "g.txt")]
+            result = CliRunner().invoke(main, args + extra)
         assert_structured(result)
 
     @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisum import blockio
+from trisum import graph as graph_module
 from trisum.errors import EdgeListParseError, RetryExhausted, SelfLoopError
 from trisum.graph import (
     Graph,
@@ -106,6 +107,18 @@ def reference_has_suitable(edges: set[tuple[int, int]], stubs: list[int]) -> boo
             if (a, b) not in edges:
                 return True
     return False
+
+
+def reference_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Graph._csr as it was, with a two-key lexsort over 2m entries."""
+    n, m = g.vertex_count, g.edge_count
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    eid = np.concatenate([np.arange(m), np.arange(m)])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], eid[order]
 
 
 def outcome(parse, text: str):
@@ -214,6 +227,7 @@ class TestGenerators:
     @pytest.mark.parametrize("n, d, seed", [
         (600, 80, 2), (50, 7, 3), (20, 19, 1), (10, 3, 5), (30, 4, 11),
         (0, 0, 1), (5, 0, 2), (4, 3, 0), (6, 2, 5),
+        (40, 39, 3), (1000, 3, 9), (300, 150, 4), (10, 3, 26),
     ])
     def test_regular_matches_reference(self, n, d, seed):
         g = gen_random_regular(n, d, seed)
@@ -222,6 +236,21 @@ class TestGenerators:
         assert g.edges.dtype == ref.edges.dtype
         assert g.edges.shape == ref.edges.shape
         assert np.array_equal(g.edges, ref.edges)
+
+    def test_regular_dead_ends_restart(self, monkeypatch):
+        # (10, 3, 26), also a case above, reaches a dead end five times
+        # before a pairing completes (found by scanning seeds with the
+        # reference generator).
+        verdicts = []
+
+        def spy(placed, stubs, n):
+            verdicts.append(has_suitable(placed, stubs, n))
+            return verdicts[-1]
+
+        has_suitable = graph_module._has_suitable
+        monkeypatch.setattr(graph_module, "_has_suitable", spy)
+        assert (gen_random_regular(10, 3, 26).degrees == 3).all()
+        assert verdicts.count(False) == 5
 
     def test_regular_reference_instance_pinned(self):
         # sha256 of the reference generator's edges for the ROADMAP's
@@ -383,6 +412,32 @@ def graphs(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
                                     st.integers(0, max(n - 1, 0))), max_size=30))
     return Graph.build(n, [(u, v) for u, v in pairs if u != v])
+
+
+def assert_csr_matches_reference(g: Graph) -> None:
+    for got, want in zip(g._csr, reference_csr(g), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestCsr:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    def test_matches_reference(self, g):
+        assert_csr_matches_reference(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Graph.build(0, []),
+        lambda: Graph.build(1, []),
+        lambda: Graph.build(9, [(0, 1), (2, 3)]),
+        lambda: Graph.build(2, [(0, 1)]),
+        lambda: gen_gnp(30, 1.0, seed=1),
+        lambda: gen_random_regular(60, 59, seed=2),
+        lambda: gen_gnp(400, 0.3, seed=8),
+    ], ids=["empty", "one-vertex", "trailing-isolated", "k2", "k30",
+            "complete-regular", "gnp-400"])
+    def test_matches_reference_on_edge_cases(self, make):
+        assert_csr_matches_reference(make())
 
 
 class TestEdgeListRoundTrip:

@@ -263,3 +263,8 @@ class TestSweep:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             sweep_small_graphs(9, 3)
+
+    @pytest.mark.parametrize("n_max", [2, 0, -5])
+    def test_n_max_below_three_refused(self, n_max):
+        with pytest.raises(ValueError, match="n_max below 3 checks no graph"):
+            sweep_small_graphs(n_max, 3)
