@@ -9,9 +9,7 @@ from .analytic import (
     breakpoints,
     dbar_closed_form,
     dbar_quadrature,
-    density_g,
     r_value,
-    weight3_probability,
 )
 from .graph import (
     Graph,
@@ -34,7 +32,6 @@ from .profiles import DESK, FULL_SCALE, ProfileConstants, load_profile, resolve_
 from .ustage import build_estar, final_verify, finalize_u
 from .weighting import (
     EdgeWeighting,
-    blow_up_is_locally_irregular,
     conflicts,
     weighted_degrees,
 )
@@ -45,7 +42,6 @@ from .wstage import (
     choose_sum_additions,
     compute_intervals,
     resample_w_stage,
-    weigh_inner_edges,
 )
 
 __version__ = "0.1.0"

@@ -29,27 +29,9 @@ def breakpoints() -> tuple[float, float]:
 A1, A2 = breakpoints()
 
 
-def density_g(x: float) -> float:
-    """Density of the vertex variable: 1 / (ln(hi/lo) * x) on [1.1, 2.9]."""
-    if not X_LO <= x <= X_HI:
-        raise ValueError(f"x={x} outside [{X_LO}, {X_HI}]")
-    return 1.0 / (LOG_RATIO * x)
-
-
-def x_cdf(x):
-    """CDF of the vertex variable, clamped outside the domain; vectorized."""
-    arr = np.clip(np.asarray(x, dtype=np.float64), X_LO, X_HI)
-    out = np.log(arr / X_LO) / LOG_RATIO
-    return float(out) if out.ndim == 0 else out
-
-
 def x_from_uniform(t):
     """Inverse CDF: lo * (hi/lo)**t. t may be a scalar or an array."""
     return X_LO * (X_HI / X_LO) ** np.asarray(t, dtype=np.float64)
-
-
-def sample_x_many(rng: np.random.Generator, size: int) -> np.ndarray:
-    return x_from_uniform(rng.random(size))
 
 
 def _r_unchecked(x: np.ndarray) -> np.ndarray:
@@ -112,27 +94,6 @@ def weight3_threshold(x_big) -> np.ndarray | float:
     x_big = np.asarray(x_big, dtype=np.float64)
     out = X_HI * np.exp(-LOG_RATIO * (x_big - 1.0) / 2.0)
     return float(out) if out.ndim == 0 else out
-
-
-def weight3_probability(alpha: float) -> float:
-    """Probability that an inner edge gets weight 3 given one endpoint value.
-
-    Evaluates the rule's marginal case by case (threshold mass of the
-    density above/below the knots plus the r contribution). Every branch
-    collapses to (alpha - 1) / 2.
-    """
-    if not X_LO <= alpha <= X_HI:
-        raise ValueError(f"alpha={alpha} outside [{X_LO}, {X_HI}]")
-    if alpha >= X_MID:
-        t = weight3_threshold(alpha)
-        return (math.log(X_HI) - math.log(t)) / LOG_RATIO
-    r_a = r_value(alpha)
-    if alpha > A2:
-        return math.log(X_HI / X_MID) / LOG_RATIO + r_a
-    if alpha >= A1:
-        upper = 1.0 + 2.0 * math.log(X_HI / alpha) / LOG_RATIO
-        return math.log(X_HI / upper) / LOG_RATIO + r_a
-    return r_a
 
 
 def edge_weight3_mask(x_a, x_b, x_e) -> np.ndarray:

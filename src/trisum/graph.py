@@ -20,6 +20,12 @@ from .errors import EdgeListParseError, RetryExhausted, SelfLoopError
 from .rng import TAG_GNP, TAG_REGULAR, stream
 
 
+# Largest vertex count a graph may have: ids lie in [0, MAX_VERTICES).
+# Per-vertex arrays are sized by the largest id, so the bound keeps a
+# stray huge id in an input file from asking for gigabytes.
+MAX_VERTICES = 2**24
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph. No self-loops, no parallel edges."""
@@ -31,17 +37,28 @@ class Graph:
     def build(cls, vertex_count: int, pairs) -> "Graph":
         """Normalize vertex pairs (an iterable or an (m, 2) array) into a Graph.
 
-        Duplicate pairs collapse; orientation is ignored; self-loops raise.
+        Duplicate pairs collapse; orientation is ignored; self-loops raise,
+        and so do a vertex count or an id that MAX_VERTICES does not allow.
         """
+        if vertex_count > MAX_VERTICES:
+            raise ValueError(f"vertex count {vertex_count} is above "
+                             f"MAX_VERTICES = {MAX_VERTICES}")
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        try:
+            arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError(f"a vertex id does not fit in int64; ids must be "
+                             f"below MAX_VERTICES = {MAX_VERTICES}") from None
         if arr.size:
             if (arr[:, 0] == arr[:, 1]).any():
                 bad = arr[arr[:, 0] == arr[:, 1]][0]
                 raise SelfLoopError(f"self-loop at vertex {bad[0]}")
             if arr.min() < 0:
                 raise ValueError("negative vertex id")
+            if arr.max() >= MAX_VERTICES:
+                raise ValueError(f"vertex id {arr.max()} is not below "
+                                 f"MAX_VERTICES = {MAX_VERTICES}")
             lo = np.minimum(arr[:, 0], arr[:, 1])
             hi = np.maximum(arr[:, 0], arr[:, 1])
             base = int(hi.max()) + 1
@@ -104,15 +121,9 @@ def group_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
     return [values[starts[k]:starts[k + 1]] for k in range(n)]
 
 
-# Largest base b for which pair keys lo * b + hi with hi < b fit in int64.
-_INT64_KEY_BASE = 3_037_000_499
-
-
 def pair_keys(lo: np.ndarray, hi: np.ndarray, base: int) -> np.ndarray:
     """Keys lo * base + hi, ordered as the pairs (lo, hi) are when
-    0 <= hi < base; Python integers (object dtype) when int64 would overflow."""
-    if base > _INT64_KEY_BASE:
-        lo = lo.astype(object)
+    0 <= hi < base; they fit in int64 for every base up to MAX_VERTICES."""
     return lo * base + hi
 
 

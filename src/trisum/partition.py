@@ -33,46 +33,32 @@ class Partition:
     f_mask: np.ndarray      # bool[m], edges between U and W
     fw_mask: np.ndarray     # bool[m], F_W subset of F
     fu_mask: np.ndarray     # bool[m], F_U subset of F'
-    # per-vertex counts, computed once from the masks
+    # derived sets and per-vertex counts, computed once from the above;
+    # shared by every stage, which only reads them
+    fprime_mask: np.ndarray = field(init=False)  # bool[m], F' = F minus F_W
+    eu_mask: np.ndarray = field(init=False)      # bool[m], edges inside U
+    eprime_mask: np.ndarray = field(init=False)  # bool[m], edges inside W
+    u_ids: np.ndarray = field(init=False)        # core vertices, ascending
+    w_ids: np.ndarray = field(init=False)        # periphery vertices, ascending
     d_u: np.ndarray = field(init=False)
+    d_w: np.ndarray = field(init=False)
     d_fw: np.ndarray = field(init=False)
     d_fprime: np.ndarray = field(init=False)
     d_fu: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = self.graph
+        in_u0, in_u1 = self.in_u[g.edges[:, 0]], self.in_u[g.edges[:, 1]]
+        self.fprime_mask = self.f_mask & ~self.fw_mask
+        self.eu_mask = in_u0 & in_u1
+        self.eprime_mask = ~in_u0 & ~in_u1
+        self.u_ids = np.flatnonzero(self.in_u)
+        self.w_ids = np.flatnonzero(~self.in_u)
         self.d_u = _count_neighbors_in(g, self.in_u)
+        self.d_w = g.degrees - self.d_u
         self.d_fw = _count_incident(g, self.fw_mask)
         self.d_fprime = _count_incident(g, self.fprime_mask)
         self.d_fu = _count_incident(g, self.fu_mask)
-
-    @property
-    def fprime_mask(self) -> np.ndarray:
-        return self.f_mask & ~self.fw_mask
-
-    @property
-    def d_w(self) -> np.ndarray:
-        return self.graph.degrees - self.d_u
-
-    @property
-    def u_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.in_u)
-
-    @property
-    def w_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.in_u)
-
-    @property
-    def eprime_mask(self) -> np.ndarray:
-        """Edges inside the periphery W."""
-        e = self.graph.edges
-        return ~self.in_u[e[:, 0]] & ~self.in_u[e[:, 1]]
-
-    @property
-    def eu_mask(self) -> np.ndarray:
-        """Edges inside the core U."""
-        e = self.graph.edges
-        return self.in_u[e[:, 0]] & self.in_u[e[:, 1]]
 
     def describe(self) -> dict:
         return {

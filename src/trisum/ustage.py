@@ -130,28 +130,28 @@ def finalize_u(
     nu_cache = n_u_leq_all(part, profile)
     owned_eids = np.flatnonzero(owner >= 0)
     owned_lists = group_by(owner[owned_eids], owned_eids, n)
+    # The endpoint of each owned edge that is not its owner.
+    other = np.where(g.edges[:, 0] == owner, g.edges[:, 1], g.edges[:, 0])
 
     for u in order:
         u = int(u)
-        owned = [int(e) for e in owned_lists[u]]
-        forced_plus: list[tuple[int, int]] = []
-        forced_minus: list[tuple[int, int]] = []
-        free: list[tuple[int, int]] = []
-        for e in owned:
-            a, b = int(g.edges[e, 0]), int(g.edges[e, 1])
-            v = b if a == u else a
+        owned = owned_lists[u]
+        forced_plus: list[int] = []
+        forced_minus: list[int] = []
+        free: list[int] = []
+        for e, v in zip(owned.tolist(), other[owned].tolist()):
             if processed[v]:
                 base = int(pair_base[v])
                 if s[v] == base:
-                    forced_plus.append((e, v))
+                    forced_plus.append(e)
                 elif s[v] == base + 1:
-                    forced_minus.append((e, v))
+                    forced_minus.append(e)
                 else:
                     raise InternalInconsistency(
                         f"processed vertex {v} drifted out of its pair"
                     )
             else:
-                free.append((e, v))
+                free.append(e)
         n_plus = len(forced_plus) + len(free)
         n_minus = len(forced_minus) + len(free)
         lo = int(s[u]) - n_minus
@@ -177,17 +177,17 @@ def finalize_u(
         shift = target - int(s[u])
         flipped: list[int] = []
         if shift > 0:
-            pool = sorted(forced_plus) + sorted(free)
+            pool = forced_plus + free
             step = 1
         else:
-            pool = sorted(forced_minus) + sorted(free)
+            pool = forced_minus + free
             step = -1
-        for e, v in pool[: abs(shift)]:
+        for e in pool[: abs(shift)]:
             if not 1 <= w[e] + step <= 3:
                 raise InternalInconsistency(f"flip would leave [1,3] at edge {e}")
             w[e] += step
-            s[g.edges[e, 0]] += step
-            s[g.edges[e, 1]] += step
+            s[u] += step
+            s[other[e]] += step
             flipped.append(e)
         if int(s[u]) != target:
             raise InternalInconsistency(f"vertex {u} missed its target sum")
@@ -210,20 +210,16 @@ class VerifyReport:
     changed_periphery_sums: list[int]
     range_violations: list[int]
     interval_violations: list[int]
-    strict_ranges: bool = False
     sums: np.ndarray | None = None  # the verified count; not serialized
 
     @property
     def ok(self) -> bool:
-        hard = (
+        return (
             not self.conflict_edges
             and not self.bad_core_residues
             and not self.bad_periphery_residues
             and not self.changed_periphery_sums
         )
-        if self.strict_ranges:
-            hard = hard and not self.range_violations and not self.interval_violations
-        return hard
 
     def summary(self) -> str:
         if self.ok:
@@ -244,7 +240,6 @@ class VerifyReport:
             "changed_periphery_sums": self.changed_periphery_sums,
             "range_violations": self.range_violations,
             "interval_violations": self.interval_violations,
-            "strict_ranges": self.strict_ranges,
         }
 
 
@@ -253,14 +248,13 @@ def final_verify(
     omega3: EdgeWeighting,
     profile: ProfileConstants,
     expected_periphery_sums: np.ndarray | None = None,
-    strict_ranges: bool = False,
 ) -> VerifyReport:
     """Check the final weighting: conflicts, residue classes, sum stability.
 
     The sums are counted here from scratch, once; the report carries that
     count so a run reports only sums this gate has checked. Range and
-    envelope membership of core sums are warning-level unless strict_ranges
-    is set (they are only guaranteed in the full-scale constant regime).
+    envelope membership of core sums are reported as warnings only: they
+    are guaranteed only in the full-scale constant regime.
     """
     g = part.graph
     s3 = weighted_degrees(g, omega3)
@@ -287,6 +281,5 @@ def final_verify(
         changed_periphery_sums=changed,
         range_violations=range_bad,
         interval_violations=interval_bad,
-        strict_ranges=strict_ranges,
         sums=s3,
     )

@@ -53,21 +53,6 @@ def conflicts(g: Graph, weighting: EdgeWeighting | np.ndarray) -> np.ndarray:
     return np.flatnonzero(equal).astype(np.int64)
 
 
-def blow_up_is_locally_irregular(g: Graph, weighting: EdgeWeighting) -> bool:
-    """Check local irregularity of the multigraph with w(e) copies of each edge.
-
-    Built by explicit edge replication so it is an independent route to the
-    same answer as an empty conflict list.
-    """
-    w = weighting.weights
-    if w.shape[0] != g.edge_count:
-        raise WeightingCoverageError("weighting does not cover the edge set")
-    reps = w.astype(np.int64)
-    ends = np.concatenate([np.repeat(g.edges[:, 0], reps), np.repeat(g.edges[:, 1], reps)])
-    multi_deg = np.bincount(ends, minlength=g.vertex_count)
-    return bool((multi_deg[g.edges[:, 0]] != multi_deg[g.edges[:, 1]]).all())
-
-
 def _weighting_text(g: Graph, weighting: EdgeWeighting) -> Iterator[str]:
     return format_rows(np.column_stack([g.edges, weighting.weights]))
 

@@ -66,72 +66,60 @@ class WStageState:
     resampled: int = 0
 
 
-def weigh_inner_edges(part: Partition, x: XAssignment) -> np.ndarray:
-    """Weights in {1, 3} on inner edges (0 elsewhere) from the random rule."""
-    g = part.graph
-    w = np.zeros(g.edge_count, dtype=np.int64)
+def complete_initial_weighting(part: Partition, x: XAssignment) -> np.ndarray:
+    """Initial weighting of the whole graph: the outer table, and on inner
+    edges 3 where the random rule says so and 1 elsewhere."""
+    w = initial_outer_weights(part)
     ep = part.eprime_mask
     if ep.any():
-        e0 = g.edges[ep, 0]
-        e1 = g.edges[ep, 1]
+        e = part.graph.edges[ep]
         mask3 = analytic.edge_weight3_mask(
-            x.x_vertex[e0], x.x_vertex[e1], x.x_edge[ep]
+            x.x_vertex[e[:, 0]], x.x_vertex[e[:, 1]], x.x_edge[ep]
         )
         w[ep] = np.where(mask3, 3, 1)
     return w
 
 
-def complete_initial_weighting(part: Partition, x: XAssignment) -> np.ndarray:
-    """Initial weighting of the whole graph: outer table plus the inner rule."""
-    w = initial_outer_weights(part)
-    inner = weigh_inner_edges(part, x)
-    ep = part.eprime_mask
-    w[ep] = inner[ep]
-    return w
-
-
 def near_location_center(part: Partition, x: XAssignment) -> np.ndarray:
     """d_U + d_FU + X_v * d_W per vertex (NaN outside W)."""
-    center = part.d_u + part.d_fu + x.x_vertex * part.d_w
-    return center
+    return part.d_u + part.d_fu + x.x_vertex * part.d_w
 
 
-def near_location_ok_mask(
-    part: Partition, x: XAssignment, s1: np.ndarray, profile: ProfileConstants
-) -> np.ndarray:
-    """True where the initial sum sits within eps_loc * d_W of its center."""
-    ok = np.ones(part.graph.vertex_count, dtype=bool)
+def _interval_lengths(part: Partition, profile: ProfileConstants) -> np.ndarray:
+    """Dyadic interval length per W vertex (0 in U): the largest power of
+    two at most eps_len * d_W, which must be at least 1."""
+    scale = profile.eps_len * part.d_w
     w_ids = part.w_ids
-    center = near_location_center(part, x)[w_ids]
-    tol = profile.eps_loc * part.d_w[w_ids]
-    ok[w_ids] = np.abs(s1[w_ids] - center) <= tol
-    return ok
+    bad = w_ids[scale[w_ids] < 1.0]
+    if bad.size:
+        raise DegenerateLength(bad.tolist())
+    length = np.zeros(part.graph.vertex_count, dtype=np.int64)
+    if w_ids.size:
+        length[w_ids] = 2 ** np.floor(np.log2(scale[w_ids])).astype(np.int64)
+    return length
+
+
+def _place_intervals(
+    part: Partition, length: np.ndarray, center: np.ndarray
+) -> IntervalData:
+    """Near location s0 = center + 3 * length per W vertex, and the grid
+    interval of the given lengths that holds it."""
+    n = part.graph.vertex_count
+    ids = part.w_ids
+    s0 = np.full(n, np.nan)
+    s0[ids] = center[ids] + 3.0 * length[ids]
+    i0 = np.zeros(n, dtype=np.int64)
+    i0[ids] = np.floor(s0[ids] / length[ids]).astype(np.int64) * length[ids]
+    return IntervalData(length=length, i0=i0, s0=s0)
 
 
 def compute_intervals(
     part: Partition, x: XAssignment, profile: ProfileConstants
 ) -> IntervalData:
     """Dyadic interval length, grid interval and near location per W vertex."""
-    g = part.graph
-    n = g.vertex_count
-    w_mask = ~part.in_u
-    d_w = part.d_w
-    scale = profile.eps_len * d_w
-    bad = w_mask & (scale < 1.0)
-    if bad.any():
-        raise DegenerateLength(np.flatnonzero(bad).tolist())
-    length = np.zeros(n, dtype=np.int64)
-    ids = np.flatnonzero(w_mask)
-    if ids.size:
-        length[ids] = 2 ** np.floor(np.log2(scale[ids])).astype(np.int64)
-    s0 = np.full(n, np.nan)
-    s0[ids] = (
-        part.d_u[ids] + part.d_fu[ids]
-        + x.x_vertex[ids] * d_w[ids] + 3.0 * length[ids]
+    return _place_intervals(
+        part, _interval_lengths(part, profile), near_location_center(part, x)
     )
-    i0 = np.zeros(n, dtype=np.int64)
-    i0[ids] = np.floor(s0[ids] / length[ids]).astype(np.int64) * length[ids]
-    return IntervalData(length=length, i0=i0, s0=s0)
 
 
 def occupancy_counts(part: Partition, intervals: IntervalData) -> np.ndarray:
@@ -180,9 +168,13 @@ def resample_w_stage(
     w_mask = ~part.in_u
     ep = part.eprime_mask
     e0, e1 = (g.edges[:, 0], g.edges[:, 1]) if m else (np.empty(0, int), np.empty(0, int))
+    # The lengths and both checks' bounds depend only on the partition.
+    length = _interval_lengths(part, profile)
+    near_tol = profile.eps_loc * part.d_w
+    occ_bound = profile.frac_i * length
 
     x_vertex = np.full(n, np.nan)
-    ids = np.flatnonzero(w_mask)
+    ids = part.w_ids
     x_vertex[ids] = analytic.x_from_uniform(
         stream(seed, TAG_W_VERTEX, rerun, 0).random(n)[ids]
     )
@@ -196,11 +188,10 @@ def resample_w_stage(
     for rnd in range(1, ROUND_LIMIT + 1):
         omega1 = complete_initial_weighting(part, x)
         s1 = weighted_degrees(g, omega1)
-        intervals = compute_intervals(part, x, profile)
-        near_ok = near_location_ok_mask(part, x, s1, profile)
+        center = near_location_center(part, x)
+        intervals = _place_intervals(part, length, center)
         occ = occupancy_counts(part, intervals)
-        occ_ok = ~w_mask | (occ <= profile.frac_i * intervals.length)
-        viol = w_mask & (~near_ok | ~occ_ok)
+        viol = w_mask & ((np.abs(s1 - center) > near_tol) | (occ > occ_bound))
         count = int(viol.sum())
         if not count:
             return WStageState(
@@ -240,8 +231,6 @@ def choose_sum_additions(
     n = g.vertex_count
     w_ids = part.w_ids
     order = w_ids[np.lexsort((w_ids, part.d_w[w_ids]))]
-    rank = np.full(n, -1, dtype=np.int64)
-    rank[order] = np.arange(order.size)
     mod = profile.modulus_m
     a = np.zeros(n, dtype=np.int64)
     final = np.zeros(n, dtype=np.int64)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from trisum import analytic
+from trisum.errors import WeightingCoverageError
 from trisum.graph import Graph
 from trisum.partition import Partition, j_interval_bounds
 from trisum.profiles import ProfileConstants
+from trisum.weighting import EdgeWeighting
 from trisum.wstage import XAssignment
 
 
@@ -101,7 +105,44 @@ def conditional_sum_profile(
 
 def simulate_weight3_frequency(alpha: float, trials: int, rng: np.random.Generator) -> float:
     """Monte Carlo frequency of weight 3 at a pinned endpoint value."""
-    x_u = analytic.sample_x_many(rng, trials)
+    x_u = analytic.x_from_uniform(rng.random(trials))
     x_e = rng.random(trials)
     mask = analytic.edge_weight3_mask(np.full(trials, alpha), x_u, x_e)
     return float(mask.mean())
+
+
+def weight3_probability(alpha: float) -> float:
+    """Probability that an inner edge gets weight 3 given one endpoint value.
+
+    Evaluates the rule's marginal case by case (threshold mass of the
+    density above/below the knots plus the r contribution). Every branch
+    collapses to (alpha - 1) / 2.
+    """
+    lo, mid, hi, log_ratio = analytic.X_LO, analytic.X_MID, analytic.X_HI, analytic.LOG_RATIO
+    if not lo <= alpha <= hi:
+        raise ValueError(f"alpha={alpha} outside [{lo}, {hi}]")
+    if alpha >= mid:
+        t = analytic.weight3_threshold(alpha)
+        return (math.log(hi) - math.log(t)) / log_ratio
+    r_a = analytic.r_value(alpha)
+    if alpha > analytic.A2:
+        return math.log(hi / mid) / log_ratio + r_a
+    if alpha >= analytic.A1:
+        upper = 1.0 + 2.0 * math.log(hi / alpha) / log_ratio
+        return math.log(hi / upper) / log_ratio + r_a
+    return r_a
+
+
+def blow_up_is_locally_irregular(g: Graph, weighting: EdgeWeighting) -> bool:
+    """Check local irregularity of the multigraph with w(e) copies of each edge.
+
+    Built by explicit edge replication so it is an independent route to the
+    same answer as an empty conflict list.
+    """
+    w = weighting.weights
+    if w.shape[0] != g.edge_count:
+        raise WeightingCoverageError("weighting does not cover the edge set")
+    reps = w.astype(np.int64)
+    ends = np.concatenate([np.repeat(g.edges[:, 0], reps), np.repeat(g.edges[:, 1], reps)])
+    multi_deg = np.bincount(ends, minlength=g.vertex_count)
+    return bool((multi_deg[g.edges[:, 0]] != multi_deg[g.edges[:, 1]]).all())

@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import conditional_sum_profile, simulate_weight3_frequency
+from conftest import (
+    blow_up_is_locally_irregular,
+    conditional_sum_profile,
+    simulate_weight3_frequency,
+    weight3_probability,
+)
 from trisum import analytic
 from trisum.graph import Graph, gen_gnp, gen_random_regular
 from trisum.oracle import min_k_weighting, sweep_small_graphs
@@ -22,7 +27,6 @@ from trisum.profiles import DESK
 from trisum.ustage import build_estar, estar_bounds_hold
 from trisum.weighting import (
     EdgeWeighting,
-    blow_up_is_locally_irregular,
     conflicts,
     weighted_degrees,
 )
@@ -83,7 +87,7 @@ def test_criterion_2_probability_identity():
     t0 = time.perf_counter()
     grid = np.linspace(1.1, 2.9, 1000)
     worst = max(
-        abs(analytic.weight3_probability(float(a)) - (a - 1) / 2) for a in grid
+        abs(weight3_probability(float(a)) - (a - 1) / 2) for a in grid
     )
     assert worst < 1e-10
 

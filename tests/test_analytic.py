@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simulate_weight3_frequency
+from conftest import simulate_weight3_frequency, weight3_probability
 from trisum import analytic
 
 # Frozen 50-digit reference values (mpmath), rounded to double precision.
@@ -18,6 +18,24 @@ REF_R_AT_A1 = 0.077315150870997264956
 REF_G_AT_11 = 0.93778665831167678404
 REF_G_AT_29 = 0.35571218073891188360
 REF_GEOMEAN = 1.7860571099491751694
+
+
+# Reference oracles: the density and CDF that analytic.x_from_uniform
+# inverts.
+
+
+def density_g(x: float) -> float:
+    """Density of the vertex variable: 1 / (ln(hi/lo) * x) on [1.1, 2.9]."""
+    if not analytic.X_LO <= x <= analytic.X_HI:
+        raise ValueError(f"x={x} outside [{analytic.X_LO}, {analytic.X_HI}]")
+    return 1.0 / (analytic.LOG_RATIO * x)
+
+
+def x_cdf(x):
+    """CDF of the vertex variable, clamped outside the domain; vectorized."""
+    arr = np.clip(np.asarray(x, dtype=np.float64), analytic.X_LO, analytic.X_HI)
+    out = np.log(arr / analytic.X_LO) / analytic.LOG_RATIO
+    return float(out) if out.ndim == 0 else out
 
 
 class TestConstants:
@@ -46,11 +64,11 @@ class TestConstants:
     def test_quadrature_first_branch_identity(self):
         # below the first knot r is exactly (x - 1) / 2
         lhs = analytic.composite_simpson(
-            lambda x: analytic.r_value(x) * analytic.density_g(x),
+            lambda x: analytic.r_value(x) * density_g(x),
             analytic.X_LO, analytic.A1, 2000,
         )
         rhs = analytic.composite_simpson(
-            lambda x: (x - 1) / 2 * analytic.density_g(x),
+            lambda x: (x - 1) / 2 * density_g(x),
             analytic.X_LO, analytic.A1, 2000,
         )
         assert abs(lhs - rhs) < 1e-12
@@ -58,20 +76,20 @@ class TestConstants:
 
 class TestDensity:
     def test_endpoint_values(self):
-        assert abs(analytic.density_g(1.1) - REF_G_AT_11) < 1e-12
-        assert abs(analytic.density_g(2.9) - REF_G_AT_29) < 1e-12
+        assert abs(density_g(1.1) - REF_G_AT_11) < 1e-12
+        assert abs(density_g(2.9) - REF_G_AT_29) < 1e-12
 
     def test_normalization(self):
         total = analytic.composite_simpson(
-            analytic.density_g, analytic.X_LO, analytic.X_HI, 4000
+            density_g, analytic.X_LO, analytic.X_HI, 4000
         )
         assert abs(total - 1.0) < 1e-10
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            analytic.density_g(1.0)
+            density_g(1.0)
         with pytest.raises(ValueError):
-            analytic.density_g(3.0)
+            density_g(3.0)
 
 
 class TestSampler:
@@ -84,20 +102,20 @@ class TestSampler:
 
     def test_cdf_inverse_consistency(self):
         for t in np.linspace(0, 1, 11):
-            assert abs(analytic.x_cdf(analytic.x_from_uniform(t)) - t) < 1e-12
+            assert abs(x_cdf(analytic.x_from_uniform(t)) - t) < 1e-12
 
     def test_ks_fit(self):
         from scipy import stats
 
         rng = np.random.default_rng(123)
-        sample = analytic.sample_x_many(rng, 1_000_000)
-        res = stats.kstest(sample, analytic.x_cdf)
+        sample = analytic.x_from_uniform(rng.random(1_000_000))
+        res = stats.kstest(sample, x_cdf)
         # 1% critical value for the KS statistic is about 1.63 / sqrt(n)
         assert res.statistic < 1.63 / math.sqrt(sample.size)
 
     def test_sample_x_scalar(self):
         rng = np.random.default_rng(0)
-        for x in analytic.sample_x_many(rng, 100):
+        for x in analytic.x_from_uniform(rng.random(100)):
             assert 1.1 <= x <= 2.9
 
 
@@ -137,25 +155,25 @@ class TestRFunction:
 
 class TestWeight3Probability:
     def test_endpoints(self):
-        assert abs(analytic.weight3_probability(1.1) - 0.05) < 1e-12
-        assert abs(analytic.weight3_probability(2.9) - 0.95) < 1e-12
+        assert abs(weight3_probability(1.1) - 0.05) < 1e-12
+        assert abs(weight3_probability(2.9) - 0.95) < 1e-12
 
     def test_identity_on_grid(self):
         for alpha in np.linspace(1.1, 2.9, 1000):
             expect = (alpha - 1) / 2
-            assert abs(analytic.weight3_probability(float(alpha)) - expect) < 1e-10
+            assert abs(weight3_probability(float(alpha)) - expect) < 1e-10
 
     def test_at_second_knot_both_cases(self):
         a2 = analytic.A2
         expect = (a2 - 1) / 2
-        below = analytic.weight3_probability(a2)           # middle-branch case
-        above = analytic.weight3_probability(a2 + 1e-13)   # upper-branch case
+        below = weight3_probability(a2)           # middle-branch case
+        above = weight3_probability(a2 + 1e-13)   # upper-branch case
         assert abs(below - expect) < 1e-12
         assert abs(above - expect) < 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            analytic.weight3_probability(1.0)
+            weight3_probability(1.0)
 
 
 class TestEdgeRule:
@@ -171,8 +189,8 @@ class TestEdgeRule:
 
     def test_symmetry_in_endpoints(self):
         rng = np.random.default_rng(3)
-        a = analytic.sample_x_many(rng, 500)
-        b = analytic.sample_x_many(rng, 500)
+        a = analytic.x_from_uniform(rng.random(500))
+        b = analytic.x_from_uniform(rng.random(500))
         e = rng.random(500)
         assert np.array_equal(
             analytic.edge_weight3_mask(a, b, e),
@@ -191,7 +209,7 @@ class TestEdgeRule:
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1.1, 2.9))
 def test_probability_identity_property(alpha):
-    assert abs(analytic.weight3_probability(alpha) - (alpha - 1) / 2) < 1e-10
+    assert abs(weight3_probability(alpha) - (alpha - 1) / 2) < 1e-10
 
 
 def test_constants_report_shape():

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisum import graph as graph_module
 from trisum.cli import EXPERIMENT_COLUMNS, main
 from trisum.graph import Graph, format_edge_list, gen_gnp, load_edge_list
 from trisum.weighting import EdgeWeighting, format_weighting
@@ -107,6 +108,26 @@ class TestVerify:
         assert err["error"].startswith("line 1: ")
         assert message in err["error"]
         assert '"ok"' not in result.stdout
+
+
+    @pytest.mark.parametrize("graph, weights, message", [
+        ("0 99999999999999999999\n", "0 99999999999999999999 1\n",
+         "a vertex id does not fit in int64; ids must be below MAX_VERTICES = 10"),
+        ("0 10\n", "0 10 1\n", "vertex id 10 is not below MAX_VERTICES = 10"),
+        ("# vertices: 11\n0 1\n", "0 1 1\n", "vertex count 11 is above MAX_VERTICES = 10"),
+    ])
+    def test_vertex_bound_gives_json_error(self, runner, tmp_path, monkeypatch,
+                                           graph, weights, message):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        gpath, wpath = tmp_path / "g.txt", tmp_path / "w.txt"
+        gpath.write_text(graph)
+        wpath.write_text(weights)
+        result = runner.invoke(
+            main, ["verify", "--graph", str(gpath), "--weights", str(wpath)]
+        )
+        assert_structured(result)
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == message
 
 
 class TestOracleCommand:

@@ -54,14 +54,24 @@ def reference_parse_edge_list(text: str) -> Graph:
 
 
 def reference_build(vertex_count: int, pairs) -> Graph:
-    """Graph.build as it was, with np.unique(axis=0) over sorted rows."""
-    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    """Graph.build as it was, with np.unique(axis=0) over sorted rows, and
+    the same MAX_VERTICES refusals."""
+    bound = graph_module.MAX_VERTICES
+    if vertex_count > bound:
+        raise ValueError(f"vertex count {vertex_count} is above MAX_VERTICES = {bound}")
+    try:
+        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(f"a vertex id does not fit in int64; ids must be "
+                         f"below MAX_VERTICES = {bound}") from None
     if arr.size:
         if (arr[:, 0] == arr[:, 1]).any():
             bad = arr[arr[:, 0] == arr[:, 1]][0]
             raise SelfLoopError(f"self-loop at vertex {bad[0]}")
         if arr.min() < 0:
             raise ValueError("negative vertex id")
+        if arr.max() >= bound:
+            raise ValueError(f"vertex id {arr.max()} is not below MAX_VERTICES = {bound}")
         arr = np.unique(np.sort(arr, axis=1), axis=0)
         vertex_count = max(vertex_count, int(arr.max()) + 1)
     return Graph(vertex_count=int(vertex_count), edges=arr)
@@ -320,11 +330,21 @@ class TestBuild:
         with pytest.raises(ValueError, match="negative vertex id"):
             Graph.build(0, [(0, -1)])
 
-    def test_ids_beyond_key_range(self):
-        big = 2**62
-        g = Graph.build(0, [(big, 1), (0, big), (1, big)])
-        assert g.edges.tolist() == [[0, big], [1, big]]
-        assert g.vertex_count == big + 1
+    def test_ids_beyond_max_vertices_refused(self, monkeypatch):
+        bound = graph_module.MAX_VERTICES
+        for big in (bound, 2**62, 2**70):
+            with pytest.raises(ValueError, match=f"MAX_VERTICES = {bound}"):
+                Graph.build(0, [(0, 1), (big, 1)])
+        with pytest.raises(ValueError, match=f"MAX_VERTICES = {bound}"):
+            Graph.build(0, np.array([[0, 2**70]], dtype=object))
+        with pytest.raises(ValueError, match="vertex count 100000000000 is above"):
+            Graph.build(10**11, [(0, 1)])
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        assert Graph.build(10, [(0, 9)]).vertex_count == 10
+        with pytest.raises(ValueError, match="vertex id 10 is not below MAX_VERTICES = 10"):
+            Graph.build(0, [(0, 9), (10, 3)])
+        with pytest.raises(ValueError, match="vertex count 11 is above MAX_VERTICES = 10"):
+            Graph.build(11, [])
 
 
 # Lines for the differential tests: well-formed pairs written in the
@@ -368,6 +388,14 @@ class TestParseAgainstReference:
                 mp.setattr(blockio, "BLOCK_CHARS", block_chars)
             got = outcome(parse_edge_list, text)
         assert got == outcome(reference_parse_edge_list, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_list_texts())
+    def test_same_result_or_error_under_small_bound(self, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "MAX_VERTICES", 8)
+            got = outcome(parse_edge_list, text)
+            assert got == outcome(reference_parse_edge_list, text)
 
     @settings(max_examples=100, deadline=None)
     @given(edge_list_texts(odd=False))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from trisum.partition import (
     n_u_leq_all,
     sample_partition,
 )
-from trisum.profiles import FULL_SCALE
+from trisum import pipeline
+from trisum.profiles import DESK, FULL_SCALE
 
 
 def complete_graph(n: int) -> Graph:
@@ -227,3 +230,66 @@ def test_partition_counts_consistent(seed):
     assert (part.d_fprime + part.d_fw)[part.w_ids].sum() == part.f_mask.sum()
     # every boundary edge contributes once to each side
     assert part.d_u[part.w_ids].sum() == part.f_mask.sum()
+
+
+# The formulas of the Partition properties that the computed fields replaced.
+DERIVED_FORMULAS = {
+    "fprime_mask": lambda p: p.f_mask & ~p.fw_mask,
+    "eu_mask": lambda p: p.in_u[p.graph.edges[:, 0]] & p.in_u[p.graph.edges[:, 1]],
+    "eprime_mask": lambda p: ~p.in_u[p.graph.edges[:, 0]] & ~p.in_u[p.graph.edges[:, 1]],
+    "u_ids": lambda p: np.flatnonzero(p.in_u),
+    "w_ids": lambda p: np.flatnonzero(~p.in_u),
+    "d_w": lambda p: p.graph.degrees - p.d_u,
+}
+
+
+@st.composite
+def crafted_partitions(draw):
+    """Any split of a small graph, with F_W and F_U drawn as subsets of F
+    and of F'; sometimes no edges, an empty U or an empty W."""
+    n = draw(st.integers(0, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30))
+    g = Graph.build(n, [(u, v) for u, v in pairs if u != v and max(u, v) < n])
+    split = draw(st.sampled_from(["any", "all_u", "all_w"]))
+    if split == "any":
+        in_u = np.array(draw(st.lists(st.booleans(), min_size=g.vertex_count,
+                                      max_size=g.vertex_count)), dtype=bool)
+    else:
+        in_u = np.full(g.vertex_count, split == "all_u")
+    coins = np.array(draw(st.lists(st.integers(0, 2), min_size=g.edge_count,
+                                   max_size=g.edge_count)), dtype=np.int64)
+    f_mask = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
+    return Partition(
+        graph=g, in_u=in_u, levels=np.where(in_u, 0, -1).astype(np.int64),
+        f_mask=f_mask, fw_mask=f_mask & (coins == 1), fu_mask=f_mask & (coins == 2),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(crafted_partitions())
+def test_derived_fields_match_formulas(part):
+    for name, formula in DERIVED_FORMULAS.items():
+        got, want = getattr(part, name), formula(part)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_stages_only_read_derived_fields(monkeypatch):
+    """A run's stages share the partition's arrays; none may write them."""
+    seen = []
+
+    def sample_and_keep(*args, **kwargs):
+        part = sample_partition(*args, **kwargs)
+        shared = [f.name for f in dataclasses.fields(part) if not f.init]
+        seen.append((part, {k: getattr(part, k).copy() for k in shared}))
+        return part
+
+    monkeypatch.setattr(pipeline, "sample_partition", sample_and_keep)
+    # the pipeline tests' bipartite instance, where a DESK run succeeds
+    mask = np.random.default_rng([101, 0, 0]).random((400, 1200)) < 0.7
+    left, right = np.nonzero(mask)
+    g = Graph(vertex_count=1600, edges=np.stack([left, right + 400], axis=1).astype(np.int64))
+    assert pipeline.run(g, DESK, seed=0).success
+    assert seen
+    for part, before in seen:
+        for name, value in before.items():
+            assert np.array_equal(getattr(part, name), value), name

@@ -436,10 +436,6 @@ class TestFinalVerify:
         # the crafted envelope is far narrower than the actual sums
         assert report.interval_violations
         assert report.ok
-        strict = final_verify(
-            part, result.omega3, profile, strict_ranges=True
-        )
-        assert not strict.ok
 
     def test_report_carries_its_own_count(self):
         g, part, omega2 = hub_triangle()

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import blow_up_is_locally_irregular
 from trisum import blockio
 from trisum.errors import WeightingCoverageError
-from trisum.graph import Graph, gen_gnp
+from trisum.graph import MAX_VERTICES, Graph, gen_gnp
 from trisum.weighting import (
     EdgeWeighting,
-    blow_up_is_locally_irregular,
     conflicts,
     format_weighting,
     load_weighting,
@@ -279,11 +279,13 @@ class TestParseWeightingAgainstReference:
             assert weighting_outcome(p3, text, parse_weighting) == weighting_outcome(
                 p3, text, reference_parse_weighting)
 
-    def test_vertex_ids_beyond_key_range(self):
-        big = 2**62
-        g = Graph.build(0, [(0, big), (1, big)])
-        text = f"{big} 0 2\n1 {big} 3\n"
+    def test_vertex_ids_up_to_max_vertices(self):
+        top = MAX_VERTICES - 1
+        g = Graph.build(0, [(0, top), (1, top)])
+        text = f"{top} 0 2\n1 {top} 3\n"
         assert parse_weighting(g, text).weights.tolist() == [2, 3]
+        with pytest.raises(ValueError, match=f"MAX_VERTICES = {MAX_VERTICES}"):
+            Graph.build(0, [(0, top + 1)])
         assert weighting_outcome(g, "0 1 1\n", parse_weighting) == (
             "error", WeightingCoverageError, "line 1: (0, 1) is not an edge")
 

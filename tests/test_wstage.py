@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conditional_sum_profile, loose_profile, small_run_profile
-from trisum import analytic
-from trisum.errors import DegenerateLength, InsufficientFW, NoValidAddition
+from trisum import analytic, wstage
+from trisum.errors import DegenerateLength, InsufficientFW, NoValidAddition, RetryExhausted
 from trisum.graph import Graph, gen_gnp, gen_random_regular
-from trisum.partition import Partition, sample_partition
+from trisum.partition import Partition, initial_outer_weights, sample_partition
 from trisum.profiles import ProfileConstants
+from trisum.rng import TAG_W_EDGE, TAG_W_VERTEX, stream
 from trisum.weighting import weighted_degrees
 from trisum.wstage import (
     IntervalData,
+    WStageState,
     XAssignment,
     apply_additions,
     choose_sum_additions,
@@ -20,7 +22,6 @@ from trisum.wstage import (
     near_location_center,
     occupancy_counts,
     resample_w_stage,
-    weigh_inner_edges,
 )
 
 
@@ -84,6 +85,116 @@ def check_occupancy(
     return bool(inside.sum() <= profile.frac_i * intervals.length[v])
 
 
+# The w-stage round loop as it was, recomputing the inner weights, the
+# interval lengths and the near-location center in every round: the
+# reference for resample_w_stage.
+
+
+def reference_weigh_inner_edges(part: Partition, x: XAssignment) -> np.ndarray:
+    """Weights in {1, 3} on inner edges (0 elsewhere) from the random rule."""
+    g = part.graph
+    w = np.zeros(g.edge_count, dtype=np.int64)
+    ep = part.eprime_mask
+    if ep.any():
+        e0 = g.edges[ep, 0]
+        e1 = g.edges[ep, 1]
+        mask3 = analytic.edge_weight3_mask(
+            x.x_vertex[e0], x.x_vertex[e1], x.x_edge[ep]
+        )
+        w[ep] = np.where(mask3, 3, 1)
+    return w
+
+
+def reference_compute_intervals(
+    part: Partition, x: XAssignment, profile: ProfileConstants
+) -> IntervalData:
+    g = part.graph
+    n = g.vertex_count
+    w_mask = ~part.in_u
+    d_w = part.d_w
+    scale = profile.eps_len * d_w
+    bad = w_mask & (scale < 1.0)
+    if bad.any():
+        raise DegenerateLength(np.flatnonzero(bad).tolist())
+    length = np.zeros(n, dtype=np.int64)
+    ids = np.flatnonzero(w_mask)
+    if ids.size:
+        length[ids] = 2 ** np.floor(np.log2(scale[ids])).astype(np.int64)
+    s0 = np.full(n, np.nan)
+    s0[ids] = (
+        part.d_u[ids] + part.d_fu[ids]
+        + x.x_vertex[ids] * d_w[ids] + 3.0 * length[ids]
+    )
+    i0 = np.zeros(n, dtype=np.int64)
+    i0[ids] = np.floor(s0[ids] / length[ids]).astype(np.int64) * length[ids]
+    return IntervalData(length=length, i0=i0, s0=s0)
+
+
+def reference_near_location_ok_mask(
+    part: Partition, x: XAssignment, s1: np.ndarray, profile: ProfileConstants
+) -> np.ndarray:
+    ok = np.ones(part.graph.vertex_count, dtype=bool)
+    w_ids = part.w_ids
+    center = (part.d_u + part.d_fu + x.x_vertex * part.d_w)[w_ids]
+    tol = profile.eps_loc * part.d_w[w_ids]
+    ok[w_ids] = np.abs(s1[w_ids] - center) <= tol
+    return ok
+
+
+def reference_resample_w_stage(
+    part: Partition, profile: ProfileConstants, seed: int, rerun: int = 0,
+) -> WStageState:
+    round_limit, stall_limit = wstage.ROUND_LIMIT, wstage.STALL_LIMIT
+    g = part.graph
+    n, m = g.vertex_count, g.edge_count
+    w_mask = ~part.in_u
+    ep = part.eprime_mask
+    e0, e1 = (g.edges[:, 0], g.edges[:, 1]) if m else (np.empty(0, int), np.empty(0, int))
+
+    x_vertex = np.full(n, np.nan)
+    ids = np.flatnonzero(w_mask)
+    x_vertex[ids] = analytic.x_from_uniform(
+        stream(seed, TAG_W_VERTEX, rerun, 0).random(n)[ids]
+    )
+    x_edge = np.full(m, np.nan)
+    x_edge[ep] = stream(seed, TAG_W_EDGE, rerun, 0).random(m)[ep]
+    x = XAssignment(x_vertex=x_vertex, x_edge=x_edge)
+
+    resampled = 0
+    best = None
+    stalled = 0
+    for rnd in range(1, round_limit + 1):
+        omega1 = initial_outer_weights(part)
+        omega1[ep] = reference_weigh_inner_edges(part, x)[ep]
+        s1 = weighted_degrees(g, omega1)
+        intervals = reference_compute_intervals(part, x, profile)
+        near_ok = reference_near_location_ok_mask(part, x, s1, profile)
+        occ = occupancy_counts(part, intervals)
+        occ_ok = ~w_mask | (occ <= profile.frac_i * intervals.length)
+        viol = w_mask & (~near_ok | ~occ_ok)
+        count = int(viol.sum())
+        if not count:
+            return WStageState(
+                x=x, omega1=omega1, s1=s1, intervals=intervals,
+                rounds=rnd, resampled=resampled,
+            )
+        if best is None or count < best:
+            best, stalled = count, 0
+        else:
+            stalled += 1
+            if stalled >= stall_limit:
+                raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), rnd)
+        fresh_x = analytic.x_from_uniform(
+            stream(seed, TAG_W_VERTEX, rerun, rnd).random(n)
+        )
+        x.x_vertex[viol] = fresh_x[viol]
+        scope_e = ep & (viol[e0] | viol[e1])
+        fresh_e = stream(seed, TAG_W_EDGE, rerun, rnd).random(m)
+        x.x_edge[scope_e] = fresh_e[scope_e]
+        resampled += count
+    raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), round_limit)
+
+
 def craft_partition(g: Graph, core_ids, fw_pairs=(), fu_pairs=()) -> Partition:
     in_u = np.zeros(g.vertex_count, dtype=bool)
     in_u[list(core_ids)] = True
@@ -116,21 +227,21 @@ class TestWeighInnerEdges:
         part = craft_partition(g, [])
         x = all_periphery_x(g, part, 1.5)
         x.x_edge[part.eprime_mask] = 1.0  # above any sub-unit probability
-        w = weigh_inner_edges(part, x)
+        w = complete_initial_weighting(part, x)
         assert (w[part.eprime_mask] == 1).all()
 
     def test_all_high_gives_threes(self):
         g = gen_gnp(12, 0.8, seed=0)
         part = craft_partition(g, [])
         x = all_periphery_x(g, part, 2.5)
-        w = weigh_inner_edges(part, x)
+        w = complete_initial_weighting(part, x)
         assert (w[part.eprime_mask] == 3).all()
 
     def test_threshold_pair_at_two(self):
         g = Graph.build(2, [(0, 1)])
         part = craft_partition(g, [])
         x = all_periphery_x(g, part, 2.0)
-        assert weigh_inner_edges(part, x)[0] == 3
+        assert complete_initial_weighting(part, x)[0] == 3
 
     def test_initial_sums_formula_cases(self):
         g = gen_gnp(14, 0.7, seed=1)
@@ -151,7 +262,7 @@ class TestWeighInnerEdges:
         part = sample_partition(g, profile, seed=5)
         rng = np.random.default_rng(0)
         x = XAssignment(
-            x_vertex=np.where(part.in_u, np.nan, analytic.sample_x_many(rng, g.vertex_count)),
+            x_vertex=np.where(part.in_u, np.nan, analytic.x_from_uniform(rng.random(g.vertex_count))),
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         omega1 = complete_initial_weighting(part, x)
@@ -181,7 +292,7 @@ class TestNearLocation:
         part = craft_partition(g, [])
         rng = np.random.default_rng(2)
         x = XAssignment(
-            x_vertex=analytic.sample_x_many(rng, g.vertex_count),
+            x_vertex=analytic.x_from_uniform(rng.random(g.vertex_count)),
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         profile = loose_profile(eps_loc=0.05)
@@ -218,7 +329,7 @@ class TestIntervals:
         profile = loose_profile(eps_len=0.3)
         rng = np.random.default_rng(1)
         x = XAssignment(
-            x_vertex=analytic.sample_x_many(rng, g.vertex_count),
+            x_vertex=analytic.x_from_uniform(rng.random(g.vertex_count)),
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         data = compute_intervals(part, x, profile)
@@ -250,7 +361,7 @@ class TestIntervals:
         profile = loose_profile(eps_len=0.4)
         rng = np.random.default_rng(5)
         x = XAssignment(
-            x_vertex=analytic.sample_x_many(rng, g.vertex_count),
+            x_vertex=analytic.x_from_uniform(rng.random(g.vertex_count)),
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         data = compute_intervals(part, x, profile)
@@ -300,7 +411,7 @@ class TestOccupancy:
         profile = loose_profile(eps_len=0.4)
         rng = np.random.default_rng(6)
         x = XAssignment(
-            x_vertex=analytic.sample_x_many(rng, g.vertex_count),
+            x_vertex=analytic.x_from_uniform(rng.random(g.vertex_count)),
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         data = compute_intervals(part, x, profile)
@@ -407,6 +518,71 @@ class TestResampleWStage:
             assert 0.5 < rate <= 1.0
 
 
+def w_stage_outcome(resample, part: Partition, profile: ProfileConstants,
+                    seed: int, rerun: int = 0):
+    """What a w-stage run gives: every field of its state, or its error's
+    type, message, violators, rounds and vertices."""
+    try:
+        st = resample(part, profile, seed, rerun=rerun)
+    except (RetryExhausted, DegenerateLength) as exc:
+        return (type(exc), str(exc), getattr(exc, "violators", None),
+                getattr(exc, "rounds", None), getattr(exc, "vertices", None))
+    arrays = (st.x.x_vertex, st.x.x_edge, st.omega1, st.s1,
+              st.intervals.length, st.intervals.i0, st.intervals.s0)
+    return ([(a.dtype, a.tobytes()) for a in arrays], st.rounds, st.resampled)
+
+
+def bipartite_case():
+    mask = np.random.default_rng([5]).random((120, 360)) < 0.7
+    left, right = np.nonzero(mask)
+    g = Graph(vertex_count=480, edges=np.stack([left, right + 120], axis=1).astype(np.int64))
+    profile = small_run_profile()
+    return sample_partition(g, profile, seed=1), profile, 1
+
+
+def exhausted_case():
+    # near-location tolerance too tight for local redraws to settle
+    profile = small_run_profile(eps_loc=0.12)
+    g = gen_random_regular(300, 60, seed=3)
+    return sample_partition(g, profile, seed=3), profile, 3
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("rerun", [0, 1])
+    def test_instance(self, instance, rerun):
+        _, profile, part, _ = instance
+        got = w_stage_outcome(resample_w_stage, part, profile, 2, rerun)
+        assert isinstance(got[0], list) and got[1] >= 1
+        assert got == w_stage_outcome(reference_resample_w_stage, part, profile, 2, rerun)
+
+    def test_bipartite(self):
+        part, profile, seed = bipartite_case()
+        got = w_stage_outcome(resample_w_stage, part, profile, seed)
+        assert isinstance(got[0], list)
+        assert got == w_stage_outcome(reference_resample_w_stage, part, profile, seed)
+
+    def test_retry_exhausted(self):
+        part, profile, seed = exhausted_case()
+        got = w_stage_outcome(resample_w_stage, part, profile, seed)
+        assert got[0] is RetryExhausted and got[3] < wstage.ROUND_LIMIT
+        assert got == w_stage_outcome(reference_resample_w_stage, part, profile, seed)
+
+    def test_round_limit(self, monkeypatch):
+        part, profile, seed = exhausted_case()
+        monkeypatch.setattr(wstage, "ROUND_LIMIT", 3)
+        got = w_stage_outcome(resample_w_stage, part, profile, seed)
+        assert got[0] is RetryExhausted and got[3] == 3
+        assert got == w_stage_outcome(reference_resample_w_stage, part, profile, seed)
+
+    def test_degenerate_length(self):
+        g = gen_gnp(12, 0.3, seed=4)
+        part = craft_partition(g, [0, 1, 2])
+        profile = loose_profile(eps_len=0.3)
+        got = w_stage_outcome(resample_w_stage, part, profile, 0)
+        assert got[0] is DegenerateLength and got[4]
+        assert got == w_stage_outcome(reference_resample_w_stage, part, profile, 0)
+
+
 class TestChooseAdditions:
     @staticmethod
     def _pair_graph():
@@ -508,7 +684,7 @@ class TestApplyAdditions:
         profile = loose_profile(eps_len=0.5, eps_loc=0.35)
         rng = np.random.default_rng(3)
         x = XAssignment(
-            x_vertex=np.where(in_u, np.nan, analytic.sample_x_many(rng, 300)),
+            x_vertex=np.where(in_u, np.nan, analytic.x_from_uniform(rng.random(300))),
             x_edge=np.where(part.eprime_mask, rng.random(g.edge_count), np.nan),
         )
         omega1 = complete_initial_weighting(part, x)
