@@ -35,9 +35,10 @@ _SHOW_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 @contextmanager
 def _json_errors():
-    """Report a bad input, a bad argument, an unwritable output or a usage
+    """Report a bad input, a bad argument, an unwritable output, a usage
     error (an option value of the wrong type, an unknown option or command,
-    a missing input file) as one JSON error on stderr with exit status 2."""
+    a missing input file) or an input too large for memory as one JSON
+    error on stderr with exit status 2."""
     try:
         yield
     except _SHOW_HELP:
@@ -46,6 +47,8 @@ def _json_errors():
         _fail(exc.format_message())
     except (TrisumError, OSError, ValueError) as exc:
         _fail(str(exc))
+    except MemoryError as exc:
+        _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
 
 
 class _JsonErrorGroup(click.Group):

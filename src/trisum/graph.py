@@ -38,11 +38,14 @@ class Graph:
         """Normalize vertex pairs (an iterable or an (m, 2) array) into a Graph.
 
         Duplicate pairs collapse; orientation is ignored; self-loops raise,
-        and so do a vertex count or an id that MAX_VERTICES does not allow.
+        and so do a negative vertex count and a vertex count or an id that
+        MAX_VERTICES does not allow.
         """
         if vertex_count > MAX_VERTICES:
             raise ValueError(f"vertex count {vertex_count} is above "
                              f"MAX_VERTICES = {MAX_VERTICES}")
+        if vertex_count < 0:
+            raise ValueError(f"vertex count {vertex_count} is negative")
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
         try:
@@ -157,12 +160,19 @@ def _edge_block(block: str) -> tuple[np.ndarray, int | None] | None:
     rows = int_rows(body, 2)
     if rows is None or (rows[:, 0] == rows[:, 1]).any() or (rows < 0).any():
         return None
-    try:
-        hints = [int(c[len(_VERTEX_HINT):].strip())
-                 for c in comments if c.startswith(_VERTEX_HINT)]
-    except ValueError:
+    hints = [_hint_count(c) for c in comments if c.startswith(_VERTEX_HINT)]
+    if None in hints:
         return None
     return rows, hints[-1] if hints else None
+
+
+def _hint_count(comment: str) -> int | None:
+    """N of a `# vertices: N` comment, or None unless N is an integer >= 0."""
+    try:
+        count = int(comment[len(_VERTEX_HINT):].strip())
+    except ValueError:
+        return None
+    return count if count >= 0 else None
 
 
 def _scan_edge_lines(lines: list[str], first: int) -> tuple[np.ndarray, int | None]:
@@ -176,9 +186,8 @@ def _scan_edge_lines(lines: list[str], first: int) -> tuple[np.ndarray, int | No
             continue
         if line.startswith("#"):
             if line.startswith(_VERTEX_HINT):
-                try:
-                    hinted = int(line[len(_VERTEX_HINT):].strip())
-                except ValueError:
+                hinted = _hint_count(line)
+                if hinted is None:
                     raise EdgeListParseError("bad vertex-count hint", line_no)
             continue
         parts = line.split()
@@ -216,12 +225,20 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
         fh.writelines(_edge_list_text(g))
 
 
+def _check_generated_size(n: int) -> None:
+    """Refuse a generated vertex count that a graph may not have, before
+    any per-vertex or per-pair array is allocated."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"n = {n} is above MAX_VERTICES = {MAX_VERTICES}")
+
+
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph: each pair kept independently with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
+    _check_generated_size(n)
     rng = stream(seed, TAG_GNP)
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < p
@@ -246,6 +263,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValueError("n * d must be even")
     if d >= n and not (n == 0 and d == 0):
         raise ValueError("d must be smaller than n")
+    _check_generated_size(n)
     rng = stream(seed, TAG_REGULAR)
 
     for _ in range(REGULAR_ATTEMPTS):

@@ -73,15 +73,17 @@ class Partition:
 
 
 def _count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
-    """d_A(v) for every v, where A is the masked vertex set."""
+    """d_A(v) for every v, where A is the masked vertex set: one sum per
+    CSR row. reduceat would give an empty row the next row's first entry,
+    or fail past the end, so only rows with neighbours are summed."""
     n = g.vertex_count
+    counts = np.zeros(n, dtype=np.int64)
     if not g.edge_count:
-        return np.zeros(n, dtype=np.int64)
-    e0, e1 = g.edges[:, 0], g.edges[:, 1]
-    return (
-        np.bincount(e0[vmask[e1]], minlength=n)
-        + np.bincount(e1[vmask[e0]], minlength=n)
-    ).astype(np.int64)
+        return counts
+    indptr, nbrs, _ = g._csr
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    counts[rows] = np.add.reduceat(vmask[nbrs], indptr[rows], dtype=np.int64)
+    return counts
 
 
 def _count_incident(g: Graph, emask: np.ndarray) -> np.ndarray:
@@ -89,9 +91,9 @@ def _count_incident(g: Graph, emask: np.ndarray) -> np.ndarray:
     n = g.vertex_count
     if not g.edge_count:
         return np.zeros(n, dtype=np.int64)
-    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    ids = np.flatnonzero(emask)
     return (
-        np.bincount(e0[emask], minlength=n) + np.bincount(e1[emask], minlength=n)
+        np.bincount(g.edges[ids, 0], minlength=n) + np.bincount(g.edges[ids, 1], minlength=n)
     ).astype(np.int64)
 
 

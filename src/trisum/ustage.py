@@ -136,30 +136,22 @@ def finalize_u(
     for u in order:
         u = int(u)
         owned = owned_lists[u]
-        forced_plus: list[int] = []
-        forced_minus: list[int] = []
-        free: list[int] = []
-        for e, v in zip(owned.tolist(), other[owned].tolist()):
-            if processed[v]:
-                base = int(pair_base[v])
-                if s[v] == base:
-                    forced_plus.append(e)
-                elif s[v] == base + 1:
-                    forced_minus.append(e)
-                else:
-                    raise InternalInconsistency(
-                        f"processed vertex {v} drifted out of its pair"
-                    )
-            else:
-                free.append(e)
-        n_plus = len(forced_plus) + len(free)
-        n_minus = len(forced_minus) + len(free)
-        lo = int(s[u]) - n_minus
-        hi = int(s[u]) + n_plus
-        blocked = {
-            int(pair_base[v]) for v in nu_cache[u]
-            if processed[v]
-        }
+        nbr = other[owned]
+        done = processed[nbr]
+        base, sv = pair_base[nbr], s[nbr]
+        at_base = done & (sv == base)
+        at_next = done & (sv == base + 1)
+        drifted = done & ~at_base & ~at_next
+        if drifted.any():
+            raise InternalInconsistency(
+                f"processed vertex {nbr[drifted][0]} drifted out of its pair"
+            )
+        free = owned[~done]
+        forced_plus, forced_minus = owned[at_base], owned[at_next]
+        lo = int(s[u]) - forced_minus.size - free.size
+        hi = int(s[u]) + forced_plus.size + free.size
+        nu = nu_cache[u]
+        blocked = set(pair_base[nu[processed[nu]]].tolist())
         target = None
         first = -(-lo // mod) * mod  # smallest multiple of mod >= lo
         for cand in range(first, hi + 1, mod):
@@ -172,30 +164,29 @@ def finalize_u(
                 "sum": int(s[u]),
                 "owned": len(owned),
                 "blocked_pairs": sorted(blocked),
-                "comparable_neighbours": len(nu_cache[u]),
+                "comparable_neighbours": len(nu),
             })
         shift = target - int(s[u])
-        flipped: list[int] = []
-        if shift > 0:
-            pool = forced_plus + free
-            step = 1
-        else:
-            pool = forced_minus + free
-            step = -1
-        for e in pool[: abs(shift)]:
-            if not 1 <= w[e] + step <= 3:
-                raise InternalInconsistency(f"flip would leave [1,3] at edge {e}")
-            w[e] += step
-            s[u] += step
-            s[other[e]] += step
-            flipped.append(e)
+        step = 1 if shift > 0 else -1
+        forced = forced_plus if shift > 0 else forced_minus
+        pool = np.concatenate([forced, free])[:abs(shift)]
+        out_of_range = (w[pool] + step < 1) | (w[pool] + step > 3)
+        if out_of_range.any():
+            raise InternalInconsistency(
+                f"flip would leave [1,3] at edge {pool[out_of_range][0]}"
+            )
+        w[pool] += step
+        s[u] += step * pool.size
+        # The other ends of a vertex's owned edges are distinct, so no
+        # neighbour's sum is moved twice here.
+        s[other[pool]] += step
         if int(s[u]) != target:
             raise InternalInconsistency(f"vertex {u} missed its target sum")
         pair_base[u] = target
         processed[u] = True
         trace.append({
             "u": u, "reachable": [lo, hi], "target": target,
-            "flipped": flipped,
+            "flipped": pool.tolist(),
         })
 
     omega3 = EdgeWeighting(weights=w, max_weight=3)

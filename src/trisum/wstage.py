@@ -66,20 +66,6 @@ class WStageState:
     resampled: int = 0
 
 
-def complete_initial_weighting(part: Partition, x: XAssignment) -> np.ndarray:
-    """Initial weighting of the whole graph: the outer table, and on inner
-    edges 3 where the random rule says so and 1 elsewhere."""
-    w = initial_outer_weights(part)
-    ep = part.eprime_mask
-    if ep.any():
-        e = part.graph.edges[ep]
-        mask3 = analytic.edge_weight3_mask(
-            x.x_vertex[e[:, 0]], x.x_vertex[e[:, 1]], x.x_edge[ep]
-        )
-        w[ep] = np.where(mask3, 3, 1)
-    return w
-
-
 def near_location_center(part: Partition, x: XAssignment) -> np.ndarray:
     """d_U + d_FU + X_v * d_W per vertex (NaN outside W)."""
     return part.d_u + part.d_fu + x.x_vertex * part.d_w
@@ -122,25 +108,6 @@ def compute_intervals(
     )
 
 
-def occupancy_counts(part: Partition, intervals: IntervalData) -> np.ndarray:
-    """For each W vertex v: how many not-larger W neighbours have s0 in I(v)."""
-    g = part.graph
-    n = g.vertex_count
-    counts = np.zeros(n, dtype=np.int64)
-    ep = part.eprime_mask
-    if not ep.any():
-        return counts
-    a = g.edges[ep, 0]
-    b = g.edges[ep, 1]
-    d_w = part.d_w
-    s0, i0, i1 = intervals.s0, intervals.i0, intervals.i1
-    a_in_b = (d_w[a] <= d_w[b]) & (s0[a] >= i0[b]) & (s0[a] < i1[b])
-    b_in_a = (d_w[b] <= d_w[a]) & (s0[b] >= i0[a]) & (s0[b] < i1[a])
-    counts += np.bincount(b[a_in_b], minlength=n)
-    counts += np.bincount(a[b_in_a], minlength=n)
-    return counts
-
-
 # Rounds a w-stage run may take, and rounds without a drop in the
 # violator count after which it is abandoned.
 ROUND_LIMIT = 150
@@ -167,8 +134,21 @@ def resample_w_stage(
     n, m = g.vertex_count, g.edge_count
     w_mask = ~part.in_u
     ep = part.eprime_mask
-    e0, e1 = (g.edges[:, 0], g.edges[:, 1]) if m else (np.empty(0, int), np.empty(0, int))
-    # The lengths and both checks' bounds depend only on the partition.
+    # Everything but the inner weights depends only on the partition: the
+    # inner edges and their ends, the outer weights and their sums, the
+    # interval lengths, both checks' bounds, and which end of each inner
+    # edge is not larger in d_W.
+    ep_ids = np.flatnonzero(ep)
+    a, b = g.edges[ep_ids, 0], g.edges[ep_ids, 1]
+    outer = initial_outer_weights(part)
+    # An inner edge weighs 1 or 3: its ends' sums gain 1 each, plus 2 each
+    # where it weighs 3.
+    s_base = (
+        weighted_degrees(g, outer)
+        + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    )
+    a_le_b = part.d_w[a] <= part.d_w[b]
+    b_le_a = part.d_w[b] <= part.d_w[a]
     length = _interval_lengths(part, profile)
     near_tol = profile.eps_loc * part.d_w
     occ_bound = profile.frac_i * length
@@ -186,16 +166,25 @@ def resample_w_stage(
     best = None
     stalled = 0
     for rnd in range(1, ROUND_LIMIT + 1):
-        omega1 = complete_initial_weighting(part, x)
-        s1 = weighted_degrees(g, omega1)
+        heavy = analytic.edge_weight3_mask(
+            x.x_vertex[a], x.x_vertex[b], x.x_edge[ep_ids]
+        )
+        s1 = s_base + 2 * (
+            np.bincount(a[heavy], minlength=n) + np.bincount(b[heavy], minlength=n)
+        )
         center = near_location_center(part, x)
         intervals = _place_intervals(part, length, center)
-        occ = occupancy_counts(part, intervals)
+        # Occupancy: W neighbours, not larger in d_W, whose s0 lies in I(v).
+        s0, i0, i1 = intervals.s0, intervals.i0, intervals.i1
+        a_in_b = a_le_b & (s0[a] >= i0[b]) & (s0[a] < i1[b])
+        b_in_a = b_le_a & (s0[b] >= i0[a]) & (s0[b] < i1[a])
+        occ = np.bincount(b[a_in_b], minlength=n) + np.bincount(a[b_in_a], minlength=n)
         viol = w_mask & ((np.abs(s1 - center) > near_tol) | (occ > occ_bound))
         count = int(viol.sum())
         if not count:
+            outer[ep_ids] = np.where(heavy, 3, 1)
             return WStageState(
-                x=x, omega1=omega1, s1=s1, intervals=intervals,
+                x=x, omega1=outer, s1=s1, intervals=intervals,
                 rounds=rnd, resampled=resampled,
             )
         if best is None or count < best:
@@ -208,7 +197,7 @@ def resample_w_stage(
             stream(seed, TAG_W_VERTEX, rerun, rnd).random(n)
         )
         x.x_vertex[viol] = fresh_x[viol]
-        scope_e = ep & (viol[e0] | viol[e1])
+        scope_e = ep_ids[viol[a] | viol[b]]
         fresh_e = stream(seed, TAG_W_EDGE, rerun, rnd).random(m)
         x.x_edge[scope_e] = fresh_e[scope_e]
         resampled += count

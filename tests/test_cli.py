@@ -355,6 +355,42 @@ class TestStructuredErrors:
                                       "--out", str(tmp_path / "run")])
         assert json_error(result) == "unknown profile fields: reserved_residues"
 
+    @pytest.mark.parametrize("spec, n", [("gnp:11,0.5", 11), ("reg:12,4", 12)])
+    def test_generator_above_max_vertices(self, runner, tmp_path, monkeypatch, spec, n):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        result = runner.invoke(main, ["gen", "--gen", spec,
+                                      "--out", str(tmp_path / "g.txt")])
+        assert json_error(result).endswith(f"n = {n} is above MAX_VERTICES = 10")
+        assert not (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 400. TiB"),
+         "out of memory: Unable to allocate 400. TiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_one_json_error(self, runner, tmp_path, monkeypatch,
+                                            exc, message):
+        def too_big(*args):
+            raise exc
+
+        monkeypatch.setattr("trisum.cli.gen_gnp", too_big)
+        result = runner.invoke(main, ["gen", "--gen", "gnp:10000000,0.5",
+                                      "--out", str(tmp_path / "g.txt")])
+        assert json_error(result) == message
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["# vertices: -5\n", "# vertices: -5\n0 1\n"],
+                             ids=["hint-only", "hint-with-edges"])
+    def test_negative_vertex_hint(self, runner, tmp_path, text):
+        gpath, wpath = tmp_path / "g.txt", tmp_path / "w.txt"
+        gpath.write_text(text)
+        wpath.write_text("0 1 1\n")
+        result = runner.invoke(
+            main, ["verify", "--graph", str(gpath), "--weights", str(wpath)]
+        )
+        assert json_error(result) == "line 1: bad vertex-count hint"
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_sweep_n_max_above_budget(self, runner):
         result = runner.invoke(main, ["oracle", "--sweep", "--n-max", "9"])
         assert json_error(result).startswith("n_max above 8")

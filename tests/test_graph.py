@@ -234,6 +234,16 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_random_regular(4, 4, seed=0)
 
+    @pytest.mark.parametrize("gen, args", [(gen_gnp, (0.5,)), (gen_random_regular, (4,))],
+                             ids=["gnp", "regular"])
+    def test_above_max_vertices_refused_before_allocating(self, monkeypatch, gen, args):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 10)
+        assert gen(10, *args, 0).vertex_count == 10
+        # the refusal comes before the first draw, so no array was sized by n
+        monkeypatch.setattr(graph_module, "stream", None)
+        with pytest.raises(ValueError, match="n = 12 is above MAX_VERTICES = 10"):
+            gen(12, *args, 0)
+
     @pytest.mark.parametrize("n, d, seed", [
         (600, 80, 2), (50, 7, 3), (20, 19, 1), (10, 3, 5), (30, 4, 11),
         (0, 0, 1), (5, 0, 2), (4, 3, 0), (6, 2, 5),
@@ -329,6 +339,9 @@ class TestBuild:
             Graph.build(0, np.array([[0, 1], [3, 3]]))
         with pytest.raises(ValueError, match="negative vertex id"):
             Graph.build(0, [(0, -1)])
+        for pairs in ([], [(0, 1)]):
+            with pytest.raises(ValueError, match="vertex count -5 is negative"):
+                Graph.build(-5, pairs)
 
     def test_ids_beyond_max_vertices_refused(self, monkeypatch):
         bound = graph_module.MAX_VERTICES
@@ -419,6 +432,31 @@ class TestParseAgainstReference:
             got = outcome(parse_edge_list, text)
         assert got == ("error", SelfLoopError, "line 5: self-loop at vertex 5", 5)
         assert got == outcome(reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("# vertices: -5\n", 1),
+        ("# vertices: -5\n0 1\n", 1),
+        ("0 1\n1 2\n# vertices: 4\n# vertices: -1\n", 4),
+    ], ids=["hint-only", "hint-with-edges", "after-a-good-hint"])
+    def test_negative_vertex_hint(self, text, line_no):
+        want = ("error", EdgeListParseError, f"line {line_no}: bad vertex-count hint", line_no)
+        assert outcome(parse_edge_list, text) == want
+        # the line scan gives the same error as a whole block read
+        for block_chars in (1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blockio, "BLOCK_CHARS", block_chars)
+                assert outcome(parse_edge_list, text) == want
+        with pytest.raises(EdgeListParseError) as exc:
+            graph_module._scan_edge_lines(text.splitlines(), 1)
+        assert (str(exc.value), exc.value.line_no) == want[2:]
+
+    def test_negative_vertex_hint_in_second_block(self):
+        lines = ["# vertices: 5000"] + [f"{i} {i + 1}" for i in range(90_000)]
+        lines[80_000] = "# vertices: -2"
+        text = "\n".join(lines) + "\n"
+        assert len(text) > blockio.BLOCK_CHARS
+        assert outcome(parse_edge_list, text) == (
+            "error", EdgeListParseError, "line 80001: bad vertex-count hint", 80001)
 
     def test_many_blocks_parse(self):
         g = gen_gnp(900, 0.5, seed=3)

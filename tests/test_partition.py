@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import j_interval, loose_profile, small_run_profile
@@ -12,6 +12,8 @@ from trisum.partition import (
     Partition,
     SampleStats,
     _comparable_pairs,
+    _count_incident,
+    _count_neighbors_in,
     audit_partition,
     initial_outer_weights,
     j_interval_bounds,
@@ -230,6 +232,66 @@ def test_partition_counts_consistent(seed):
     assert (part.d_fprime + part.d_fw)[part.w_ids].sum() == part.f_mask.sum()
     # every boundary edge contributes once to each side
     assert part.d_u[part.w_ids].sum() == part.f_mask.sum()
+
+
+# The count helpers as they were: two boolean compressions and two
+# bincounts over the edge array. Oracles for the CSR and index forms.
+
+
+def reference_count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
+    n = g.vertex_count
+    if not g.edge_count:
+        return np.zeros(n, dtype=np.int64)
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    return (
+        np.bincount(e0[vmask[e1]], minlength=n)
+        + np.bincount(e1[vmask[e0]], minlength=n)
+    ).astype(np.int64)
+
+
+def reference_count_incident(g: Graph, emask: np.ndarray) -> np.ndarray:
+    n = g.vertex_count
+    if not g.edge_count:
+        return np.zeros(n, dtype=np.int64)
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    return (
+        np.bincount(e0[emask], minlength=n) + np.bincount(e1[emask], minlength=n)
+    ).astype(np.int64)
+
+
+@st.composite
+def graphs_with_masks(draw):
+    """A small graph, often with isolated vertices before, between and
+    after its edges, and a vertex mask and an edge mask on it."""
+    n = draw(st.integers(0, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=30))
+    g = Graph.build(n, [(u, v) for u, v in pairs if u != v and max(u, v) < n])
+    vmask = np.array(draw(st.lists(st.booleans(), min_size=g.vertex_count,
+                                   max_size=g.vertex_count)), dtype=bool)
+    emask = np.array(draw(st.lists(st.booleans(), min_size=g.edge_count,
+                                   max_size=g.edge_count)), dtype=bool)
+    return g, vmask, emask
+
+
+def _case(n, pairs, vmask, emask):
+    return (Graph.build(n, pairs), np.array(vmask, dtype=bool).reshape(-1),
+            np.array(emask, dtype=bool).reshape(-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_masks())
+@example(_case(0, [], [], []))                              # empty graph
+@example(_case(4, [], [True, False, True, True], []))       # no edges
+@example(_case(2, [(0, 1)], [True, True], [True]))          # a single edge
+@example(_case(6, [(1, 2)], [True] * 6, [False]))           # isolated on both sides
+@example(_case(5, [(0, 1), (1, 2)], [False, True, True, True, True], [True, True]))
+@example(_case(5, [(0, 3), (1, 3)], [True] * 5, [True, True]))  # last row of degree 2, then isolated
+def test_count_helpers_match_reference(case):
+    g, vmask, emask = case
+    for got, want in ((_count_neighbors_in(g, vmask), reference_count_neighbors_in(g, vmask)),
+                      (_count_incident(g, emask), reference_count_incident(g, emask))):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 # The formulas of the Partition properties that the computed fields replaced.

@@ -1,11 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import j_interval, loose_profile, small_run_profile
-from trisum.errors import NoValidPair
-from trisum.graph import Graph, gen_gnp
-from trisum.partition import Partition, sample_partition
+from trisum.errors import InternalInconsistency, NoValidPair
+from trisum.graph import Graph, gen_gnp, gen_random_regular, group_by
+from trisum.partition import Partition, initial_outer_weights, n_u_leq_all, sample_partition
 from trisum.ustage import (
+    UStageResult,
     build_estar,
     estar_bounds_hold,
     final_verify,
@@ -109,6 +112,97 @@ def _reference_circuit(inc, start, used, visited) -> list[tuple[int, int]]:
         seen.add(key)
         out.append((a, key))
     return out
+
+
+def reference_finalize_u(
+    part: Partition, omega2: EdgeWeighting, owner: np.ndarray, profile,
+) -> UStageResult:
+    """finalize_u as it was: a Python loop over each core vertex's owned
+    edges, one flip at a time. The oracle for its results and errors."""
+    g = part.graph
+    mod = profile.modulus_m
+    w = omega2.weights.copy()
+    s = weighted_degrees(g, w)
+    n = g.vertex_count
+    pair_base = np.full(n, -1, dtype=np.int64)
+    processed = np.zeros(n, dtype=bool)
+    trace: list[dict] = []
+
+    u_ids = part.u_ids
+    order = u_ids[np.lexsort((u_ids, g.degrees[u_ids]))]
+    nu_cache = n_u_leq_all(part, profile)
+    owned_eids = np.flatnonzero(owner >= 0)
+    owned_lists = group_by(owner[owned_eids], owned_eids, n)
+    # The endpoint of each owned edge that is not its owner.
+    other = np.where(g.edges[:, 0] == owner, g.edges[:, 1], g.edges[:, 0])
+
+    for u in order:
+        u = int(u)
+        owned = owned_lists[u]
+        forced_plus: list[int] = []
+        forced_minus: list[int] = []
+        free: list[int] = []
+        for e, v in zip(owned.tolist(), other[owned].tolist()):
+            if processed[v]:
+                base = int(pair_base[v])
+                if s[v] == base:
+                    forced_plus.append(e)
+                elif s[v] == base + 1:
+                    forced_minus.append(e)
+                else:
+                    raise InternalInconsistency(
+                        f"processed vertex {v} drifted out of its pair"
+                    )
+            else:
+                free.append(e)
+        n_plus = len(forced_plus) + len(free)
+        n_minus = len(forced_minus) + len(free)
+        lo = int(s[u]) - n_minus
+        hi = int(s[u]) + n_plus
+        blocked = {
+            int(pair_base[v]) for v in nu_cache[u]
+            if processed[v]
+        }
+        target = None
+        first = -(-lo // mod) * mod  # smallest multiple of mod >= lo
+        for cand in range(first, hi + 1, mod):
+            if cand not in blocked:
+                target = cand
+                break
+        if target is None:
+            raise NoValidPair(u, {
+                "reachable": (lo, hi),
+                "sum": int(s[u]),
+                "owned": len(owned),
+                "blocked_pairs": sorted(blocked),
+                "comparable_neighbours": len(nu_cache[u]),
+            })
+        shift = target - int(s[u])
+        flipped: list[int] = []
+        if shift > 0:
+            pool = forced_plus + free
+            step = 1
+        else:
+            pool = forced_minus + free
+            step = -1
+        for e in pool[: abs(shift)]:
+            if not 1 <= w[e] + step <= 3:
+                raise InternalInconsistency(f"flip would leave [1,3] at edge {e}")
+            w[e] += step
+            s[u] += step
+            s[other[e]] += step
+            flipped.append(e)
+        if int(s[u]) != target:
+            raise InternalInconsistency(f"vertex {u} missed its target sum")
+        pair_base[u] = target
+        processed[u] = True
+        trace.append({
+            "u": u, "reachable": [lo, hi], "target": target,
+            "flipped": flipped,
+        })
+
+    omega3 = EdgeWeighting(weights=w, max_weight=3)
+    return UStageResult(omega3=omega3, s3=s, pair_base=pair_base, trace=trace)
 
 
 def reference_final_verify(
@@ -400,6 +494,93 @@ class TestFinalizeU:
         lines = result.trace_jsonl().strip().splitlines()
         assert len(lines) == 3
         assert json.loads(lines[0])["u"] == 0
+
+
+def finalize_outcome(finalize, part: Partition, omega2: EdgeWeighting, profile):
+    """What a finalize_u run gives: its weights, sums, pair bases and trace
+    (with the trace's JSON text), or its error's type, message and
+    diagnostics."""
+    try:
+        r = finalize(part, omega2, build_estar(part), profile)
+    except (InternalInconsistency, NoValidPair) as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "diagnostics", None))
+    arrays = (r.omega3.weights, r.s3, r.pair_base)
+    return ([(a.dtype, a.tobytes()) for a in arrays], r.trace, r.trace_jsonl())
+
+
+@functools.cache
+def regular_instance():
+    """The w-stage tests' instance graph with a partition sampled on it;
+    finalize_u only reads it, so the tests share one."""
+    profile = small_run_profile()
+    g = gen_random_regular(600, 80, seed=2)
+    return sample_partition(g, profile, seed=2), profile
+
+
+@functools.cache
+def bipartite_instance():
+    mask = np.random.default_rng([5]).random((120, 360)) < 0.7
+    left, right = np.nonzero(mask)
+    g = Graph(vertex_count=480, edges=np.stack([left, right + 120], axis=1).astype(np.int64))
+    profile = small_run_profile()
+    return sample_partition(g, profile, seed=1), profile
+
+
+def outer_weighting(part: Partition) -> EdgeWeighting:
+    """The initial outer weights, with every inner edge at 1: the core
+    edges sit at 2, where any one flip stays inside [1, 3]."""
+    w = initial_outer_weights(part)
+    w[w == 0] = 1
+    return EdgeWeighting(weights=w, max_weight=3)
+
+
+def random_weighting(part: Partition, seed: int) -> EdgeWeighting:
+    w = np.random.default_rng(seed).integers(1, 4, part.graph.edge_count)
+    return EdgeWeighting(weights=w, max_weight=3)
+
+
+class TestFinalizeAgainstReference:
+    @pytest.mark.parametrize("make", [regular_instance, bipartite_instance],
+                             ids=["regular", "bipartite"])
+    @pytest.mark.parametrize("weights", ["outer", "random"])
+    def test_sampled_partitions(self, make, weights):
+        part, profile = make()
+        omega2 = outer_weighting(part) if weights == "outer" else random_weighting(part, 3)
+        got = finalize_outcome(finalize_u, part, omega2, profile)
+        assert got == finalize_outcome(reference_finalize_u, part, omega2, profile)
+        if weights == "random":
+            # some core edge at 1 or 3 is pushed out of range
+            assert got[0] == "error" and "flip would leave [1,3]" in got[2]
+
+    @pytest.mark.parametrize("make", [regular_instance, bipartite_instance],
+                             ids=["regular", "bipartite"])
+    @pytest.mark.parametrize("modulus", [10, 20, 30, 1000])
+    def test_modulus_sweep(self, make, modulus):
+        # larger moduli leave fewer reachable pairs: the bipartite case
+        # succeeds at 10 and 20, every other case ends in NoValidPair
+        part, _ = make()
+        profile = small_run_profile(modulus_m=modulus)
+        omega2 = outer_weighting(part)
+        got = finalize_outcome(finalize_u, part, omega2, profile)
+        assert got == finalize_outcome(reference_finalize_u, part, omega2, profile)
+        if make is regular_instance or modulus > 20:
+            assert got[1] is NoValidPair
+
+    def test_no_valid_pair_with_blocked_pairs(self):
+        n = 22
+        g = Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        part = craft_partition(g, range(n))
+        omega2 = EdgeWeighting(weights=np.full(g.edge_count, 2, dtype=np.int64), max_weight=3)
+        got = finalize_outcome(finalize_u, part, omega2, loose_profile())
+        assert got[1] is NoValidPair and got[3]["blocked_pairs"]
+        assert got == finalize_outcome(reference_finalize_u, part, omega2, loose_profile())
+
+    @pytest.mark.parametrize("light", [1, 2])
+    def test_hub_triangle(self, light):
+        _, part, omega2 = hub_triangle(light_leaf_weight=light)
+        got = finalize_outcome(finalize_u, part, omega2, loose_profile())
+        assert isinstance(got[0], list)
+        assert got == finalize_outcome(reference_finalize_u, part, omega2, loose_profile())
 
 
 class TestFinalVerify:

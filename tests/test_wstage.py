@@ -17,10 +17,8 @@ from trisum.wstage import (
     XAssignment,
     apply_additions,
     choose_sum_additions,
-    complete_initial_weighting,
     compute_intervals,
     near_location_center,
-    occupancy_counts,
     resample_w_stage,
 )
 
@@ -38,6 +36,43 @@ def closed_form_initial_sums(part: Partition, omega1: np.ndarray) -> np.ndarray:
     d3 += np.bincount(g.edges[heavy, 0], minlength=g.vertex_count)
     d3 += np.bincount(g.edges[heavy, 1], minlength=g.vertex_count)
     return part.d_u + part.d_fu + part.d_w + 2 * d3
+
+
+# Whole-graph forms of the initial weighting and the occupancy count, as
+# resample_w_stage once computed them in every round: reference oracles.
+
+
+def complete_initial_weighting(part: Partition, x: XAssignment) -> np.ndarray:
+    """Initial weighting of the whole graph: the outer table, and on inner
+    edges 3 where the random rule says so and 1 elsewhere."""
+    w = initial_outer_weights(part)
+    ep = part.eprime_mask
+    if ep.any():
+        e = part.graph.edges[ep]
+        mask3 = analytic.edge_weight3_mask(
+            x.x_vertex[e[:, 0]], x.x_vertex[e[:, 1]], x.x_edge[ep]
+        )
+        w[ep] = np.where(mask3, 3, 1)
+    return w
+
+
+def occupancy_counts(part: Partition, intervals: IntervalData) -> np.ndarray:
+    """For each W vertex v: how many not-larger W neighbours have s0 in I(v)."""
+    g = part.graph
+    n = g.vertex_count
+    counts = np.zeros(n, dtype=np.int64)
+    ep = part.eprime_mask
+    if not ep.any():
+        return counts
+    a = g.edges[ep, 0]
+    b = g.edges[ep, 1]
+    d_w = part.d_w
+    s0, i0, i1 = intervals.s0, intervals.i0, intervals.i1
+    a_in_b = (d_w[a] <= d_w[b]) & (s0[a] >= i0[b]) & (s0[a] < i1[b])
+    b_in_a = (d_w[b] <= d_w[a]) & (s0[b] >= i0[a]) & (s0[b] < i1[a])
+    counts += np.bincount(b[a_in_b], minlength=n)
+    counts += np.bincount(a[b_in_a], minlength=n)
+    return counts
 
 
 # Scalar, one-vertex reference oracles for the vectorized w-stage checks.
