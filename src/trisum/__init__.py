@@ -40,7 +40,6 @@ from .wstage import (
     XAssignment,
     apply_additions,
     choose_sum_additions,
-    compute_intervals,
     resample_w_stage,
 )
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleProfile, InternalInconsistency, NoValidAddition, StageFailure
+from .errors import (
+    InfeasibleProfile,
+    InternalInconsistency,
+    NoValidAddition,
+    RetryExhausted,
+    StageFailure,
+)
 from .graph import Graph
 from .partition import SampleStats, audit_partition, sample_partition
 from .profiles import ProfileConstants, check_degree_regime, check_partition_feasible
@@ -109,6 +115,13 @@ def run(g: Graph, profile: ProfileConstants, seed: int) -> PipelineOutcome:
                 # Keep no reference to exc: its traceback holds the
                 # attempt's arrays alive through the restart.
                 stage, reason = exc.outcome_stage, str(exc)
+                if isinstance(exc, RetryExhausted):
+                    # The failed stage's own rounds, not an earlier
+                    # attempt's; "partition:fu" is kept as {"fu": rounds}.
+                    _, _, part_stage = exc.stage.partition(":")
+                    stats["rounds"][stage] = (
+                        {part_stage: exc.rounds} if part_stage else exc.rounds
+                    )
                 if not exc.restartable:
                     break
             else:

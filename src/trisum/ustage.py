@@ -1,8 +1,9 @@
 """Final adjustment of core-vertex sums via owned-edge weight changes.
 
-Each core vertex owns the core-internal edges directed out of it by an
-Euler tour (an auxiliary vertex absorbs odd degrees), so ownership sets
-are disjoint and each covers at least half the core degree minus one.
+Each core vertex owns the core-internal edges directed out of it. An
+auxiliary vertex absorbs odd degrees, each vertex's incidences are paired,
+and each pair gets one edge in and one out, so ownership sets are disjoint
+and each covers at least half the core degree minus one.
 Processing core vertices in ascending total degree, each one moves its sum
 by +-1 steps on owned edges to the smallest reachable multiple of the
 modulus whose residue pair is not already claimed by a comparable
@@ -23,54 +24,58 @@ from .weighting import EdgeWeighting, weighted_degrees
 
 
 def build_estar(part: Partition) -> np.ndarray:
-    """Orient the core-internal edges along Euler tours and assign owners.
+    """Orient the core-internal edges in = out at every vertex; assign owners.
 
-    An auxiliary vertex is joined to every odd-degree core vertex so each
-    component of the augmented graph is eulerian; tours start at the
-    lowest-id real vertex of their component and leave each vertex by its
-    lowest-neighbour unused edge. A real edge is owned by the vertex the
-    walk leaves it from; the auxiliary edges are discarded. Returns the
-    owned-edge sets E* as an int64 edge -> owner array, -1 where unowned.
+    An auxiliary vertex n is joined to every odd-degree core vertex. The
+    incidences ("slots") of this augmented graph lie in CSR order, each
+    auxiliary slot last, so the slots of a vertex pair up as (2j, 2j + 1).
+    Arriving by twin[i], the slot of i's edge at its other end, and leaving
+    by that slot's partner, slot i continues to twin[i] ^ 1; the cycles of
+    this map are closed trails, each seen once in each direction. Each
+    trail is labelled by its smallest slot and each edge is directed along
+    the trail with the smaller label, so every slot pair has one edge in
+    and one out, and a vertex owns at least half its core degree minus
+    one. A real edge is owned by its tail. Returns the owned-edge sets E*
+    as an int64 edge -> owner array, -1 where unowned.
     """
     g = part.graph
     n, m = g.vertex_count, g.edge_count
-    # Incidences inside the core from the CSR (neighbours ascending), then
-    # one auxiliary edge per odd vertex: the auxiliary id n sorts after
-    # every real neighbour. Auxiliary edges get the ids m, m + 1, ...
-    indptr, nbrs, eids = g._csr
-    src = np.repeat(np.arange(n), np.diff(indptr))
-    keep = part.eu_mask[eids]
-    src, nbrs, eids = src[keep], nbrs[keep], eids[keep]
-    deg = np.bincount(src, minlength=n)
+    # Incidences inside the core from the CSR (a core vertex has d_U of
+    # them), then one auxiliary edge per odd vertex; a stable sort by tail
+    # puts each auxiliary slot after its vertex's real ones. Auxiliary
+    # edges get the ids m, m + 1, ...
+    _, _, eids = g._csr
+    eids = eids[part.eu_mask[eids]]
+    deg = np.where(part.in_u, part.d_u, 0)
+    src = np.repeat(np.arange(n), deg)
     odd = np.flatnonzero(deg % 2 == 1)
     aux_ids = m + np.arange(odd.size)
     src = np.concatenate([src, odd, np.full(odd.size, n)])
     order = np.argsort(src, kind="stable")
-    nbr = np.concatenate([nbrs, np.full(odd.size, n), odd])[order].tolist()
-    key = np.concatenate([eids, aux_ids, aux_ids])[order].tolist()
-    ptr = np.searchsorted(src[order], np.arange(n + 2)).tolist()
+    src = src[order]
+    key = np.concatenate([eids, aux_ids, aux_ids])[order]
 
-    # Iterative Hierholzer walk; tail[k] >= 0 marks edge k as used. A start
-    # vertex already on an earlier tour has no unused edge left.
-    tail = [-1] * (m + odd.size)
-    pos = ptr[:-1]
-    for start in np.flatnonzero(deg).tolist():
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            i, end = pos[v], ptr[v + 1]
-            while i < end and tail[key[i]] >= 0:
-                i += 1
-            if i < end:
-                tail[key[i]] = v
-                stack.append(nbr[i])
-                i += 1
-            else:
-                stack.pop()
-            pos[v] = i
-    owner = np.asarray(tail[:m], dtype=np.int64)
+    # Every key occurs twice, so its two slots are adjacent once sorted.
+    by_key = np.argsort(key, kind="stable")
+    twin = np.empty_like(by_key)
+    twin[by_key[0::2]] = by_key[1::2]
+    twin[by_key[1::2]] = by_key[0::2]
+
+    # Pointer jumping: after r rounds label[i] is the smallest of the 2**r
+    # slots from i on along its trail, hence the trail's minimum once 2**r
+    # reaches the number of slots.
+    hop = twin ^ 1
+    label = np.arange(key.size)
+    for _ in range(max(key.size - 1, 0).bit_length()):
+        np.minimum(label, label[hop], out=label)
+        hop = hop[hop]
+    # A trail and its reverse are distinct, so exactly one slot of each
+    # edge leaves its vertex.
+    out = (label < label[twin]) & (key < m)
+    owner = np.full(m, -1, dtype=np.int64)
+    owner[key[out]] = src[out]
     if (owner[part.eu_mask] < 0).any():
-        raise InternalInconsistency("some core edges were never traversed")
+        raise InternalInconsistency("some core edges were left unowned")
     return owner
 
 

@@ -99,15 +99,6 @@ def _place_intervals(
     return IntervalData(length=length, i0=i0, s0=s0)
 
 
-def compute_intervals(
-    part: Partition, x: XAssignment, profile: ProfileConstants
-) -> IntervalData:
-    """Dyadic interval length, grid interval and near location per W vertex."""
-    return _place_intervals(
-        part, _interval_lengths(part, profile), near_location_center(part, x)
-    )
-
-
 # Rounds a w-stage run may take, and rounds without a drop in the
 # violator count after which it is abandoned.
 ROUND_LIMIT = 150

@@ -13,7 +13,13 @@ from trisum.graph import Graph
 from trisum.partition import Partition, j_interval_bounds
 from trisum.profiles import ProfileConstants
 from trisum.weighting import EdgeWeighting
-from trisum.wstage import XAssignment
+from trisum.wstage import (
+    IntervalData,
+    XAssignment,
+    _interval_lengths,
+    _place_intervals,
+    near_location_center,
+)
 
 
 @pytest.fixture
@@ -72,6 +78,16 @@ def j_interval(u: int, part: Partition, profile: ProfileConstants) -> tuple[floa
         float(part.d_u[u]),
         int(part.levels[u]),
         profile,
+    )
+
+
+def compute_intervals(
+    part: Partition, x: XAssignment, profile: ProfileConstants
+) -> IntervalData:
+    """Dyadic interval length, grid interval and near location per W vertex,
+    composed as resample_w_stage composes them for each round."""
+    return _place_intervals(
+        part, _interval_lengths(part, profile), near_location_center(part, x)
     )
 
 

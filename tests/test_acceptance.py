@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     blow_up_is_locally_irregular,
+    compute_intervals,
     conditional_sum_profile,
     simulate_weight3_frequency,
     weight3_probability,
@@ -30,7 +31,7 @@ from trisum.weighting import (
     conflicts,
     weighted_degrees,
 )
-from trisum.wstage import compute_intervals, resample_w_stage
+from trisum.wstage import resample_w_stage
 
 
 @pytest.fixture(scope="module")

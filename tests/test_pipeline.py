@@ -16,6 +16,7 @@ from trisum.graph import Graph, gen_gnp, gen_random_regular
 from trisum.pipeline import run
 from trisum.profiles import DESK
 from trisum.weighting import conflicts, weighted_degrees
+from trisum.wstage import resample_w_stage
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,37 @@ class TestStageFailures:
         assert len(calls) == 2 and calls[0] == 3  # one restart, fresh seed
         assert outcome.stats["restarts"] == 1
 
+    def test_failed_wstage_reports_its_own_rounds(
+        self, bipartite_instance, monkeypatch
+    ):
+        # attempt 0 passes the w-stage and fails in the core stage; the
+        # restart stalls in the w-stage after 27 rounds
+        def wstage(part, profile, seed, rerun=0):
+            if seed != 3:
+                raise RetryExhausted("w-stage", [3], 27)
+            return resample_w_stage(part, profile, seed, rerun=rerun)
+
+        def no_pair(*args):
+            raise NoValidPair(5, {"sum": 40})
+
+        monkeypatch.setattr("trisum.pipeline.resample_w_stage", wstage)
+        monkeypatch.setattr("trisum.pipeline.finalize_u", no_pair)
+        outcome = run(bipartite_instance, DESK, seed=3)
+        assert outcome.stage == "wstage" and outcome.stats["restarts"] == 1
+        assert "after 27 rounds" in outcome.reason
+        assert outcome.stats["rounds"]["wstage"] == 27
+
+    def test_failed_partition_reports_its_own_rounds(
+        self, bipartite_instance, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise RetryExhausted("partition:fu", [4, 9], 80)
+
+        monkeypatch.setattr("trisum.pipeline.sample_partition", failing)
+        outcome = run(bipartite_instance, DESK, seed=3)
+        assert outcome.stage == "partition"
+        assert outcome.stats["rounds"] == {"partition": {"fu": 80}}
+
     @pytest.mark.parametrize("graph", ["k3", "bipartite"])
     def test_negative_seed_rejected_before_any_stage(
         self, bipartite_instance, monkeypatch, graph
@@ -203,11 +235,11 @@ def sha256(outcome) -> str:
 # sha256 of PipelineOutcome.fingerprint() on the reference cases. A change
 # that moves any of them must update the pin and say why.
 PINNED_BIPARTITE = {
-    0: "ac55ca8ace4c18087ec9650b59b8a8148c867b84590d214a1edccf4a78eab9e0",
-    1: "0757d8a55f2a0da70e4c0865093a8a43294af08ec3ce845aa2ed2f699e6d39e5",
-    2: "5bb5ca35c2bce2ebce1f720b86eb6dac93693fbc18c39b825576485729b5f1bf",
+    0: "dae3a1c5f906a638ff7d295c931af66ae846e55805f44b558df69bc0151199df",
+    1: "93ebe43dda0135cdf45a10d77249d919fbb9e5c97956b4ed36c9e8e9d86dafb9",
+    2: "88fc609b9d81cadb0efeb4f2e538782dc73ba320381c675c624e39c88d77bd6c",
 }
-PINNED_GNP_1500 = "c406f615dfc4e3e5847e6fa0a43327035d5cec3f7238017c5fd5be69e0a52f60"
+PINNED_GNP_1500 = "d36067ccac72e425e125ab20d53c751a385571e667e831a1c2e1e0e093517047"
 
 
 class TestPinnedFingerprints:

@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import j_interval, loose_profile, small_run_profile
 from trisum.errors import InternalInconsistency, NoValidPair
@@ -38,80 +40,76 @@ def edge_id(g: Graph, u: int, v: int) -> int:
     raise KeyError(key)
 
 
-def reference_owner(part: Partition) -> np.ndarray:
-    """Owner map from a dict-based Hierholzer tour and a pair-key recovery.
+def reference_pairing_owner(part: Partition) -> np.ndarray:
+    """build_estar's orientation by a plain walk of each trail.
 
-    An independent route to build_estar's orientation: sorted (neighbour,
-    key) incidence lists, the tour as the reversed pop order, and each tour
-    step matched back to an unused edge between its two vertices, owned by
-    the step's tail.
+    Slots from per-vertex incidence lists sorted by neighbour, each odd
+    vertex's auxiliary slot last and the auxiliary vertex's slots after all
+    others; twins matched through a dict of edge keys; each trail followed
+    one slot at a time and labelled by its first (smallest) slot.
     """
     g = part.graph
-    owner = np.full(g.edge_count, -1, dtype=np.int64)
-    aux = g.vertex_count
-    inc: dict[int, list[tuple[int, int]]] = {}
-    deg: dict[int, int] = {}
-
-    def add(a: int, b: int, key: int) -> None:
-        inc.setdefault(a, []).append((b, key))
-        inc.setdefault(b, []).append((a, key))
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-
-    for e in np.flatnonzero(part.eu_mask):
-        add(int(g.edges[e, 0]), int(g.edges[e, 1]), int(e))
-    odd = sorted(v for v in deg if v != aux and deg[v] % 2 == 1)
-    for k, v in enumerate(odd):
-        add(aux, v, -(k + 1))
-    for lst in inc.values():
-        lst.sort()
-
-    used: set[int] = set()
-    visited: set[int] = set()
-    for start in sorted(v for v in inc if v != aux):
-        if start in visited:
-            continue
-        for a, key in _reference_circuit(inc, start, used, visited):
-            if key >= 0:
-                assert owner[key] == -1
-                owner[key] = a
+    n, m = g.vertex_count, g.edge_count
+    inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
+    for e in np.flatnonzero(part.eu_mask).tolist():
+        a, b = g.edges[e].tolist()
+        inc[a].append((b, e))
+        inc[b].append((a, e))
+    slots: list[tuple[int, int]] = []  # (vertex, edge key)
+    odd: list[int] = []
+    for v in range(n):
+        keys = [e for _, e in sorted(inc[v])]
+        if len(keys) % 2:
+            keys.append(m + len(odd))
+            odd.append(v)
+        slots += [(v, k) for k in keys]
+    slots += [(n, m + j) for j in range(len(odd))]
+    ends: dict[int, list[int]] = {}
+    for i, (_, k) in enumerate(slots):
+        ends.setdefault(k, []).append(i)
+    twin = [0] * len(slots)
+    for i, j in ends.values():
+        twin[i], twin[j] = j, i
+    label: list[int | None] = [None] * len(slots)
+    for i in range(len(slots)):
+        j = i
+        while label[j] is None:
+            label[j] = i
+            j = twin[j] ^ 1
+    owner = np.full(m, -1, dtype=np.int64)
+    for i, (v, k) in enumerate(slots):
+        if k < m and label[i] < label[twin[i]]:
+            owner[k] = v
     return owner
 
 
-def _reference_circuit(inc, start, used, visited) -> list[tuple[int, int]]:
-    """Hierholzer tour; (tail, edge_key) pairs in tour order."""
-    ptr = {v: 0 for v in inc}
-    stack: list[int] = [start]
-    popped: list[int] = []
-    while stack:
-        v = stack[-1]
-        lst = inc.get(v, [])
-        advanced = False
-        while ptr.get(v, 0) < len(lst):
-            nbr, key = lst[ptr[v]]
-            ptr[v] += 1
-            if key in used:
-                continue
-            used.add(key)
-            stack.append(nbr)
-            advanced = True
-            break
-        if not advanced:
-            popped.append(stack.pop())
-    tour_vertices = popped[::-1]
-    visited.update(tour_vertices)
-    pair_key: dict[tuple[int, int], list[int]] = {}
-    for v, lst in inc.items():
-        for nbr, key in lst:
-            if v < nbr:
-                pair_key.setdefault((v, nbr), []).append(key)
-    seen: set[int] = set()
-    out: list[tuple[int, int]] = []
-    for a, b in zip(tour_vertices[:-1], tour_vertices[1:]):
-        key = next(k for k in pair_key[(min(a, b), max(a, b))] if k not in seen)
-        seen.add(key)
-        out.append((a, key))
-    return out
+def checked_owner(part: Partition) -> np.ndarray:
+    """build_estar's owners, checked against reference_pairing_owner and
+    for the properties finalize_u relies on, recounted from the edge list:
+    each core edge is owned by one of its own ends, no other edge is owned,
+    and each core vertex owns half its core degree, rounded either way."""
+    owner = build_estar(part)
+    assert np.array_equal(owner, reference_pairing_owner(part))
+    g = part.graph
+    core = np.flatnonzero(part.eu_mask)
+    ends = g.edges[core]
+    assert ((owner[core] == ends[:, 0]) | (owner[core] == ends[:, 1])).all()
+    assert (owner[~part.eu_mask] == -1).all()
+    owned = np.bincount(owner[core], minlength=g.vertex_count)
+    u = part.u_ids
+    assert (np.abs(2 * owned[u] - part.d_u[u]) <= 1).all()
+    assert estar_bounds_hold(part, owner)
+    return owner
+
+
+@st.composite
+def random_cores(draw):
+    """A graph on up to 24 vertices and a random core inside it."""
+    n = draw(st.integers(1, 24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    core = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return craft_partition(Graph.build(n, edges), core)
 
 
 def reference_finalize_u(
@@ -321,8 +319,7 @@ class TestBuildEstar:
 
     def test_empty_core(self):
         g = gen_gnp(10, 0.5, seed=0)
-        part = craft_partition(g, [])
-        owner = build_estar(part)
+        owner = checked_owner(craft_partition(g, []))
         assert (owner == -1).all()
 
     def test_random_partitions_satisfy_bounds(self):
@@ -339,15 +336,14 @@ class TestBuildEstar:
                 assert owner[e] in (u, v)
                 assert part.in_u[u] and part.in_u[v]
 
-    def test_owner_matches_reference_tour(self):
+    def test_balanced_on_random_cores(self):
         rng = np.random.default_rng(1)
         for seed in range(12):
             g = gen_gnp(60, float(rng.uniform(0.1, 0.6)), seed=seed)
-            core = np.flatnonzero(rng.random(60) < 0.5)
-            part = craft_partition(g, core)
-            assert np.array_equal(build_estar(part), reference_owner(part))
+            part = craft_partition(g, np.flatnonzero(rng.random(60) < 0.5))
+            checked_owner(part)
 
-    def test_owner_matches_reference_several_components(self):
+    def test_balanced_on_several_components(self):
         # three core components: a path (two odd ends), a K4 (all odd) and
         # a C5 (all even), joined through periphery vertices 12, 14 and 15
         edges = [(0, 5), (5, 1), (1, 9)]
@@ -357,16 +353,50 @@ class TestBuildEstar:
         edges += [(15, 1), (15, 3)]
         g = Graph.build(16, edges)
         part = craft_partition(g, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13])
-        owner = build_estar(part)
-        assert np.array_equal(owner, reference_owner(part))
-        assert estar_bounds_hold(part, owner)
+        checked_owner(part)
 
-    def test_owner_matches_reference_on_sampled_partitions(self):
+    def test_balanced_on_sampled_partitions(self):
         profile = small_run_profile()
         for seed in range(3):
             g = gen_gnp(200, 0.5, seed=seed)
             part = sample_partition(g, profile, seed=seed)
-            assert np.array_equal(build_estar(part), reference_owner(part))
+            checked_owner(part)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_cores())
+    def test_balanced_on_hypothesis_cores(self, part):
+        checked_owner(part)
+
+    def test_core_vertices_without_core_neighbours(self):
+        # core vertices 3 and 4 see only the periphery vertex 5
+        g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 5), (4, 5), (2, 5)])
+        part = craft_partition(g, [0, 1, 2, 3, 4])
+        owner = checked_owner(part)
+        assert not np.isin(owner, [3, 4]).any()
+
+    def test_long_cycle_needs_every_round(self):
+        # a single cycle is one trail of 4097 slots each way: too few
+        # pointer-jumping rounds would leave some vertex owning 0 or 2 edges
+        n = 4097
+        g = Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
+        part = craft_partition(g, range(n))
+        owner = checked_owner(part)
+        assert (np.bincount(owner, minlength=n) == 1).all()
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_every_core_vertex_meets_the_auxiliary_vertex(self, n):
+        # K_n with n even: every core degree n - 1 is odd
+        g = Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        part = craft_partition(g, range(n))
+        owner = checked_owner(part)
+        assert (owner >= 0).all()
+
+    def test_repeat_calls_agree(self):
+        g = gen_gnp(200, 0.5, seed=4)
+        part = sample_partition(g, small_run_profile(), seed=4)
+        first = build_estar(part)
+        assert np.array_equal(first, build_estar(part))
+        assert first.dtype == np.int64
 
 
 class TestFinalizeU:

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conditional_sum_profile, loose_profile, small_run_profile
+from conftest import (
+    compute_intervals,
+    conditional_sum_profile,
+    loose_profile,
+    small_run_profile,
+)
 from trisum import analytic, wstage
 from trisum.errors import DegenerateLength, InsufficientFW, NoValidAddition, RetryExhausted
 from trisum.graph import Graph, gen_gnp, gen_random_regular
@@ -17,7 +22,6 @@ from trisum.wstage import (
     XAssignment,
     apply_additions,
     choose_sum_additions,
-    compute_intervals,
     near_location_center,
     resample_w_stage,
 )
