@@ -20,13 +20,7 @@ from .graph import (
     write_edge_list,
 )
 from .oracle import OracleResult, min_k_weighting, sweep_small_graphs
-from .partition import (
-    Partition,
-    audit_partition,
-    initial_outer_weights,
-    n_u_leq,
-    sample_partition,
-)
+from .partition import Partition, audit_partition, sample_partition
 from .pipeline import PipelineOutcome, run
 from .profiles import DESK, FULL_SCALE, ProfileConstants, load_profile, resolve_profile
 from .ustage import build_estar, final_verify, finalize_u
@@ -35,12 +29,6 @@ from .weighting import (
     conflicts,
     weighted_degrees,
 )
-from .wstage import (
-    IntervalData,
-    XAssignment,
-    apply_additions,
-    choose_sum_additions,
-    resample_w_stage,
-)
+from .wstage import apply_additions, choose_sum_additions, resample_w_stage
 
 __version__ = "0.1.0"

@@ -3,12 +3,14 @@
 Edge lists ("u v") and weightings ("u v w") hold one row of integers per
 line, with blank lines and '#' comment lines allowed. A file is read as
 one string, so that a decoding error names its position in the whole
-file, and handled in blocks of about BLOCK_ROWS lines: one block is
-split into tokens by one `str.split`, converted by one `map(int, ...)`
-and checked by array operations. `int_rows` gives up (returns None) on
-any block it cannot take whole; the caller then reads that block line by
-line, which is where every error message is worded. Writing formats a
-block of rows with one `%` operation.
+file, and handled in blocks of about BLOCK_ROWS lines: a block of plain
+digits and whitespace is checked by array operations on its bytes and
+converted by one `np.fromstring` call, in C. `int_rows` gives up
+(returns None) on any other block (signs, '_', non-ASCII digits, the
+separators '\\x1c'-'\\x1f', tokens of over 18 digits); the caller then
+reads that block line by line with `int()`, which is where every error
+message is worded. Writing formats a block of rows with one `%`
+operation.
 """
 
 from __future__ import annotations
@@ -20,12 +22,18 @@ import numpy as np
 BLOCK_ROWS = 1 << 16
 BLOCK_CHARS = 8 * BLOCK_ROWS
 
-# ASCII characters that str.split() treats as whitespace, and the subset
-# that str.splitlines() treats as line breaks.
+# C whitespace, which str.split() and np.fromstring both skip; the bytes
+# of a block int_rows converts (C whitespace and the digits); and the C
+# whitespace that str.splitlines() treats as line breaks.
 _SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_SPACE[[9, 10, 11, 12, 13, 32]] = True
+_PLAIN = _SPACE.copy()
+_PLAIN[ord("0"):ord("9") + 1] = True
 _BREAK = np.zeros(256, dtype=bool)
-_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
+_BREAK[[10, 11, 12, 13]] = True
+# Digits of the longest token converted: 10**18 - 1 < 2**63 - 1, while
+# np.fromstring saturates a longer, larger token without an error.
+MAX_DIGITS = 18
 
 
 def text_blocks(text: str) -> Iterator[tuple[int, str]]:
@@ -62,27 +70,34 @@ def split_comments(block: str) -> tuple[str, list[str]]:
 
 
 def int_rows(block: str, k: int) -> np.ndarray | None:
-    """The (rows, k) int64 array of a block whose every line is blank or
-    holds k tokens that int() accepts and int64 holds; None otherwise.
+    """The (rows, k) int64 array of a block of digits and whitespace whose
+    every line is blank or holds k tokens of at most MAX_DIGITS digits;
+    None otherwise.
 
-    Only ASCII blocks are taken: their line structure is read from the
-    bytes, so each line's token count is checked without a loop.
+    The block's bytes are checked with array operations, so each line's
+    token count is checked without a loop, and then converted whole in C.
     """
     if not block.isascii():
         return None
     raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    if not _PLAIN[raw].all():
+        return None
     space = _SPACE[raw]
     starts = ~space
     starts[1:] &= space[:-1]
-    line_of = np.searchsorted(np.flatnonzero(_BREAK[raw]), np.flatnonzero(starts))
+    ends = ~space
+    ends[:-1] &= space[1:]
+    first = np.flatnonzero(starts)
+    if (np.flatnonzero(ends) - first >= MAX_DIGITS).any():
+        return None
+    line_of = np.searchsorted(np.flatnonzero(_BREAK[raw]), first)
     per_line = np.bincount(line_of)
     if not ((per_line == 0) | (per_line == k)).all():
         return None
-    try:
-        values = np.array(list(map(int, block.split())), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    return values.reshape(-1, k)
+    if not first.size:
+        # np.fromstring reads a block without tokens as [0].
+        return np.empty((0, k), dtype=np.int64)
+    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, k)
 
 
 def format_rows(rows: np.ndarray) -> Iterator[str]:

@@ -48,14 +48,16 @@ class InfeasibleProfile(StageFailure):
 
 
 class RetryExhausted(StageFailure):
-    """A resampling stage ran out of budget; carries the worst violators."""
+    """A resampling stage ran out of budget; carries the worst violators,
+    the rounds it ran and how many choices it redrew."""
 
-    def __init__(self, stage: str, violators, rounds: int):
+    def __init__(self, stage: str, violators, rounds: int, resampled: int = 0):
         self.stage = stage
         # "partition:u" is reported as "partition", "w-stage" as "wstage"
         self.outcome_stage = stage.split(":")[0].replace("-", "")
         self.violators = list(violators)
         self.rounds = rounds
+        self.resampled = resampled
         shown = ", ".join(str(v) for v in self.violators[:8])
         more = "..." if len(self.violators) > 8 else ""
         super().__init__(

@@ -216,10 +216,6 @@ def _edge_list_text(g: Graph) -> Iterator[str]:
     yield from format_rows(g.edges)
 
 
-def format_edge_list(g: Graph) -> str:
-    return "".join(_edge_list_text(g))
-
-
 def write_edge_list(g: Graph, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.writelines(_edge_list_text(g))

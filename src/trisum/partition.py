@@ -237,7 +237,7 @@ def _sample_once(
         resampled += int(scope.sum())
     else:
         viol_ids = np.flatnonzero(viol)
-        raise RetryExhausted("partition:u", viol_ids.tolist(), STAGE_ROUNDS)
+        raise RetryExhausted("partition:u", viol_ids.tolist(), STAGE_ROUNDS, resampled)
 
     d_u = _count_neighbors_in(g, in_u)
     d_w = deg - d_u
@@ -260,7 +260,9 @@ def _sample_once(
         coins[scope_e] = fresh[scope_e]
         resampled += int(scope_e.sum())
     else:
-        raise RetryExhausted("partition:fw", np.flatnonzero(viol).tolist(), STAGE_ROUNDS)
+        raise RetryExhausted(
+            "partition:fw", np.flatnonzero(viol).tolist(), STAGE_ROUNDS, resampled
+        )
 
     fw_mask = f_mask & (coins < profile.p_fw)
     d_fw = _count_incident(g, fw_mask)
@@ -300,7 +302,9 @@ def _sample_once(
         unif[scope_e] = fresh_u[scope_e]
         resampled += int(scope_e.sum()) + int(viol_levels.sum())
     else:
-        raise RetryExhausted("partition:fu", np.flatnonzero(viol).tolist(), STAGE_ROUNDS)
+        raise RetryExhausted(
+            "partition:fu", np.flatnonzero(viol).tolist(), STAGE_ROUNDS, resampled
+        )
 
     fu_mask = fprime_mask & (unif < levels[u_end] / mlev)
     return Partition(

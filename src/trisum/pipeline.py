@@ -30,8 +30,9 @@ from .ustage import build_estar, estar_bounds_hold, final_verify, finalize_u
 from .weighting import EdgeWeighting
 from .wstage import apply_additions, choose_sum_additions, resample_w_stage
 
-# Fresh-stream reruns of the w-stage when no sum addition can be placed,
-# and whole-construction restarts after a restartable stage failure.
+# Fresh-stream reruns of the w-stage when it stalls or no sum addition can
+# be placed, and whole-construction restarts after a restartable stage
+# failure.
 WSTAGE_RERUNS = 1
 RESTARTS = 1
 
@@ -139,16 +140,26 @@ def _run_once(
     g: Graph, profile: ProfileConstants, seed: int, stats: dict,
 ) -> PipelineOutcome:
     part_stats = SampleStats()
-    part = sample_partition(g, profile, seed, stats=part_stats)
+    try:
+        part = sample_partition(g, profile, seed, stats=part_stats)
+    except RetryExhausted as exc:
+        stats["resamples_partition"] += part_stats.resampled + exc.resampled
+        raise
     stats["resamples_partition"] += part_stats.resampled
     stats["rounds"]["partition"] = part_stats.rounds
     stats["audits"]["partition"] = audit_partition(part, profile).ok
     stats["partition_shape"] = part.describe()
 
-    # Periphery stage, with a fresh-stream rerun if the addition step
-    # cannot place some vertex.
+    # Periphery stage, with a fresh-stream rerun if it stalls or the
+    # addition step cannot place some vertex.
     for rerun in range(WSTAGE_RERUNS + 1):
-        state = resample_w_stage(part, profile, seed, rerun=rerun)
+        try:
+            state = resample_w_stage(part, profile, seed, rerun=rerun)
+        except RetryExhausted as exc:
+            stats["resamples_wstage"] += exc.resampled
+            if rerun == WSTAGE_RERUNS:
+                raise
+            continue
         stats["resamples_wstage"] += state.resampled
         stats["rounds"]["wstage"] = state.rounds
         try:

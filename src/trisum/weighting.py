@@ -57,11 +57,6 @@ def _weighting_text(g: Graph, weighting: EdgeWeighting) -> Iterator[str]:
     return format_rows(np.column_stack([g.edges, weighting.weights]))
 
 
-def format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
-    """One "u v w" line per edge, in edge-id order."""
-    return "".join(_weighting_text(g, weighting))
-
-
 def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
     """Parse "u v w" lines; must cover every edge of g exactly once.
 

@@ -183,7 +183,9 @@ def resample_w_stage(
         else:
             stalled += 1
             if stalled >= STALL_LIMIT:
-                raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), rnd)
+                raise RetryExhausted(
+                    "w-stage", np.flatnonzero(viol).tolist(), rnd, resampled
+                )
         fresh_x = analytic.x_from_uniform(
             stream(seed, TAG_W_VERTEX, rerun, rnd).random(n)
         )
@@ -192,7 +194,9 @@ def resample_w_stage(
         fresh_e = stream(seed, TAG_W_EDGE, rerun, rnd).random(m)
         x.x_edge[scope_e] = fresh_e[scope_e]
         resampled += count
-    raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), ROUND_LIMIT)
+    raise RetryExhausted(
+        "w-stage", np.flatnonzero(viol).tolist(), ROUND_LIMIT, resampled
+    )
 
 
 def choose_sum_additions(

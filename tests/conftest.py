@@ -9,10 +9,10 @@ import pytest
 
 from trisum import analytic
 from trisum.errors import WeightingCoverageError
-from trisum.graph import Graph
+from trisum.graph import Graph, _edge_list_text
 from trisum.partition import Partition, j_interval_bounds
 from trisum.profiles import ProfileConstants
-from trisum.weighting import EdgeWeighting
+from trisum.weighting import EdgeWeighting, _weighting_text
 from trisum.wstage import (
     IntervalData,
     XAssignment,
@@ -64,6 +64,19 @@ def small_run_profile(**overrides) -> ProfileConstants:
     )
     params.update(overrides)
     return ProfileConstants(**params)
+
+
+# Test-only text helpers: the text that write_edge_list and write_weighting
+# write.
+
+
+def format_edge_list(g: Graph) -> str:
+    return "".join(_edge_list_text(g))
+
+
+def format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
+    """One "u v w" line per edge, in edge-id order."""
+    return "".join(_weighting_text(g, weighting))
 
 
 # Reference oracles shared by several test modules.

@@ -9,10 +9,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import format_edge_list, format_weighting
 from trisum import graph as graph_module
 from trisum.cli import EXPERIMENT_COLUMNS, main
-from trisum.graph import Graph, format_edge_list, gen_gnp, load_edge_list
-from trisum.weighting import EdgeWeighting, format_weighting
+from trisum.graph import Graph, gen_gnp, load_edge_list
+from trisum.weighting import EdgeWeighting
 
 
 @pytest.fixture
@@ -75,6 +76,18 @@ class TestVerify:
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["ok"] is True
+
+    def test_zero_padded_id_verifies(self, runner, tmp_path):
+        # 19 digits: read by the line scan, not converted in C
+        gpath, wpath = tmp_path / "g.txt", tmp_path / "w.txt"
+        gpath.write_text("0 0000000000000000001\n1 2\n")
+        wpath.write_text("0 1 1\n2 1 2\n")
+        result = runner.invoke(
+            main, ["verify", "--graph", str(gpath), "--weights", str(wpath)]
+        )
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["ok"] is True and report["edges"] == 2
 
     def test_conflicting_weighting_exits_one(self, runner, tmp_path):
         g, gpath = write_k3(tmp_path)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import format_edge_list
 from trisum import blockio
 from trisum import graph as graph_module
 from trisum.errors import EdgeListParseError, RetryExhausted, SelfLoopError
 from trisum.graph import (
     Graph,
-    format_edge_list,
     gen_gnp,
     gen_random_regular,
     load_edge_list,
@@ -375,6 +375,13 @@ _ODD_LINE = st.sampled_from([
     "# vertices: x", "1_0 2", "0 1 # trailing", "\u0663 1", "1\xa02",
     f"{2**70} 1", "0\x0c1 2", "  # vertices: 3", "4 5\r", "2\x1f3", "1\x0b2 3",
     "5 6\x1c", "\u20283 4", "0\x1f1 2", "0\x0c1", "5\x1d6", "7\x1e8", "3\x0b4",
+    # the longest token converted in C (18 digits), one digit more, the
+    # int64 bounds and a zero-padded 19-digit id
+    "100000000000000000 1", "999999999999999999 2", "1000000000000000000 3",
+    "9223372036854775807 4", "9223372036854775808 5", "0000000000000000001 2",
+    # lines, and with BLOCK_CHARS small whole blocks, of only whitespace or
+    # only comments
+    " \t\x0b\x0c ", "\x0b", "# only\n# comments",
 ])
 _OTHER_LINE = st.one_of(
     st.sampled_from(["", "   ", "# a comment", "#", "# vertices: 12", "\t# x"]),
@@ -470,6 +477,56 @@ class TestParseAgainstReference:
         assert outcome(parse_edge_list, f"0 {2**70}\n1 2\n") == outcome(
             reference_parse_edge_list, f"0 {2**70}\n1 2\n")
         assert outcome(parse_edge_list, f"0 {2**70}\n1 1\n")[3] == 2
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+class TestIntRows:
+    @pytest.mark.parametrize("block", ["", "\n", " \t\r\n\x0b\x0c ", "\n\n\n"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_block_without_tokens(self, block, k):
+        # np.fromstring alone reads such a block as [0]
+        rows = blockio.int_rows(block, k)
+        assert rows.shape == (0, k) and rows.dtype == np.int64
+
+    @pytest.mark.parametrize("token, taken", [
+        ("999999999999999999", True),
+        ("000000000000000001", True),
+        ("0000000000000000001", False),
+        ("1000000000000000000", False),
+        (str(_INT64_MAX), False),
+        (str(_INT64_MAX + 1), False),
+        (str(2**70), False),
+    ])
+    def test_token_length(self, token, taken):
+        rows = blockio.int_rows(f"0 {token}\n1 2\n", 2)
+        if taken:
+            assert rows.tolist() == [[0, int(token)], [1, 2]]
+        else:
+            assert rows is None
+
+    @pytest.mark.parametrize("block", [
+        "+1 2\n", "-1 2\n", "1_0 2\n", "\u0663 1\n", "1\xa02\n", "1\x1c2\n",
+        "1\x1d2\n", "1\x1e2\n", "1\x1f2\n", "0x1 2\n", "1.5 2\n", "1 2 # c\n",
+        "1 2\n3\n", "1 2 3\n",
+    ])
+    def test_other_blocks_go_to_the_line_scan(self, block):
+        assert blockio.int_rows(block, 2) is None
+
+    def test_full_block_matches_int(self):
+        rng = np.random.default_rng(11)
+        rows = blockio.BLOCK_ROWS
+        values = rng.integers(0, 10**18, size=(rows, 3))
+        values[::7] = rng.integers(0, 10, size=(len(values[::7]), 3))
+        seps = rng.choice([" ", "\t", "  ", " \t "], size=(rows, 2))
+        ends = rng.choice(["\n", "\r\n", "\r", "\x0c", "\n\n"], size=rows)
+        block = "".join(
+            f"{a}{s0}{b}{s1}{c}{end}"
+            for (a, b, c), (s0, s1), end in zip(values.tolist(), seps, ends))
+        got = blockio.int_rows(block, 3)
+        want = np.array(list(map(int, block.split())), dtype=np.int64).reshape(-1, 3)
+        assert got.shape == (rows, 3) and np.array_equal(got, want)
 
 
 @st.composite

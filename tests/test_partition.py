@@ -90,6 +90,9 @@ class TestSamplePartition:
         assert exc.value.outcome_stage == "partition"
         assert exc.value.rounds == 2
         assert exc.value.violators
+        # the core-membership stage redraws at most every vertex a round
+        assert exc.value.stage == "partition:u"
+        assert 0 < exc.value.resampled <= 2 * g.vertex_count
 
     def test_stats_recorded(self):
         g = gen_gnp(200, 0.5, seed=1)

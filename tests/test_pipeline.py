@@ -167,11 +167,17 @@ class TestStageFailures:
         self, bipartite_instance, monkeypatch
     ):
         # attempt 0 passes the w-stage and fails in the core stage; the
-        # restart stalls in the w-stage after 27 rounds
+        # restart stalls in the w-stage after 27 rounds, and so does its
+        # fresh-stream rerun
+        passed, stalled = [], []
+
         def wstage(part, profile, seed, rerun=0):
             if seed != 3:
-                raise RetryExhausted("w-stage", [3], 27)
-            return resample_w_stage(part, profile, seed, rerun=rerun)
+                stalled.append(rerun)
+                raise RetryExhausted("w-stage", [3], 27, resampled=500)
+            state = resample_w_stage(part, profile, seed, rerun=rerun)
+            passed.append(state.resampled)
+            return state
 
         def no_pair(*args):
             raise NoValidPair(5, {"sum": 40})
@@ -182,17 +188,43 @@ class TestStageFailures:
         assert outcome.stage == "wstage" and outcome.stats["restarts"] == 1
         assert "after 27 rounds" in outcome.reason
         assert outcome.stats["rounds"]["wstage"] == 27
+        assert stalled == [0, 1] and len(passed) == 1
+        assert outcome.stats["resamples_wstage"] == passed[0] + 2 * 500
+
+    def test_stalled_wstage_rerun_on_a_fresh_stream(
+        self, bipartite_instance, monkeypatch
+    ):
+        states = []
+
+        def wstage(part, profile, seed, rerun=0):
+            if rerun == 0:
+                raise RetryExhausted("w-stage", [3], 26, resampled=400)
+            states.append(resample_w_stage(part, profile, seed, rerun=rerun))
+            return states[-1]
+
+        monkeypatch.setattr("trisum.pipeline.resample_w_stage", wstage)
+        outcome = run(bipartite_instance, DESK, seed=0)
+        assert outcome.success and outcome.stats["restarts"] == 0
+        assert len(states) == 1
+        assert outcome.stats["rounds"]["wstage"] == states[0].rounds
+        assert outcome.stats["resamples_wstage"] == 400 + states[0].resampled
 
     def test_failed_partition_reports_its_own_rounds(
         self, bipartite_instance, monkeypatch
     ):
-        def failing(*args, **kwargs):
-            raise RetryExhausted("partition:fu", [4, 9], 80)
+        # the core-membership stage finishes after redrawing 70 choices;
+        # the F_U stage then fails after redrawing 300
+        def failing(g, profile, seed, *, stats):
+            stats.rounds["u"] = 2
+            stats.resampled += 70
+            raise RetryExhausted("partition:fu", [4, 9], 80, resampled=300)
 
         monkeypatch.setattr("trisum.pipeline.sample_partition", failing)
         outcome = run(bipartite_instance, DESK, seed=3)
         assert outcome.stage == "partition"
         assert outcome.stats["rounds"] == {"partition": {"fu": 80}}
+        # both attempts' redraws are counted
+        assert outcome.stats["resamples_partition"] == 2 * (70 + 300)
 
     @pytest.mark.parametrize("graph", ["k3", "bipartite"])
     def test_negative_seed_rejected_before_any_stage(

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blow_up_is_locally_irregular
+from conftest import blow_up_is_locally_irregular, format_weighting
 from trisum import blockio
 from trisum.errors import WeightingCoverageError
 from trisum.graph import MAX_VERTICES, Graph, gen_gnp
 from trisum.weighting import (
     EdgeWeighting,
     conflicts,
-    format_weighting,
     load_weighting,
     parse_weighting,
     weighted_degrees,
@@ -215,6 +214,14 @@ _ODD_FIELDS = st.sampled_from([
     "0 0 1", "-1 2 1", "0 9 1", f"0 {2**70} 1", f"0 1 {2**70}", "0 1 1 # c",
     "+0 1 +1", "0 1 \u0663", "0\xa01 1", "0\x0c1 1 1", "0\x1f1 1", "0 1\x1e1 1",
     "0\x1f1 2 3", "0 1\x0c1", "0\x1c1 1", "0 1\x1d1", "0 1\x0b1",
+    # the longest token converted in C (18 digits), one digit more, the
+    # int64 bounds and zero-padded 19-digit tokens
+    "0 100000000000000000 1", "999999999999999999 1 2", "0 1000000000000000000 1",
+    "0 9223372036854775807 1", "0 1 9223372036854775808", "0 1 0000000000000000001",
+    "0000000000000000000 1 1",
+    # lines, and with BLOCK_CHARS small whole blocks, of only whitespace or
+    # only comments
+    " \t\x0b\x0c ", "\x0b", "# only\n# comments",
 ])
 
 

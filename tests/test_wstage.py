@@ -222,7 +222,9 @@ def reference_resample_w_stage(
         else:
             stalled += 1
             if stalled >= stall_limit:
-                raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), rnd)
+                raise RetryExhausted(
+                    "w-stage", np.flatnonzero(viol).tolist(), rnd, resampled
+                )
         fresh_x = analytic.x_from_uniform(
             stream(seed, TAG_W_VERTEX, rerun, rnd).random(n)
         )
@@ -231,7 +233,9 @@ def reference_resample_w_stage(
         fresh_e = stream(seed, TAG_W_EDGE, rerun, rnd).random(m)
         x.x_edge[scope_e] = fresh_e[scope_e]
         resampled += count
-    raise RetryExhausted("w-stage", np.flatnonzero(viol).tolist(), round_limit)
+    raise RetryExhausted(
+        "w-stage", np.flatnonzero(viol).tolist(), round_limit, resampled
+    )
 
 
 def craft_partition(g: Graph, core_ids, fw_pairs=(), fu_pairs=()) -> Partition:
@@ -560,12 +564,13 @@ class TestResampleWStage:
 def w_stage_outcome(resample, part: Partition, profile: ProfileConstants,
                     seed: int, rerun: int = 0):
     """What a w-stage run gives: every field of its state, or its error's
-    type, message, violators, rounds and vertices."""
+    type, message, violators, rounds, vertices and redraw count."""
     try:
         st = resample(part, profile, seed, rerun=rerun)
     except (RetryExhausted, DegenerateLength) as exc:
         return (type(exc), str(exc), getattr(exc, "violators", None),
-                getattr(exc, "rounds", None), getattr(exc, "vertices", None))
+                getattr(exc, "rounds", None), getattr(exc, "vertices", None),
+                getattr(exc, "resampled", None))
     arrays = (st.x.x_vertex, st.x.x_edge, st.omega1, st.s1,
               st.intervals.length, st.intervals.i0, st.intervals.s0)
     return ([(a.dtype, a.tobytes()) for a in arrays], st.rounds, st.resampled)
@@ -604,6 +609,7 @@ class TestAgainstReference:
         part, profile, seed = exhausted_case()
         got = w_stage_outcome(resample_w_stage, part, profile, seed)
         assert got[0] is RetryExhausted and got[3] < wstage.ROUND_LIMIT
+        assert got[5] > 0
         assert got == w_stage_outcome(reference_resample_w_stage, part, profile, seed)
 
     def test_round_limit(self, monkeypatch):
