@@ -106,9 +106,6 @@ class Graph:
         indptr, _, eids = self._csr
         return eids[indptr[v]:indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.vertex_count else 0
 

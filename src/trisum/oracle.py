@@ -185,8 +185,8 @@ def check_sweep_args(n_max: int, k: int) -> None:
     enumeration budget, or one with k below 1."""
     if n_max < 3:
         raise ValueError(f"n_max below 3 checks no graph, got {n_max}")
-    if n_max > 8:
-        raise ValueError("n_max above 8 exceeds the enumeration budget")
+    if n_max > 7:
+        raise ValueError("n_max above 7 exceeds the enumeration budget")
     if k < 1:
         raise ValueError("k_max must be at least 1")
 

@@ -30,11 +30,11 @@ class Partition:
     graph: Graph
     in_u: np.ndarray        # bool[n]
     levels: np.ndarray      # int64[n], -1 outside U
-    f_mask: np.ndarray      # bool[m], edges between U and W
     fw_mask: np.ndarray     # bool[m], F_W subset of F
     fu_mask: np.ndarray     # bool[m], F_U subset of F'
     # derived sets and per-vertex counts, computed once from the above;
     # shared by every stage, which only reads them
+    f_mask: np.ndarray = field(init=False)       # bool[m], F: edges between U and W
     fprime_mask: np.ndarray = field(init=False)  # bool[m], F' = F minus F_W
     eu_mask: np.ndarray = field(init=False)      # bool[m], edges inside U
     eprime_mask: np.ndarray = field(init=False)  # bool[m], edges inside W
@@ -49,9 +49,10 @@ class Partition:
     def __post_init__(self):
         g = self.graph
         in_u0, in_u1 = self.in_u[g.edges[:, 0]], self.in_u[g.edges[:, 1]]
-        self.fprime_mask = self.f_mask & ~self.fw_mask
+        self.f_mask = in_u0 ^ in_u1
         self.eu_mask = in_u0 & in_u1
         self.eprime_mask = ~in_u0 & ~in_u1
+        self.fprime_mask = self.f_mask & ~self.fw_mask
         self.u_ids = np.flatnonzero(self.in_u)
         self.w_ids = np.flatnonzero(~self.in_u)
         self.d_u = _count_neighbors_in(g, self.in_u)
@@ -195,29 +196,28 @@ def sample_partition(
     F_U coins jointly. A violated constraint redraws only the choices in
     its scope; a stage that cannot stabilize within STAGE_ROUNDS rounds
     restarts the whole sample with fresh streams, up to SAMPLE_ATTEMPTS
-    samples in all.
+    samples in all. `stats` ends with the rounds of the sample returned and
+    the redraws of every sample, a failed one's too; the last failure's
+    own redraws travel in its RetryExhausted.
     """
     check_partition_feasible(g, profile)
+    if stats is None:
+        stats = SampleStats()
     for attempt in range(SAMPLE_ATTEMPTS - 1):
         try:
             return _sample_once(g, profile, seed, attempt, stats)
-        except RetryExhausted:
-            pass
+        except RetryExhausted as exc:
+            stats.resampled += exc.resampled
     return _sample_once(g, profile, seed, SAMPLE_ATTEMPTS - 1, stats)
 
 
 def _sample_once(
     g: Graph, profile: ProfileConstants, seed: int, attempt: int,
-    stats: SampleStats | None,
+    stats: SampleStats,
 ) -> Partition:
     n, m = g.vertex_count, g.edge_count
     deg = g.degrees
-    e0, e1 = (g.edges[:, 0], g.edges[:, 1]) if m else (np.empty(0, int), np.empty(0, int))
-
-    def note(stage: str, rounds: int, resampled: int) -> None:
-        if stats is not None:
-            stats.rounds[stage] = rounds
-            stats.resampled += resampled
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
 
     # Stage 1: core memberships under the degree-concentration constraint.
     in_u = stream(seed, TAG_PART_U, attempt, 0).random(n) < profile.p_u
@@ -226,22 +226,21 @@ def _sample_once(
         d_u = _count_neighbors_in(g, in_u)
         viol = np.abs(d_u - profile.p_u * deg) > profile.eps_u * deg
         if not viol.any():
-            note("u", rnd, resampled)
             break
         scope = np.zeros(n, dtype=bool)
-        if m:
-            scope[e0[viol[e1]]] = True
-            scope[e1[viol[e0]]] = True
+        scope[e0[viol[e1]]] = True
+        scope[e1[viol[e0]]] = True
         fresh = stream(seed, TAG_PART_U, attempt, rnd).random(n) < profile.p_u
         in_u[scope] = fresh[scope]
         resampled += int(scope.sum())
     else:
         viol_ids = np.flatnonzero(viol)
         raise RetryExhausted("partition:u", viol_ids.tolist(), STAGE_ROUNDS, resampled)
+    stats.rounds["u"] = rnd
+    stats.resampled += resampled
 
-    d_u = _count_neighbors_in(g, in_u)
     d_w = deg - d_u
-    f_mask = in_u[e0] ^ in_u[e1] if m else np.zeros(0, dtype=bool)
+    f_mask = in_u[e0] ^ in_u[e1]
 
     # Stage 2: F_W coins under both degree constraints.
     coins = stream(seed, TAG_PART_FW, attempt, 0).random(m)
@@ -253,7 +252,6 @@ def _sample_once(
         viol_u = in_u & (np.abs(d_fw - profile.p_fw * d_w) > profile.eps_fw * d_w)
         viol = viol_w | viol_u
         if not viol.any():
-            note("fw", rnd, resampled)
             break
         scope_e = f_mask & (viol[e0] | viol[e1])
         fresh = stream(seed, TAG_PART_FW, attempt, rnd).random(m)
@@ -263,9 +261,9 @@ def _sample_once(
         raise RetryExhausted(
             "partition:fw", np.flatnonzero(viol).tolist(), STAGE_ROUNDS, resampled
         )
+    stats.rounds["fw"] = rnd
+    stats.resampled += resampled
 
-    fw_mask = f_mask & (coins < profile.p_fw)
-    d_fw = _count_incident(g, fw_mask)
     fprime_mask = f_mask & ~fw_mask
     d_fprime = _count_incident(g, fprime_mask)
 
@@ -274,8 +272,8 @@ def _sample_once(
     levels = stream(seed, TAG_PART_LEVEL, attempt, 0).integers(0, mlev, size=n)
     levels[~in_u] = -1
     unif = stream(seed, TAG_PART_FU, attempt, 0).random(m)
-    u_end = np.where(in_u[e0], e0, e1) if m else np.empty(0, int)
-    w_end = np.where(in_u[e0], e1, e0) if m else np.empty(0, int)
+    u_end = np.where(in_u[e0], e0, e1)
+    w_end = np.where(in_u[e0], e1, e0)
     mean_frac = (1.0 - 1.0 / mlev) / 2.0
     resampled = 0
     for rnd in range(1, STAGE_ROUNDS + 1):
@@ -293,7 +291,6 @@ def _sample_once(
         viol_levels = viol_a4 | viol_a6
         viol = viol_levels | viol_a5
         if not viol.any():
-            note("fu", rnd, resampled)
             break
         fresh_lv = stream(seed, TAG_PART_LEVEL, attempt, rnd).integers(0, mlev, size=n)
         levels[viol_levels] = fresh_lv[viol_levels]
@@ -305,24 +302,16 @@ def _sample_once(
         raise RetryExhausted(
             "partition:fu", np.flatnonzero(viol).tolist(), STAGE_ROUNDS, resampled
         )
+    stats.rounds["fu"] = rnd
+    stats.resampled += resampled
 
-    fu_mask = fprime_mask & (unif < levels[u_end] / mlev)
-    return Partition(
-        graph=g, in_u=in_u, levels=levels,
-        f_mask=f_mask, fw_mask=fw_mask, fu_mask=fu_mask,
-    )
+    return Partition(graph=g, in_u=in_u, levels=levels, fw_mask=fw_mask, fu_mask=fu_mask)
 
 
 @dataclass
 class AuditReport:
     ok: bool
     failures: dict[str, list[int]]
-
-    def summary(self) -> str:
-        if self.ok:
-            return "partition audit: all constraint families hold"
-        parts = ", ".join(f"{k}: {len(v)}" for k, v in self.failures.items() if v)
-        return f"partition audit FAILED ({parts})"
 
 
 def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:

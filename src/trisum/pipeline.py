@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graph import Graph
 from .partition import SampleStats, audit_partition, sample_partition
-from .profiles import ProfileConstants, check_degree_regime, check_partition_feasible
+from .profiles import ProfileConstants, check_degree_regime
 from .rng import TAG_RESTART, derive_seed
 from .ustage import build_estar, estar_bounds_hold, final_verify, finalize_u
 from .weighting import EdgeWeighting
@@ -82,7 +82,6 @@ def _precheck(g: Graph, profile: ProfileConstants) -> None:
         u, v = g.edges[isolated[0]]
         raise InfeasibleProfile(f"graph has an isolated edge ({u}, {v})")
     check_degree_regime(g, profile)
-    check_partition_feasible(g, profile)
 
 
 def run(g: Graph, profile: ProfileConstants, seed: int) -> PipelineOutcome:

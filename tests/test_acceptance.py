@@ -167,7 +167,7 @@ def test_criterion_5_structural_invariants(gnp_instance):
     for seed in range(10):
         part = sample_partition(g, DESK, seed=seed)
         audit = audit_partition(part, DESK)
-        assert audit.ok, f"seed {seed}: {audit.summary()}"
+        assert audit.ok, f"seed {seed}: {audit.failures}"
 
         owner = build_estar(part)
         assert estar_bounds_hold(part, owner), f"seed {seed}: E* bounds"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import format_edge_list, format_weighting
+from conftest import format_edge_list, format_weighting, small_run_profile
 from trisum import graph as graph_module
 from trisum.cli import EXPERIMENT_COLUMNS, main
 from trisum.graph import Graph, gen_gnp, load_edge_list
@@ -282,6 +283,24 @@ class TestExperiment:
             assert r["status"] in ("success", "failure")
             assert float(r["wall_ms"]) >= 0
 
+    def test_jobs_two_writes_the_rows_of_jobs_one(self, runner, tmp_path):
+        sets = [arg for key, value in dataclasses.asdict(small_run_profile()).items()
+                for arg in ("--set", f"{key}={value}")]
+        rows = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}.csv"
+            result = runner.invoke(
+                main,
+                ["experiment", "--gen", "gnp:200,0.5", "--seeds", "0,1,2,3", *sets,
+                 "--jobs", str(jobs), "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            with open(out) as fh:
+                rows[jobs] = [{k: v for k, v in r.items() if k != "wall_ms"}
+                              for r in csv.DictReader(fh)]
+        assert [r["seed"] for r in rows[1]] == ["0", "1", "2", "3"]
+        assert rows[2] == rows[1]
+
     def test_duplicate_seeds_rejected(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -406,7 +425,7 @@ class TestStructuredErrors:
 
     def test_sweep_n_max_above_budget(self, runner):
         result = runner.invoke(main, ["oracle", "--sweep", "--n-max", "9"])
-        assert json_error(result).startswith("n_max above 8")
+        assert json_error(result).startswith("n_max above 7")
 
     def test_sweep_k_zero(self, runner):
         result = runner.invoke(main, ["oracle", "--sweep", "--k", "0"])
@@ -418,8 +437,8 @@ class TestStructuredErrors:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("args", [
-        ["--k", "0"], ["--n-max", "9"], ["--n-max", "2"], ["--n-max", "-5"],
-    ], ids=["k-zero", "n-max-nine", "n-max-two", "n-max-negative"])
+        ["--k", "0"], ["--n-max", "9"], ["--n-max", "8"], ["--n-max", "2"], ["--n-max", "-5"],
+    ], ids=["k-zero", "n-max-nine", "n-max-eight", "n-max-two", "n-max-negative"])
     def test_bad_sweep_args_leave_no_out_file(self, runner, tmp_path, args):
         out = tmp_path / "x.csv"
         result = runner.invoke(main, ["oracle", "--sweep", *args, "--out", str(out)])

@@ -20,9 +20,9 @@ def _reference_edge_order(g: Graph) -> list[int]:
     seen_edge = np.zeros(m, dtype=bool)
     seen_vertex = np.zeros(n, dtype=bool)
     order: list[int] = []
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    by_degree = sorted(range(n), key=lambda v: (-int(g.degrees[v]), v))
     for root in by_degree:
-        if seen_vertex[root] or g.degree(root) == 0:
+        if seen_vertex[root] or g.degrees[root] == 0:
             continue
         queue = [root]
         seen_vertex[root] = True

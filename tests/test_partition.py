@@ -14,6 +14,7 @@ from trisum.partition import (
     _comparable_pairs,
     _count_incident,
     _count_neighbors_in,
+    _sample_once,
     audit_partition,
     initial_outer_weights,
     j_interval_bounds,
@@ -100,6 +101,34 @@ class TestSamplePartition:
         sample_partition(g, small_run_profile(), seed=2, stats=stats)
         assert set(stats.rounds) == {"u", "fw", "fu"}
 
+    def test_second_sample_counts_the_failed_samples_redraws(self, monkeypatch):
+        # K(10, 10) with a two-round budget: for seed 1, sample 0 fails in
+        # the core-membership stage and sample 1 passes
+        g = Graph.build(20, [(i, 10 + j) for i in range(10) for j in range(10)])
+        profile = loose_profile(eps_u=0.101)
+        monkeypatch.setattr("trisum.partition.STAGE_ROUNDS", 2)
+        with pytest.raises(RetryExhausted) as first:
+            _sample_once(g, profile, 1, 0, SampleStats())
+        assert first.value.stage == "partition:u" and first.value.resampled > 0
+        second = SampleStats()
+        want = _sample_once(g, profile, 1, 1, second)
+        stats = SampleStats()
+        part = sample_partition(g, profile, seed=1, stats=stats)
+        for name in ("in_u", "levels", "fw_mask", "fu_mask"):
+            assert np.array_equal(getattr(part, name), getattr(want, name)), name
+        assert stats.rounds == second.rounds
+        assert stats.resampled == first.value.resampled + second.resampled
+
+    @pytest.mark.parametrize("n", [5, 0])
+    def test_edgeless_graph(self, n):
+        g = Graph.build(n, [])
+        stats = SampleStats()
+        part = sample_partition(g, DESK, seed=0, stats=stats)
+        assert part.in_u.shape == part.levels.shape == (n,)
+        assert part.f_mask.shape == part.fw_mask.shape == part.fu_mask.shape == (0,)
+        assert stats.rounds == {"u": 1, "fw": 1, "fu": 1} and stats.resampled == 0
+        assert audit_partition(part, DESK).ok
+
 
 class TestJInterval:
     def test_all_addenda_vanish(self):
@@ -155,10 +184,8 @@ class TestNuLeq:
         in_u = np.zeros(g.vertex_count, dtype=bool)
         in_u[list(in_u_ids)] = True
         levels = np.where(in_u, 0, -1).astype(np.int64)
-        e = g.edges
-        f = in_u[e[:, 0]] ^ in_u[e[:, 1]]
         return Partition(
-            graph=g, in_u=in_u, levels=levels, f_mask=f,
+            graph=g, in_u=in_u, levels=levels,
             fw_mask=np.zeros(g.edge_count, dtype=bool),
             fu_mask=np.zeros(g.edge_count, dtype=bool),
         )
@@ -297,8 +324,9 @@ def test_count_helpers_match_reference(case):
         assert np.array_equal(got, want)
 
 
-# The formulas of the Partition properties that the computed fields replaced.
+# The formula of each field that Partition derives from its sampled choices.
 DERIVED_FORMULAS = {
+    "f_mask": lambda p: p.in_u[p.graph.edges[:, 0]] ^ p.in_u[p.graph.edges[:, 1]],
     "fprime_mask": lambda p: p.f_mask & ~p.fw_mask,
     "eu_mask": lambda p: p.in_u[p.graph.edges[:, 0]] & p.in_u[p.graph.edges[:, 1]],
     "eprime_mask": lambda p: ~p.in_u[p.graph.edges[:, 0]] & ~p.in_u[p.graph.edges[:, 1]],
@@ -326,7 +354,7 @@ def crafted_partitions(draw):
     f_mask = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
     return Partition(
         graph=g, in_u=in_u, levels=np.where(in_u, 0, -1).astype(np.int64),
-        f_mask=f_mask, fw_mask=f_mask & (coins == 1), fu_mask=f_mask & (coins == 2),
+        fw_mask=f_mask & (coins == 1), fu_mask=f_mask & (coins == 2),
     )
 
 

@@ -23,10 +23,8 @@ def craft_partition(g: Graph, core_ids) -> Partition:
     in_u = np.zeros(g.vertex_count, dtype=bool)
     in_u[list(core_ids)] = True
     levels = np.where(in_u, 0, -1).astype(np.int64)
-    e = g.edges
-    f = in_u[e[:, 0]] ^ in_u[e[:, 1]] if g.edge_count else np.zeros(0, bool)
     return Partition(
-        graph=g, in_u=in_u, levels=levels, f_mask=f,
+        graph=g, in_u=in_u, levels=levels,
         fw_mask=np.zeros(g.edge_count, dtype=bool),
         fu_mask=np.zeros(g.edge_count, dtype=bool),
     )

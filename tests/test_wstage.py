@@ -242,8 +242,6 @@ def craft_partition(g: Graph, core_ids, fw_pairs=(), fu_pairs=()) -> Partition:
     in_u = np.zeros(g.vertex_count, dtype=bool)
     in_u[list(core_ids)] = True
     levels = np.where(in_u, 0, -1).astype(np.int64)
-    e = g.edges
-    f = in_u[e[:, 0]] ^ in_u[e[:, 1]] if g.edge_count else np.zeros(0, bool)
     pair_to_id = {(int(u), int(v)): i for i, (u, v) in enumerate(g.edges)}
     fw = np.zeros(g.edge_count, dtype=bool)
     for p in fw_pairs:
@@ -251,8 +249,7 @@ def craft_partition(g: Graph, core_ids, fw_pairs=(), fu_pairs=()) -> Partition:
     fu = np.zeros(g.edge_count, dtype=bool)
     for p in fu_pairs:
         fu[pair_to_id[tuple(sorted(p))]] = True
-    return Partition(graph=g, in_u=in_u, levels=levels, f_mask=f,
-                     fw_mask=fw, fu_mask=fu)
+    return Partition(graph=g, in_u=in_u, levels=levels, fw_mask=fw, fu_mask=fu)
 
 
 def all_periphery_x(g: Graph, part: Partition, values: dict | float) -> XAssignment:
@@ -723,7 +720,7 @@ class TestApplyAdditions:
         levels = np.where(in_u, 0, -1).astype(np.int64)
         f = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
         part = Partition(
-            graph=g, in_u=in_u, levels=levels, f_mask=f,
+            graph=g, in_u=in_u, levels=levels,
             fw_mask=f.copy(), fu_mask=np.zeros(g.edge_count, dtype=bool),
         )
         profile = loose_profile(eps_len=0.5, eps_loc=0.35)
