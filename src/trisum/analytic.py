@@ -39,12 +39,9 @@ def _r_unchecked(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = (x - 1.0) / 2.0
     mid = (x >= A1) & (x <= A2)
-    if mid.any():
-        xm = x[mid]
-        out[mid] -= np.log(X_HI / (1.0 + 2.0 * np.log(X_HI / xm) / LOG_RATIO)) / LOG_RATIO
-    top = x > A2
-    if top.any():
-        out[top] -= math.log(X_HI / X_MID) / LOG_RATIO
+    xm = x[mid]
+    out[mid] -= np.log(X_HI / (1.0 + 2.0 * np.log(X_HI / xm) / LOG_RATIO)) / LOG_RATIO
+    out[x > A2] -= math.log(X_HI / X_MID) / LOG_RATIO
     return out
 
 
@@ -89,11 +86,10 @@ def dbar_quadrature(subintervals: int) -> float:
     return total
 
 
-def weight3_threshold(x_big) -> np.ndarray | float:
+def weight3_threshold(x_big) -> np.ndarray:
     """Deterministic cutoff for the smaller endpoint: hi / ratio**((x-1)/2)."""
     x_big = np.asarray(x_big, dtype=np.float64)
-    out = X_HI * np.exp(-LOG_RATIO * (x_big - 1.0) / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return X_HI * np.exp(-LOG_RATIO * (x_big - 1.0) / 2.0)
 
 
 def edge_weight3_mask(x_a, x_b, x_e) -> np.ndarray:
@@ -109,12 +105,10 @@ def edge_weight3_mask(x_a, x_b, x_e) -> np.ndarray:
     big = np.maximum(x_a, x_b)
     out = np.zeros(small.shape, dtype=bool)
     hi = big >= X_MID
-    if hi.any():
-        out[hi] = small[hi] >= weight3_threshold(big[hi])
+    out[hi] = small[hi] >= weight3_threshold(big[hi])
     lo = ~hi
-    if lo.any():
-        prob = _r_unchecked(small[lo]) * _r_unchecked(big[lo]) / DBAR
-        out[lo] = x_e[lo] <= prob
+    prob = _r_unchecked(small[lo]) * _r_unchecked(big[lo]) / DBAR
+    out[lo] = x_e[lo] <= prob
     return out
 
 

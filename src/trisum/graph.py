@@ -80,9 +80,8 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.vertex_count, dtype=np.int64)
-        if self.edge_count:
-            deg += np.bincount(self.edges[:, 0], minlength=self.vertex_count)
-            deg += np.bincount(self.edges[:, 1], minlength=self.vertex_count)
+        deg += np.bincount(self.edges[:, 0], minlength=self.vertex_count)
+        deg += np.bincount(self.edges[:, 1], minlength=self.vertex_count)
         return deg
 
     @cached_property

@@ -77,10 +77,7 @@ def _count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
     """d_A(v) for every v, where A is the masked vertex set: one sum per
     CSR row. reduceat would give an empty row the next row's first entry,
     or fail past the end, so only rows with neighbours are summed."""
-    n = g.vertex_count
-    counts = np.zeros(n, dtype=np.int64)
-    if not g.edge_count:
-        return counts
+    counts = np.zeros(g.vertex_count, dtype=np.int64)
     indptr, nbrs, _ = g._csr
     rows = np.flatnonzero(indptr[1:] > indptr[:-1])
     counts[rows] = np.add.reduceat(vmask[nbrs], indptr[rows], dtype=np.int64)
@@ -90,8 +87,6 @@ def _count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
 def _count_incident(g: Graph, emask: np.ndarray) -> np.ndarray:
     """Per-vertex count of incident edges inside the masked edge set."""
     n = g.vertex_count
-    if not g.edge_count:
-        return np.zeros(n, dtype=np.int64)
     ids = np.flatnonzero(emask)
     return (
         np.bincount(g.edges[ids, 0], minlength=n) + np.bincount(g.edges[ids, 1], minlength=n)
@@ -121,13 +116,9 @@ def n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
         raise ValueError(f"vertex {u} is not in the core")
     nbrs = g.neighbors(u)
     cand = nbrs[part.in_u[nbrs]]
-    if not cand.size:
-        return cand
     deg_u = g.degrees[u]
     keep = (g.degrees[cand] >= 0.5 * deg_u) & (g.degrees[cand] <= deg_u)
     cand = cand[keep]
-    if not cand.size:
-        return cand
     ids = np.concatenate([[u], cand])
     lo, hi = j_interval_bounds(
         g.degrees[ids], part.d_fprime[ids], part.d_fw[ids], part.d_u[ids],

@@ -167,14 +167,15 @@ def _run_once(
         except NoValidAddition:
             if rerun == WSTAGE_RERUNS:
                 raise
-    omega2, s2 = apply_additions(part, state.omega1, additions)
+    omega2 = apply_additions(part, state.omega1, additions)
 
     owner = build_estar(part)
     stats["audits"]["estar_bounds"] = estar_bounds_hold(part, owner)
     result = finalize_u(part, omega2, owner, profile)
 
     report = final_verify(
-        part, result.omega3, profile, expected_periphery_sums=s2,
+        part, result.omega3, profile,
+        expected_periphery_sums=state.s1 + additions,
     )
     stats["audits"]["final_verify"] = report.ok
     stats["verify"] = report.to_dict()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import InfeasibleProfile
@@ -55,9 +55,6 @@ class ProfileConstants:
             raise ValueError("frac_nu must be in (0, 1]")
         if self.min_delta_ratio < 0.0:
             raise ValueError("min_delta_ratio must be non-negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Residues mod modulus_m that core sums take and periphery sums avoid. The

@@ -82,14 +82,10 @@ def build_estar(part: Partition) -> np.ndarray:
 def estar_bounds_hold(part: Partition, owner: np.ndarray) -> bool:
     """Ownership disjointness is structural; check coverage and size bound."""
     eu = part.eu_mask
-    if eu.any() and (owner[eu] < 0).any():
-        return False
-    if (~eu).any() and (owner[~eu] >= 0).any():
+    if (owner[eu] < 0).any() or (owner[~eu] >= 0).any():
         return False
     owned = np.bincount(owner[owner >= 0], minlength=part.graph.vertex_count)
     u = part.u_ids
-    if not u.size:
-        return True
     return bool((owned[u] >= 0.5 * part.d_u[u] - 1).all())
 
 

@@ -38,17 +38,14 @@ def weighted_degrees(g: Graph, weighting: EdgeWeighting | np.ndarray) -> np.ndar
             f"weighting covers {w.shape[0]} edges, graph has {g.edge_count}"
         )
     sums = np.zeros(g.vertex_count, dtype=np.int64)
-    if g.edge_count:
-        sums += np.bincount(g.edges[:, 0], weights=w, minlength=g.vertex_count).astype(np.int64)
-        sums += np.bincount(g.edges[:, 1], weights=w, minlength=g.vertex_count).astype(np.int64)
+    sums += np.bincount(g.edges[:, 0], weights=w, minlength=g.vertex_count).astype(np.int64)
+    sums += np.bincount(g.edges[:, 1], weights=w, minlength=g.vertex_count).astype(np.int64)
     return sums
 
 
 def conflicts(g: Graph, weighting: EdgeWeighting | np.ndarray) -> np.ndarray:
     """Edge ids (ascending) whose endpoints have equal weighted degrees."""
     s = weighted_degrees(g, weighting)
-    if not g.edge_count:
-        return np.empty(0, dtype=np.int64)
     equal = s[g.edges[:, 0]] == s[g.edges[:, 1]]
     return np.flatnonzero(equal).astype(np.int64)
 

@@ -24,7 +24,6 @@ from .errors import (
     NoValidAddition,
     RetryExhausted,
 )
-from .graph import group_by
 from .partition import Partition, initial_outer_weights
 from .profiles import RESERVED_RESIDUES, ProfileConstants
 from .rng import TAG_W_EDGE, TAG_W_VERTEX, stream
@@ -80,8 +79,7 @@ def _interval_lengths(part: Partition, profile: ProfileConstants) -> np.ndarray:
     if bad.size:
         raise DegenerateLength(bad.tolist())
     length = np.zeros(part.graph.vertex_count, dtype=np.int64)
-    if w_ids.size:
-        length[w_ids] = 2 ** np.floor(np.log2(scale[w_ids])).astype(np.int64)
+    length[w_ids] = 2 ** np.floor(np.log2(scale[w_ids])).astype(np.int64)
     return length
 
 
@@ -132,12 +130,10 @@ def resample_w_stage(
     ep_ids = np.flatnonzero(ep)
     a, b = g.edges[ep_ids, 0], g.edges[ep_ids, 1]
     outer = initial_outer_weights(part)
-    # An inner edge weighs 1 or 3: its ends' sums gain 1 each, plus 2 each
-    # where it weighs 3.
-    s_base = (
-        weighted_degrees(g, outer)
-        + np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    )
+    # An inner edge weighs 1 or 3: the sums with every inner edge at 1,
+    # plus 2 at both ends of each edge that weighs 3.
+    outer[ep_ids] = 1
+    s_base = weighted_degrees(g, outer)
     a_le_b = part.d_w[a] <= part.d_w[b]
     b_le_a = part.d_w[b] <= part.d_w[a]
     length = _interval_lengths(part, profile)
@@ -250,30 +246,34 @@ def apply_additions(
     part: Partition,
     omega1: np.ndarray,
     additions: np.ndarray,
-) -> tuple[EdgeWeighting, np.ndarray]:
+) -> EdgeWeighting:
     """Raise a(v) lowest-id F_W edges at each periphery vertex from 1 to 2.
 
     Every F_W edge has exactly one periphery endpoint, so the edits are
-    independent across vertices. Returns the new weighting and its sums.
+    independent across vertices, and the raises at v move its sum by
+    exactly a(v). Returns the new weighting.
     """
     g = part.graph
-    w2 = omega1.copy()
+    w_ids = part.w_ids
+    short = w_ids[additions[w_ids] > part.d_fw[w_ids]]
+    if short.size:
+        v = int(short[0])
+        raise InsufficientFW(v, int(additions[v]), int(part.d_fw[v]))
     fw_ids = np.flatnonzero(part.fw_mask)
     e = g.edges[fw_ids]
     w_end = np.where(part.in_u[e[:, 0]], e[:, 1], e[:, 0])
-    fw_lists = group_by(w_end, fw_ids, g.vertex_count)
-    for v in part.w_ids:
-        v = int(v)
-        need = int(additions[v])
-        if need == 0:
-            continue
-        mine = fw_lists[v]
-        if mine.size < need:
-            raise InsufficientFW(v, need, int(mine.size))
-        picked = mine[:need]
-        if not (w2[picked] == 1).all():
-            raise InternalInconsistency(
-                f"F_W edges at {v} were not all at weight 1 before the raise"
-            )
-        w2[picked] = 2
-    return EdgeWeighting(weights=w2, max_weight=3), weighted_degrees(g, w2)
+    # F_W ids by periphery end, ascending within each vertex; an edge's
+    # rank is its position among its vertex's edges.
+    order = np.argsort(w_end, kind="stable")
+    ends = w_end[order]
+    rank = np.arange(ends.size) - np.searchsorted(ends, ends)
+    pick = rank < additions[ends]
+    raised = fw_ids[order[pick]]
+    not_one = ends[pick][omega1[raised] != 1]
+    if not_one.size:
+        raise InternalInconsistency(
+            f"F_W edges at {not_one[0]} were not all at weight 1 before the raise"
+        )
+    w2 = omega1.copy()
+    w2[raised] = 2
+    return EdgeWeighting(weights=w2, max_weight=3)

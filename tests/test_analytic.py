@@ -145,6 +145,19 @@ class TestRFunction:
         assert vals.min() > 0
         assert vals.max() < 0.08
 
+    @pytest.mark.parametrize("lo, hi, size", [
+        (1.1, 1.9, 0),
+        (1.1, analytic.A1, 200),
+        (analytic.A1, analytic.A2, 200),
+        (analytic.A2, 1.9, 200),
+    ], ids=["empty", "first-branch", "middle-branch", "top-branch"])
+    def test_vectorized_matches_scalar_within_one_branch(self, lo, hi, size):
+        xs = np.random.default_rng(6).uniform(lo, hi, size)
+        vals = analytic._r_unchecked(xs)
+        assert vals.shape == (size,)
+        want = [analytic.r_value(float(x)) for x in xs]
+        np.testing.assert_allclose(vals, want, rtol=1e-14, atol=0)
+
     def test_peak_near_first_knot(self):
         assert abs(analytic.r_value(analytic.A1) - REF_R_AT_A1) < 1e-12
 
@@ -176,6 +189,15 @@ class TestWeight3Probability:
             weight3_probability(1.0)
 
 
+def reference_weight3(a: float, b: float, e: float) -> bool:
+    """The weighting rule for one edge: the threshold when the larger
+    value is at least X_MID, else the coin against r * r / dbar."""
+    small, big = min(a, b), max(a, b)
+    if big >= analytic.X_MID:
+        return small >= analytic.X_HI * math.exp(-analytic.LOG_RATIO * (big - 1.0) / 2.0)
+    return e <= analytic.r_value(small) * analytic.r_value(big) / analytic.DBAR
+
+
 class TestEdgeRule:
     def test_both_at_two_is_heavy(self):
         assert analytic.edge_weight3_mask([2.0], [2.0], [0.5])[0]
@@ -186,6 +208,20 @@ class TestEdgeRule:
 
     def test_coin_one_never_heavy_below_mid(self):
         assert not analytic.edge_weight3_mask([1.5], [1.5], [1.0])[0]
+
+    @pytest.mark.parametrize("lo, hi, size", [
+        (1.1, 2.9, 0),
+        (analytic.X_MID, 2.9, 300),
+        (1.1, analytic.X_MID, 300),
+        (1.1, 2.9, 300),
+    ], ids=["empty", "all-at-or-above-mid", "all-below-mid", "mixed"])
+    def test_matches_rule_per_edge(self, lo, hi, size):
+        rng = np.random.default_rng(8)
+        a, b = rng.uniform(lo, hi, (2, size))
+        e = rng.random(size)
+        got = analytic.edge_weight3_mask(a, b, e)
+        assert got.dtype == bool and got.shape == (size,)
+        assert got.tolist() == [reference_weight3(*t) for t in zip(a, b, e)]
 
     def test_symmetry_in_endpoints(self):
         rng = np.random.default_rng(3)

@@ -204,6 +204,18 @@ class TestNuLeq:
         # from 1's side, 0 has larger degree, also excluded
         assert n_u_leq(1, part, loose_profile()).size == 0
 
+    @pytest.mark.parametrize("edges, n, core, u", [
+        ([(1, 2)], 3, [0, 1], 0),
+        ([(0, 1)] + [(0, 10 + i) for i in range(9)] + [(1, 30 + i) for i in range(3)],
+         40, [0, 1], 1),
+    ], ids=["isolated", "no-comparable-degree"])
+    def test_no_comparable_core_neighbour(self, edges, n, core, u):
+        part = self._craft(edges, n, core)
+        profile = loose_profile()
+        got = n_u_leq(u, part, profile)
+        assert got.dtype == np.int64 and got.size == 0
+        assert n_u_leq_all(part, profile)[u].size == 0
+
     def test_symmetric_equal_pair(self):
         edges = [(0, 1)]
         edges += [(0, 10 + i) for i in range(5)]

@@ -15,8 +15,8 @@ from trisum.errors import (
 from trisum.graph import Graph, gen_gnp, gen_random_regular
 from trisum.pipeline import run
 from trisum.profiles import DESK
-from trisum.weighting import conflicts, weighted_degrees
-from trisum.wstage import resample_w_stage
+from trisum.weighting import EdgeWeighting, conflicts, weighted_degrees
+from trisum.wstage import apply_additions, resample_w_stage
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,30 @@ class TestRun:
         assert outcome.reason == "planted construction fault"
         assert outcome.weighting is None and outcome.s3 is None
         assert outcome.stats["restarts"] == 0
+
+
+    def test_unrealised_addition_is_a_drifted_periphery_sum(
+        self, bipartite_instance, monkeypatch
+    ):
+        # one raise at the lowest-id periphery vertex v with a(v) > 0 is
+        # undone, so v ends one below the target the additions chose
+        lowered = []
+
+        def one_raise_short(part, omega1, additions):
+            omega2 = apply_additions(part, omega1, additions)
+            w_ids = part.w_ids
+            v = int(w_ids[additions[w_ids] > 0][0])
+            at_v = part.fw_mask & (part.graph.edges == v).any(axis=1)
+            w = omega2.weights.copy()
+            w[np.flatnonzero(at_v & (w == 2))[0]] = 1
+            lowered.append(v)
+            return EdgeWeighting(weights=w, max_weight=3)
+
+        monkeypatch.setattr("trisum.pipeline.apply_additions", one_raise_short)
+        outcome = run(bipartite_instance, DESK, seed=0)
+        assert len(lowered) == 1
+        assert outcome.status == "failure" and outcome.stage == "verify"
+        assert outcome.stats["verify"]["changed_periphery_sums"] == lowered
 
 
 class TestStageFailures:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -51,14 +52,14 @@ def test_desk_profile_valid():
     ("min_delta_ratio", -1.0),
 ])
 def test_validation_rejects(field, value):
-    params = DESK.to_dict()
+    params = asdict(DESK)
     params[field] = value
     with pytest.raises(ValueError):
         ProfileConstants(**params)
 
 
 def test_eps_u_must_be_below_p_u():
-    params = DESK.to_dict()
+    params = asdict(DESK)
     params["eps_u"] = params["p_u"]
     with pytest.raises(ValueError):
         ProfileConstants(**params)
@@ -74,12 +75,12 @@ def test_reserved_residues_fixed():
 
 def test_json_round_trip(tmp_path):
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(DESK.to_dict()))
+    path.write_text(json.dumps(asdict(DESK)))
     back = load_profile(path)
     assert back == DESK
     # schema mirrors the field names
     data = json.loads(path.read_text())
-    assert set(data) == set(DESK.to_dict())
+    assert set(data) == set(asdict(DESK))
 
 
 def test_resolve_profile_builtins_and_overrides(tmp_path):
@@ -89,7 +90,7 @@ def test_resolve_profile_builtins_and_overrides(tmp_path):
     tuned = resolve_profile("desk", {"p_u": 0.25})
     assert tuned.p_u == 0.25
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(DESK.to_dict()))
+    path.write_text(json.dumps(asdict(DESK)))
     assert resolve_profile(str(path)) == DESK
 
 
@@ -97,7 +98,7 @@ def test_unknown_fields_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown profile fields: bogus"):
         resolve_profile("desk", {"bogus": 1.0})
     with pytest.raises(ValueError, match="unknown profile fields: bogus"):
-        profile_from_dict({**DESK.to_dict(), "bogus": 1})
+        profile_from_dict({**asdict(DESK), "bogus": 1})
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(ValueError, match="unknown profile fields: bogus"):
@@ -105,9 +106,9 @@ def test_unknown_fields_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("data, name", [
-    ({k: v for k, v in DESK.to_dict().items() if k != "p_u"}, "p_u"),
-    ({**DESK.to_dict(), "p_u": "x"}, "not supported"),
-    ({**DESK.to_dict(), "reserved_residues": [0, 1]}, "unknown profile fields"),
+    ({k: v for k, v in asdict(DESK).items() if k != "p_u"}, "p_u"),
+    ({**asdict(DESK), "p_u": "x"}, "not supported"),
+    ({**asdict(DESK), "reserved_residues": [0, 1]}, "unknown profile fields"),
     ([1, 2], "JSON object"),
 ])
 def test_malformed_profile_rejected(tmp_path, data, name):

@@ -100,6 +100,15 @@ class TestWeightedDegrees:
         with pytest.raises(WeightingCoverageError):
             weighted_degrees(k3, np.ones(2, dtype=np.int64))
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_edgeless_graph(self, n):
+        g = Graph.build(n, [])
+        w = EdgeWeighting(weights=np.empty(0, dtype=np.int64), max_weight=3)
+        for counts in (g.degrees, weighted_degrees(g, w), weighted_degrees(g, w.weights)):
+            assert counts.dtype == np.int64 and counts.tolist() == [0] * n
+        bad = conflicts(g, w)
+        assert bad.dtype == np.int64 and bad.size == 0
+
 
 class TestConflicts:
     def test_single_edge_always_conflicts(self, k2):

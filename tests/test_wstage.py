@@ -10,12 +10,18 @@ from conftest import (
     small_run_profile,
 )
 from trisum import analytic, wstage
-from trisum.errors import DegenerateLength, InsufficientFW, NoValidAddition, RetryExhausted
-from trisum.graph import Graph, gen_gnp, gen_random_regular
+from trisum.errors import (
+    DegenerateLength,
+    InsufficientFW,
+    InternalInconsistency,
+    NoValidAddition,
+    RetryExhausted,
+)
+from trisum.graph import Graph, gen_gnp, gen_random_regular, group_by
 from trisum.partition import Partition, initial_outer_weights, sample_partition
 from trisum.profiles import ProfileConstants
 from trisum.rng import TAG_W_EDGE, TAG_W_VERTEX, stream
-from trisum.weighting import weighted_degrees
+from trisum.weighting import EdgeWeighting, weighted_degrees
 from trisum.wstage import (
     IntervalData,
     WStageState,
@@ -387,6 +393,12 @@ class TestIntervals:
             length = 2 ** int(np.floor(np.log2(scale)))
             assert 0.5 * scale <= length <= scale
 
+    def test_no_periphery_vertex(self):
+        g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+        part = craft_partition(g, range(4))
+        length = wstage._interval_lengths(part, loose_profile())
+        assert length.dtype == np.int64 and length.tolist() == [0] * 4
+
     def test_degenerate_length_error(self):
         g = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
         part = craft_partition(g, [])
@@ -672,6 +684,110 @@ class TestChooseAdditions:
         assert exc.value.diagnostics["i1"] == 16
 
 
+def reference_apply_additions(
+    part: Partition, omega1: np.ndarray, additions: np.ndarray
+) -> EdgeWeighting:
+    """apply_additions one periphery vertex at a time, in ascending id:
+    the F_W edges grouped by periphery end, the a(v) lowest ids raised."""
+    g = part.graph
+    w2 = omega1.copy()
+    fw_ids = np.flatnonzero(part.fw_mask)
+    e = g.edges[fw_ids]
+    w_end = np.where(part.in_u[e[:, 0]], e[:, 1], e[:, 0])
+    fw_lists = group_by(w_end, fw_ids, g.vertex_count)
+    for v in part.w_ids:
+        v = int(v)
+        need = int(additions[v])
+        if need == 0:
+            continue
+        mine = fw_lists[v]
+        if mine.size < need:
+            raise InsufficientFW(v, need, int(mine.size))
+        picked = mine[:need]
+        if not (w2[picked] == 1).all():
+            raise InternalInconsistency(
+                f"F_W edges at {v} were not all at weight 1 before the raise"
+            )
+        w2[picked] = 2
+    return EdgeWeighting(weights=w2, max_weight=3)
+
+
+def apply_outcome(apply, part: Partition, omega1: np.ndarray, additions: np.ndarray):
+    """What applying the additions gives: the new weights, or the error's
+    type, message, vertex, need and capacity."""
+    try:
+        omega2 = apply(part, omega1, additions)
+    except (InsufficientFW, InternalInconsistency) as exc:
+        return (type(exc), str(exc), getattr(exc, "vertex", None),
+                getattr(exc, "needed", None), getattr(exc, "available", None))
+    return omega2.weights.dtype, omega2.weights.tobytes(), omega2.max_weight
+
+
+@pytest.fixture(scope="module")
+def sampled_gnp_cases():
+    """Sampled partitions of G(200, 0.5), their initial weightings and the
+    additions chosen for them, for run seeds 0-3."""
+    g = gen_gnp(200, 0.5, seed=0)
+    profile = small_run_profile()
+    cases = []
+    for seed in range(4):
+        part = sample_partition(g, profile, seed=seed)
+        state = resample_w_stage(part, profile, seed=seed)
+        adds = choose_sum_additions(part, state.s1, state.intervals, profile)
+        cases.append((part, state, adds))
+    return cases
+
+
+def additions_within_capacity(part: Partition, seed: int) -> np.ndarray:
+    """Random a(v) in [0, d_FW(v)] on W, 0 on U."""
+    rng = np.random.default_rng(seed)
+    return np.where(part.in_u, 0, rng.integers(0, part.d_fw + 1)).astype(np.int64)
+
+
+class TestApplyAdditionsAgainstReference:
+    def test_chosen_additions(self, sampled_gnp_cases):
+        # at this scale the chosen additions exceed every vertex's F_W
+        # capacity, so the lowest-id periphery vertex is named
+        for part, state, adds in sampled_gnp_cases:
+            got = apply_outcome(apply_additions, part, state.omega1, adds)
+            assert got[0] is InsufficientFW and got[2] == part.w_ids[0]
+            assert got == apply_outcome(reference_apply_additions, part, state.omega1, adds)
+
+    def test_additions_within_capacity(self, sampled_gnp_cases):
+        for i, (part, state, _) in enumerate(sampled_gnp_cases):
+            adds = additions_within_capacity(part, i)
+            got = apply_outcome(apply_additions, part, state.omega1, adds)
+            assert got[0] == np.int64
+            assert got == apply_outcome(reference_apply_additions, part, state.omega1, adds)
+            s2 = weighted_degrees(part.graph, apply_additions(part, state.omega1, adds))
+            w_ids = part.w_ids
+            assert np.array_equal(s2[w_ids], state.s1[w_ids] + adds[w_ids])
+
+    def test_one_vertex_above_capacity(self, sampled_gnp_cases):
+        for i, (part, state, _) in enumerate(sampled_gnp_cases):
+            adds = additions_within_capacity(part, i)
+            v = int(part.w_ids[part.w_ids.size // 2])
+            adds[v] = part.d_fw[v] + 1
+            got = apply_outcome(apply_additions, part, state.omega1, adds)
+            assert got[0] is InsufficientFW
+            assert got[2:] == (v, part.d_fw[v] + 1, part.d_fw[v])
+            assert got == apply_outcome(reference_apply_additions, part, state.omega1, adds)
+
+    def test_raised_edge_not_at_weight_one(self, sampled_gnp_cases):
+        part, state, _ = sampled_gnp_cases[0]
+        adds = additions_within_capacity(part, 0)
+        v = int(part.w_ids[np.flatnonzero(adds[part.w_ids])[3]])
+        at_v = part.fw_mask & (part.graph.edges == v).any(axis=1)
+        omega1 = state.omega1.copy()
+        omega1[np.flatnonzero(at_v)[0]] = 3
+        got = apply_outcome(apply_additions, part, omega1, adds)
+        assert got[:2] == (
+            InternalInconsistency,
+            f"F_W edges at {v} were not all at weight 1 before the raise",
+        )
+        assert got == apply_outcome(reference_apply_additions, part, omega1, adds)
+
+
 class TestApplyAdditions:
     @staticmethod
     def _claw():
@@ -686,17 +802,17 @@ class TestApplyAdditions:
         g, part = self._claw()
         omega1 = np.ones(3, dtype=np.int64)
         adds = np.zeros(4, dtype=np.int64)
-        omega2, s2 = apply_additions(part, omega1, adds)
+        omega2 = apply_additions(part, omega1, adds)
         assert np.array_equal(omega2.weights, omega1)
-        assert np.array_equal(s2, weighted_degrees(g, omega1))
 
     def test_raises_lowest_ids_first(self):
         g, part = self._claw()
         omega1 = np.ones(3, dtype=np.int64)
         a = np.zeros(4, dtype=np.int64)
         a[3] = 2
-        omega2, s2 = apply_additions(part, omega1, a)
+        omega2 = apply_additions(part, omega1, a)
         assert omega2.weights.tolist() == [2, 2, 1]
+        s2 = weighted_degrees(g, omega2)
         assert s2[3] == 5
         assert s2[0] == 2 and s2[1] == 2 and s2[2] == 1
         # the raise moves each periphery sum by exactly its addition
@@ -733,7 +849,8 @@ class TestApplyAdditions:
         s1 = weighted_degrees(g, omega1)
         data = compute_intervals(part, x, profile)
         adds = choose_sum_additions(part, s1, data, profile)
-        omega2, s2 = apply_additions(part, omega1, adds)
+        omega2 = apply_additions(part, omega1, adds)
+        s2 = weighted_degrees(g, omega2)
         w_ids = part.w_ids
         assert adds[w_ids].any()
         assert np.array_equal(s2[w_ids] - s1[w_ids], adds[w_ids])
