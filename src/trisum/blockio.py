@@ -31,6 +31,8 @@ _PLAIN = _SPACE.copy()
 _PLAIN[ord("0"):ord("9") + 1] = True
 _BREAK = np.zeros(256, dtype=bool)
 _BREAK[[10, 11, 12, 13]] = True
+# Every line break of str.splitlines(); "\r\n" counts once.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # Digits of the longest token converted: 10**18 - 1 < 2**63 - 1, while
 # np.fromstring saturates a longer, larger token without an error.
 MAX_DIGITS = 18
@@ -50,9 +52,22 @@ def text_blocks(text: str) -> Iterator[tuple[int, str]]:
         start = end
 
 
-def first_line_no(text: str, offset: int) -> int:
-    """1-based number of the line starting at offset, a block start."""
-    return len(text[:offset].splitlines()) + 1
+class LineNumbers:
+    """1-based numbers of the lines starting at block starts, asked for in
+    ascending order. Each count resumes from the last block start asked
+    for, so numbering any blocks of a text costs time linear in it, and
+    no line is built as a string."""
+
+    def __init__(self, text: str):
+        self.text, self.offset, self.line_no = text, 0, 1
+
+    def at(self, offset: int) -> int:
+        # Both ends are block starts, so no "\r\n" pair straddles either.
+        text, start = self.text, self.offset
+        breaks = sum(text.count(c, start, offset) for c in _LINE_BREAKS)
+        self.line_no += breaks - text.count("\r\n", start, offset)
+        self.offset = offset
+        return self.line_no
 
 
 def split_comments(block: str) -> tuple[str, list[str]]:

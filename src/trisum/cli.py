@@ -8,6 +8,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from typing import get_type_hints
 
 import click
 
@@ -16,7 +17,7 @@ from .errors import TrisumError
 from .graph import Graph, gen_gnp, gen_random_regular, load_edge_list, write_edge_list
 from .oracle import check_sweep_args, min_k_weighting, sweep_small_graphs
 from .pipeline import run as run_pipeline
-from .profiles import check_field_names, resolve_profile
+from .profiles import ProfileConstants, check_field_names, resolve_profile
 from .weighting import conflicts, load_weighting, write_weighting
 
 EXPERIMENT_COLUMNS = [
@@ -96,16 +97,15 @@ def _load_graph(graph: str | None, gen: str | None, gen_seed: int) -> Graph:
 
 
 def _parse_overrides(pairs: tuple[str, ...]) -> dict:
+    """key=value pairs, each value converted to its field's annotated type."""
+    types = get_type_hints(ProfileConstants)
     out: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         check_field_names([key])
-        if key in ("m_levels", "modulus_m"):
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
+        out[key] = types[key](value)
     return out
 
 
@@ -171,18 +171,18 @@ def verify(graph, weights):
 
 @main.command()
 @click.option("--graph", type=click.Path(exists=True), default=None)
-@click.option("--k-max", type=int, default=3, show_default=True)
+@click.option("--k-max", type=int, default=3, show_default=True,
+              help="Largest weight tried, also for --sweep")
 @click.option("--sweep", is_flag=True, default=False, help="Sweep all small graphs")
 @click.option("--n-max", type=int, default=5, show_default=True)
-@click.option("--k", type=int, default=3, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="CSV report path for --sweep")
-def oracle(graph, k_max, sweep, n_max, k, out):
+def oracle(graph, k_max, sweep, n_max, out):
     """Exact minimum-k search, or a sweep over all small connected graphs."""
     if sweep:
-        check_sweep_args(n_max, k)
+        check_sweep_args(n_max, k_max)
         with open(out, "w", newline="") if out is not None else nullcontext() as fh:
-            report = sweep_small_graphs(n_max, k)
+            report = sweep_small_graphs(n_max, k_max)
             if fh is not None:
                 writer = csv.writer(fh)
                 writer.writerow(["graph_id", "n", "m", "min_k"])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockio import first_line_no, format_rows, int_rows, split_comments, text_blocks
+from .blockio import LineNumbers, format_rows, int_rows, split_comments, text_blocks
 from .errors import EdgeListParseError, RetryExhausted, SelfLoopError
 from .rng import TAG_GNP, TAG_REGULAR, stream
 
@@ -139,10 +139,11 @@ def parse_edge_list(text: str) -> Graph:
     """
     hinted = 0
     blocks: list[np.ndarray] = []
+    line_nos = LineNumbers(text)
     for offset, block in text_blocks(text):
         parsed = _edge_block(block)
         if parsed is None:
-            parsed = _scan_edge_lines(block.splitlines(), first_line_no(text, offset))
+            parsed = _scan_edge_lines(block.splitlines(), line_nos.at(offset))
         rows, hint = parsed
         blocks.append(rows)
         hinted = hinted if hint is None else hint

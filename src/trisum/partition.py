@@ -170,6 +170,10 @@ def initial_outer_weights(part: Partition) -> np.ndarray:
 
 @dataclass
 class SampleStats:
+    """Counters that `sample_partition` alone writes, also when it fails:
+    the rounds of each stage of the current sample, reset for each new
+    sample, and the choices redrawn over all samples."""
+
     rounds: dict = field(default_factory=dict)
     resampled: int = 0
 
@@ -187,9 +191,10 @@ def sample_partition(
     F_U coins jointly. A violated constraint redraws only the choices in
     its scope; a stage that cannot stabilize within STAGE_ROUNDS rounds
     restarts the whole sample with fresh streams, up to SAMPLE_ATTEMPTS
-    samples in all. `stats` ends with the rounds of the sample returned and
-    the redraws of every sample, a failed one's too; the last failure's
-    own redraws travel in its RetryExhausted.
+    samples in all. `stats` ends with the redraws of every sample drawn,
+    a failed one's too, and the rounds of every stage the last sample ran,
+    the one it failed in too. An infeasible profile is refused before any
+    sample is drawn, leaving `stats` untouched.
     """
     check_partition_feasible(g, profile)
     if stats is None:
@@ -197,8 +202,8 @@ def sample_partition(
     for attempt in range(SAMPLE_ATTEMPTS - 1):
         try:
             return _sample_once(g, profile, seed, attempt, stats)
-        except RetryExhausted as exc:
-            stats.resampled += exc.resampled
+        except RetryExhausted:
+            pass
     return _sample_once(g, profile, seed, SAMPLE_ATTEMPTS - 1, stats)
 
 
@@ -208,6 +213,7 @@ def _sample_once(
 ) -> Partition:
     n, m = g.vertex_count, g.edge_count
     deg = g.degrees
+    stats.rounds = {}
     e0, e1 = g.edges[:, 0], g.edges[:, 1]
 
     # Stage 1: core memberships under the degree-concentration constraint.
@@ -224,11 +230,7 @@ def _sample_once(
         fresh = stream(seed, TAG_PART_U, attempt, rnd).random(n) < profile.p_u
         in_u[scope] = fresh[scope]
         resampled += int(scope.sum())
-    else:
-        viol_ids = np.flatnonzero(viol)
-        raise RetryExhausted("partition:u", viol_ids.tolist(), STAGE_ROUNDS, resampled)
-    stats.rounds["u"] = rnd
-    stats.resampled += resampled
+    _end_stage(stats, "u", rnd, resampled, viol)
 
     d_w = deg - d_u
     f_mask = in_u[e0] ^ in_u[e1]
@@ -248,12 +250,7 @@ def _sample_once(
         fresh = stream(seed, TAG_PART_FW, attempt, rnd).random(m)
         coins[scope_e] = fresh[scope_e]
         resampled += int(scope_e.sum())
-    else:
-        raise RetryExhausted(
-            "partition:fw", np.flatnonzero(viol).tolist(), STAGE_ROUNDS, resampled
-        )
-    stats.rounds["fw"] = rnd
-    stats.resampled += resampled
+    _end_stage(stats, "fw", rnd, resampled, viol)
 
     fprime_mask = f_mask & ~fw_mask
     d_fprime = _count_incident(g, fprime_mask)
@@ -289,14 +286,22 @@ def _sample_once(
         fresh_u = stream(seed, TAG_PART_FU, attempt, rnd).random(m)
         unif[scope_e] = fresh_u[scope_e]
         resampled += int(scope_e.sum()) + int(viol_levels.sum())
-    else:
-        raise RetryExhausted(
-            "partition:fu", np.flatnonzero(viol).tolist(), STAGE_ROUNDS, resampled
-        )
-    stats.rounds["fu"] = rnd
-    stats.resampled += resampled
+    _end_stage(stats, "fu", rnd, resampled, viol)
 
     return Partition(graph=g, in_u=in_u, levels=levels, fw_mask=fw_mask, fu_mask=fu_mask)
+
+
+def _end_stage(
+    stats: SampleStats, name: str, rounds: int, resampled: int, viol: np.ndarray,
+) -> None:
+    """Record a stage's rounds and redraws; raise if it ended with violators,
+    which happens only when its last round found some."""
+    stats.rounds[name] = rounds
+    stats.resampled += resampled
+    if viol.any():
+        raise RetryExhausted(
+            f"partition:{name}", np.flatnonzero(viol).tolist(), rounds, resampled
+        )
 
 
 @dataclass

@@ -54,14 +54,9 @@ class PipelineOutcome:
     def fingerprint(self) -> str:
         """Deterministic serialization (timings stripped) for seed-identity."""
         body = {
-            "status": self.status,
-            "stage": self.stage,
-            "reason": self.reason,
-            "seed": self.seed,
+            **self.to_dict(),
             "weights": self.weighting.weights.tolist() if self.weighting else None,
-            "stats": {
-                k: v for k, v in self.stats.items() if k not in ("wall_ms",)
-            },
+            "stats": {k: v for k, v in self.stats.items() if k != "wall_ms"},
         }
         return json.dumps(body, sort_keys=True)
 
@@ -100,52 +95,43 @@ def run(g: Graph, profile: ProfileConstants, seed: int) -> PipelineOutcome:
         "rounds": {},
         "audits": {},
     }
-
+    weighting = sums = stage = reason = None
     try:
         _precheck(g, profile)
-    except InfeasibleProfile as exc:
-        stage, reason = exc.outcome_stage, str(exc)
-    else:
         for attempt in range(RESTARTS + 1):
             stats["restarts"] = attempt
             attempt_seed = seed if attempt == 0 else derive_seed(seed, TAG_RESTART, attempt)
             try:
-                outcome = _run_once(g, profile, attempt_seed, stats)
+                weighting, sums = _run_once(g, profile, attempt_seed, stats)
+                break
             except StageFailure as exc:
-                # Keep no reference to exc: its traceback holds the
-                # attempt's arrays alive through the restart.
-                stage, reason = exc.outcome_stage, str(exc)
-                if isinstance(exc, RetryExhausted):
-                    # The failed stage's own rounds, not an earlier
-                    # attempt's; "partition:fu" is kept as {"fu": rounds}.
-                    _, _, part_stage = exc.stage.partition(":")
-                    stats["rounds"][stage] = (
-                        {part_stage: exc.rounds} if part_stage else exc.rounds
-                    )
-                if not exc.restartable:
-                    break
-            else:
-                outcome.seed = seed
-                stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-                return outcome
+                if not exc.restartable or attempt == RESTARTS:
+                    raise
+    except StageFailure as exc:
+        stage, reason = exc.outcome_stage, str(exc)
     stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
     return PipelineOutcome(
-        status="failure", stage=stage, reason=reason,
-        seed=seed, weighting=None, s3=None, stats=stats,
+        status="failure" if weighting is None else "success",
+        stage=stage, reason=reason, seed=seed, weighting=weighting, s3=sums, stats=stats,
     )
 
 
 def _run_once(
     g: Graph, profile: ProfileConstants, seed: int, stats: dict,
-) -> PipelineOutcome:
+) -> tuple[EdgeWeighting, np.ndarray]:
+    """One attempt; returns omega3 and the sums final_verify counted.
+
+    Each stage's counters are added to `stats` where the stage ends,
+    whether it passes or fails.
+    """
     part_stats = SampleStats()
     try:
         part = sample_partition(g, profile, seed, stats=part_stats)
-    except RetryExhausted as exc:
-        stats["resamples_partition"] += part_stats.resampled + exc.resampled
-        raise
-    stats["resamples_partition"] += part_stats.resampled
-    stats["rounds"]["partition"] = part_stats.rounds
+    finally:
+        stats["resamples_partition"] += part_stats.resampled
+        # An infeasible profile is refused before any sample is drawn.
+        if part_stats.rounds:
+            stats["rounds"]["partition"] = part_stats.rounds
     stats["audits"]["partition"] = audit_partition(part, profile).ok
     stats["partition_shape"] = part.describe()
 
@@ -156,6 +142,7 @@ def _run_once(
             state = resample_w_stage(part, profile, seed, rerun=rerun)
         except RetryExhausted as exc:
             stats["resamples_wstage"] += exc.resampled
+            stats["rounds"]["wstage"] = exc.rounds
             if rerun == WSTAGE_RERUNS:
                 raise
             continue
@@ -182,7 +169,4 @@ def _run_once(
     if not report.ok:
         # Construction bug rather than bad luck; surface as a verify failure.
         raise InternalInconsistency(report.summary())
-    return PipelineOutcome(
-        status="success", stage=None, reason=None, seed=seed,
-        weighting=result.omega3, s3=report.sums, stats=stats,
-    )
+    return result.omega3, report.sums

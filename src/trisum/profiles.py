@@ -148,8 +148,6 @@ def feasibility_floor(profile: ProfileConstants) -> float:
 
 
 def check_partition_feasible(g: Graph, profile: ProfileConstants) -> None:
-    if g.edge_count == 0:
-        return
     delta = g.min_degree()
     floor = feasibility_floor(profile)
     if delta < floor:
@@ -161,8 +159,6 @@ def check_partition_feasible(g: Graph, profile: ProfileConstants) -> None:
 
 def check_degree_regime(g: Graph, profile: ProfileConstants) -> None:
     """Required relation between minimum and maximum degree for the pipeline."""
-    if g.edge_count == 0:
-        return
     delta = g.min_degree()
     max_deg = g.max_degree()
     needed = profile.min_delta_ratio * math.log(max(max_deg, 2))

@@ -12,7 +12,7 @@ neighbour, then stays inside that pair for the rest of the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -224,14 +224,8 @@ class VerifyReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "conflict_edges": self.conflict_edges,
-            "bad_core_residues": self.bad_core_residues,
-            "bad_periphery_residues": self.bad_periphery_residues,
-            "changed_periphery_sums": self.changed_periphery_sums,
-            "range_violations": self.range_violations,
-            "interval_violations": self.interval_violations,
+        return {"ok": self.ok} | {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "sums"
         }
 
 

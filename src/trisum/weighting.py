@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockio import first_line_no, format_rows, int_rows, split_comments, text_blocks
+from .blockio import LineNumbers, format_rows, int_rows, split_comments, text_blocks
 from .errors import WeightingCoverageError
 from .graph import Graph, pair_keys
 
@@ -65,10 +65,11 @@ def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
     table = _EdgeTable(g)
     w = np.zeros(g.edge_count, dtype=np.int64)
     seen = np.zeros(g.edge_count, dtype=bool)
+    line_nos = LineNumbers(text)
     for offset, block in text_blocks(text):
         rows = int_rows(split_comments(block)[0], 3)
         if rows is None or not _record_block(table, rows, max_weight, w, seen):
-            _scan_weight_lines(table, block.splitlines(), first_line_no(text, offset),
+            _scan_weight_lines(table, block.splitlines(), line_nos.at(offset),
                                max_weight, w, seen)
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])

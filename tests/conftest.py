@@ -22,6 +22,11 @@ from trisum.wstage import (
 )
 
 
+# Every line break of str.splitlines(), "\r\n" included.
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+
+
 @pytest.fixture
 def k2() -> Graph:
     return Graph.build(2, [(0, 1)])

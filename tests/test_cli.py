@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import format_edge_list, format_weighting, small_run_profile
 from trisum import graph as graph_module
-from trisum.cli import EXPERIMENT_COLUMNS, main
+from trisum.cli import EXPERIMENT_COLUMNS, _parse_overrides, main
 from trisum.graph import Graph, gen_gnp, load_edge_list
 from trisum.weighting import EdgeWeighting
 
@@ -176,7 +176,7 @@ class TestOracleCommand:
     def test_sweep_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         result = runner.invoke(
-            main, ["oracle", "--sweep", "--n-max", "4", "--k", "3",
+            main, ["oracle", "--sweep", "--n-max", "4", "--k-max", "3",
                    "--out", str(out)]
         )
         assert result.exit_code == 0
@@ -223,6 +223,20 @@ class TestWeightCommand:
              "--out", str(tmp_path / "run")],
         )
         assert json_error(result) == "unknown profile fields: bogus"
+
+    def test_set_values_take_their_field_types(self):
+        got = _parse_overrides(("m_levels=4", "min_delta_ratio=0", "modulus_m=12"))
+        assert got == {"m_levels": 4, "min_delta_ratio": 0.0, "modulus_m": 12}
+        assert [type(v) for v in got.values()] == [int, float, int]
+
+    @pytest.mark.parametrize("value", ["4.5", "x"])
+    def test_non_integer_set_value_gives_json_error(self, runner, tmp_path, value):
+        result = runner.invoke(
+            main,
+            ["weight", "--gen", "gnp:30,0.5", "--set", f"m_levels={value}",
+             "--out", str(tmp_path / "run")],
+        )
+        assert json_error(result) == f"invalid literal for int() with base 10: '{value}'"
 
     def test_success_writes_verified_weighting(self, runner, tmp_path):
         # crafted profile tolerant enough that some small instance succeeds
@@ -428,7 +442,7 @@ class TestStructuredErrors:
         assert json_error(result).startswith("n_max above 7")
 
     def test_sweep_k_zero(self, runner):
-        result = runner.invoke(main, ["oracle", "--sweep", "--k", "0"])
+        result = runner.invoke(main, ["oracle", "--sweep", "--k-max", "0"])
         assert json_error(result) == "k_max must be at least 1"
 
     def test_sweep_n_max_below_three(self, runner):
@@ -436,13 +450,17 @@ class TestStructuredErrors:
         assert json_error(result) == "n_max below 3 checks no graph, got 2"
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("args", [
-        ["--k", "0"], ["--n-max", "9"], ["--n-max", "8"], ["--n-max", "2"], ["--n-max", "-5"],
+    @pytest.mark.parametrize("args, message", [
+        (["--k-max", "0"], "k_max must be at least 1"),
+        (["--n-max", "9"], "n_max above 7 exceeds the enumeration budget"),
+        (["--n-max", "8"], "n_max above 7 exceeds the enumeration budget"),
+        (["--n-max", "2"], "n_max below 3 checks no graph, got 2"),
+        (["--n-max", "-5"], "n_max below 3 checks no graph, got -5"),
     ], ids=["k-zero", "n-max-nine", "n-max-eight", "n-max-two", "n-max-negative"])
-    def test_bad_sweep_args_leave_no_out_file(self, runner, tmp_path, args):
+    def test_bad_sweep_args_leave_no_out_file(self, runner, tmp_path, args, message):
         out = tmp_path / "x.csv"
         result = runner.invoke(main, ["oracle", "--sweep", *args, "--out", str(out)])
-        json_error(result)
+        assert json_error(result) == message
         assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import format_edge_list
+from conftest import LINE_ENDS, format_edge_list
 from trisum import blockio
 from trisum import graph as graph_module
 from trisum.errors import EdgeListParseError, RetryExhausted, SelfLoopError
@@ -438,6 +438,22 @@ class TestParseAgainstReference:
             mp.setattr(blockio, "BLOCK_CHARS", 1)
             got = outcome(parse_edge_list, text)
         assert got == ("error", SelfLoopError, "line 5: self-loop at vertex 5", 5)
+        assert got == outcome(reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize("bad", [1500, 2999], ids=["middle-block", "last-block"])
+    def test_line_numbers_over_many_fallback_blocks(self, bad):
+        # signed ids send every block to the line scan; the line ends cycle
+        # through every break str.splitlines() knows
+        lines = [f"+{i} +{i + 1}" for i in range(3000)]
+        lines[bad] = "7 x"
+        text = "".join(
+            line + LINE_ENDS[i % len(LINE_ENDS)] for i, line in enumerate(lines))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blockio, "BLOCK_CHARS", 1)
+            assert len(list(blockio.text_blocks(text))) >= 100
+            got = outcome(parse_edge_list, text)
+        assert got == ("error", EdgeListParseError,
+                       f"line {bad + 1}: non-integer id in '7 x'", bad + 1)
         assert got == outcome(reference_parse_edge_list, text)
 
     @pytest.mark.parametrize("text, line_no", [

@@ -10,6 +10,7 @@ from trisum.errors import InfeasibleProfile, RetryExhausted
 from trisum.graph import Graph, gen_gnp
 from trisum.partition import (
     Partition,
+    SAMPLE_ATTEMPTS,
     SampleStats,
     _comparable_pairs,
     _count_incident,
@@ -119,15 +120,35 @@ class TestSamplePartition:
         assert stats.rounds == second.rounds
         assert stats.resampled == first.value.resampled + second.resampled
 
+    def test_failed_samples_leave_the_last_samples_rounds(self, monkeypatch):
+        # K(10, 10) with a two-round budget: for seed 23 the three samples
+        # stall in the F_U, the core-membership and the F_W stage
+        g = Graph.build(20, [(i, 10 + j) for i in range(10) for j in range(10)])
+        profile = loose_profile(eps_u=0.101)
+        monkeypatch.setattr("trisum.partition.STAGE_ROUNDS", 2)
+        samples = []
+        for attempt in range(SAMPLE_ATTEMPTS):
+            one = SampleStats()
+            with pytest.raises(RetryExhausted) as exc:
+                _sample_once(g, profile, 23, attempt, one)
+            samples.append((exc.value.stage, one))
+        assert [stage for stage, _ in samples] == [
+            "partition:fu", "partition:u", "partition:fw"]
+        assert samples[0][1].rounds == {"u": 1, "fw": 2, "fu": 2}
+        stats = SampleStats()
+        with pytest.raises(RetryExhausted):
+            sample_partition(g, profile, seed=23, stats=stats)
+        assert stats.rounds == samples[-1][1].rounds == {"u": 1, "fw": 2}
+        assert stats.resampled == sum(one.resampled for _, one in samples)
+
     @pytest.mark.parametrize("n", [5, 0])
     def test_edgeless_graph(self, n):
+        # minimum degree 0 is below every profile's feasibility floor
         g = Graph.build(n, [])
         stats = SampleStats()
-        part = sample_partition(g, DESK, seed=0, stats=stats)
-        assert part.in_u.shape == part.levels.shape == (n,)
-        assert part.f_mask.shape == part.fw_mask.shape == part.fu_mask.shape == (0,)
-        assert stats.rounds == {"u": 1, "fw": 1, "fu": 1} and stats.resampled == 0
-        assert audit_partition(part, DESK).ok
+        with pytest.raises(InfeasibleProfile, match="minimum degree 0 is below"):
+            sample_partition(g, DESK, seed=0, stats=stats)
+        assert stats.rounds == {} and stats.resampled == 0
 
 
 class TestJInterval:

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import small_run_profile
+from conftest import loose_profile, small_run_profile
 from trisum.errors import (
     DegenerateLength,
     InsufficientFW,
@@ -13,8 +13,10 @@ from trisum.errors import (
     RetryExhausted,
 )
 from trisum.graph import Graph, gen_gnp, gen_random_regular
+from trisum.partition import SAMPLE_ATTEMPTS, _sample_once
 from trisum.pipeline import run
 from trisum.profiles import DESK
+from trisum.ustage import finalize_u
 from trisum.weighting import EdgeWeighting, conflicts, weighted_degrees
 from trisum.wstage import apply_additions, resample_w_stage
 
@@ -237,18 +239,67 @@ class TestStageFailures:
         self, bipartite_instance, monkeypatch
     ):
         # the core-membership stage finishes after redrawing 70 choices;
-        # the F_U stage then fails after redrawing 300
+        # the F_U stage then fails after redrawing 300, and records its
+        # rounds and redraws before it raises
         def failing(g, profile, seed, *, stats):
             stats.rounds["u"] = 2
             stats.resampled += 70
+            stats.rounds["fu"] = 80
+            stats.resampled += 300
             raise RetryExhausted("partition:fu", [4, 9], 80, resampled=300)
 
         monkeypatch.setattr("trisum.pipeline.sample_partition", failing)
         outcome = run(bipartite_instance, DESK, seed=3)
         assert outcome.stage == "partition"
-        assert outcome.stats["rounds"] == {"partition": {"fu": 80}}
+        assert outcome.stats["rounds"] == {"partition": {"u": 2, "fu": 80}}
         # both attempts' redraws are counted
         assert outcome.stats["resamples_partition"] == 2 * (70 + 300)
+
+    def test_real_partition_failure_reports_every_stage_it_ran(self, monkeypatch):
+        # with two rounds a stage, every sample of both attempts passes the
+        # core-membership stage in its first round and stalls in the F_W one
+        failures = []
+
+        def sample_once(g, profile, seed, attempt, stats):
+            try:
+                return _sample_once(g, profile, seed, attempt, stats)
+            except RetryExhausted as exc:
+                failures.append((exc.stage, dict(stats.rounds), exc.resampled))
+                raise
+
+        monkeypatch.setattr("trisum.partition.STAGE_ROUNDS", 2)
+        monkeypatch.setattr("trisum.partition._sample_once", sample_once)
+        g = gen_gnp(60, 0.8, seed=3)
+        outcome = run(g, loose_profile(eps_u=0.3, eps_fw=0.12), seed=0)
+        assert outcome.stage == "partition" and outcome.stats["restarts"] == 1
+        assert outcome.stats["rounds"] == {"partition": {"u": 1, "fw": 2}}
+        assert [(stage, rounds) for stage, rounds, _ in failures] == (
+            [("partition:fw", {"u": 1, "fw": 2})] * (2 * SAMPLE_ATTEMPTS))
+        # a first-round pass redraws nothing, so the F_W stalls hold every redraw
+        assert outcome.stats["resamples_partition"] == sum(r for _, _, r in failures) > 0
+
+    def test_success_after_a_failed_attempt(self, bipartite_instance, monkeypatch):
+        calls = []
+
+        def no_pair_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NoValidPair(5, {"sum": 40})
+            return finalize_u(*args)
+
+        monkeypatch.setattr("trisum.pipeline.finalize_u", no_pair_once)
+        outcome = run(bipartite_instance, DESK, seed=0)
+        assert outcome.success and len(calls) == 2
+        assert outcome.stage is None and outcome.reason is None
+        assert outcome.seed == 0 and outcome.stats["restarts"] == 1
+        assert outcome.fingerprint() != run(bipartite_instance, DESK, seed=0).fingerprint()
+
+    def test_infeasible_profile_records_no_rounds(self):
+        # K11 has minimum degree 10, below the floor 1 / eps_u = 20
+        g = Graph.build(11, [(i, j) for i in range(11) for j in range(i + 1, 11)])
+        outcome = run(g, loose_profile(eps_u=0.05), seed=0)
+        assert outcome.stage == "precheck" and "feasibility floor" in outcome.reason
+        assert outcome.stats["rounds"] == {} and outcome.stats["resamples_partition"] == 0
 
     @pytest.mark.parametrize("graph", ["k3", "bipartite"])
     def test_negative_seed_rejected_before_any_stage(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blow_up_is_locally_irregular, format_weighting
+from conftest import LINE_ENDS, blow_up_is_locally_irregular, format_weighting
 from trisum import blockio
 from trisum.errors import WeightingCoverageError
 from trisum.graph import MAX_VERTICES, Graph, gen_gnp
@@ -279,6 +279,22 @@ class TestParseWeightingAgainstReference:
         got = weighting_outcome(g, text, parse_weighting)
         assert got == ("error", WeightingCoverageError,
                        f"line 60001: conflicting weight for ({u}, {v})")
+        assert got == weighting_outcome(g, text, reference_parse_weighting)
+
+    @pytest.mark.parametrize("bad", [1500, 2999], ids=["middle-block", "last-block"])
+    def test_line_numbers_over_many_fallback_blocks(self, bad):
+        # signed weights send every block to the line scan; the line ends
+        # cycle through every break str.splitlines() knows
+        g = Graph.build(3001, [(i, i + 1) for i in range(3000)])
+        lines = [f"{i} {i + 1} +{1 + i % 3}" for i in range(3000)]
+        lines[bad] = f"{bad} {bad + 1} 9"
+        text = "".join(
+            line + LINE_ENDS[i % len(LINE_ENDS)] for i, line in enumerate(lines))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blockio, "BLOCK_CHARS", 1)
+            assert len(list(blockio.text_blocks(text))) >= 100
+            got = weighting_outcome(g, text, parse_weighting)
+        assert got[0] == "error" and got[2].startswith(f"line {bad + 1}: ")
         assert got == weighting_outcome(g, text, reference_parse_weighting)
 
     def test_missing_edge_after_many_blocks(self):
