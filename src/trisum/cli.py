@@ -76,13 +76,14 @@ def _parse_gen(spec: str, seed: int) -> Graph:
     try:
         kind, args = spec.split(":", 1)
         parts = args.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"expected two arguments, got {len(parts)}")
+        a, b = parts
         if kind == "gnp":
-            n, p = int(parts[0]), float(parts[1])
-            return gen_gnp(n, p, seed)
+            return gen_gnp(int(a), float(b), seed)
         if kind == "reg":
-            n, d = int(parts[0]), int(parts[1])
-            return gen_random_regular(n, d, seed)
-    except (ValueError, IndexError) as exc:
+            return gen_random_regular(int(a), int(b), seed)
+    except ValueError as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown generator kind in {spec!r}")
 
@@ -218,9 +219,9 @@ def _experiment_task(args: tuple) -> dict:
         "seed": seed,
         "status": outcome.status,
         "stage": outcome.stage or "",
-        "resamples_partition": outcome.stats.get("resamples_partition", 0),
-        "resamples_wstage": outcome.stats.get("resamples_wstage", 0),
-        "wall_ms": round(outcome.stats.get("wall_ms", 0.0), 3),
+        "resamples_partition": outcome.stats["resamples_partition"],
+        "resamples_wstage": outcome.stats["resamples_wstage"],
+        "wall_ms": round(outcome.stats["wall_ms"], 3),
     }
 
 
@@ -233,7 +234,7 @@ def _experiment_task(args: tuple) -> dict:
 @click.option("--profile", "profile_spec", default=None)
 @click.option("--set", "overrides", multiple=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path))
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def experiment(graph, gen_spec, gen_seed, seeds, profile_spec, overrides, out, jobs):
     """Fan the pipeline out over seeds and aggregate results into CSV."""
     try:

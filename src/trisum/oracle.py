@@ -158,8 +158,6 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    n_max: int
-    k: int
     total_checked: int
     rows: list[SweepRow]
     counterexamples: list[SweepRow]
@@ -226,7 +224,4 @@ def sweep_small_graphs(n_max: int, k: int, keep_rows: bool = True) -> SweepRepor
                 rows.append(row)
             if result.min_k is None:
                 counterexamples.append(row)
-    return SweepReport(
-        n_max=n_max, k=k, total_checked=total,
-        rows=rows, counterexamples=counterexamples,
-    )
+    return SweepReport(total_checked=total, rows=rows, counterexamples=counterexamples)

@@ -132,7 +132,11 @@ def _run_once(
         # An infeasible profile is refused before any sample is drawn.
         if part_stats.rounds:
             stats["rounds"]["partition"] = part_stats.rounds
-    stats["audits"]["partition"] = audit_partition(part, profile).ok
+    audit = audit_partition(part, profile)
+    stats["audits"]["partition"] = audit.ok
+    if not audit.ok:
+        failed = ", ".join(name for name, bad in audit.failures.items() if bad)
+        raise InternalInconsistency(f"partition audit failed: {failed}")
     stats["partition_shape"] = part.describe()
 
     # Periphery stage, with a fresh-stream rerun if it stalls or the
@@ -158,10 +162,12 @@ def _run_once(
 
     owner = build_estar(part)
     stats["audits"]["estar_bounds"] = estar_bounds_hold(part, owner)
-    result = finalize_u(part, omega2, owner, profile)
+    if not stats["audits"]["estar_bounds"]:
+        raise InternalInconsistency("E* ownership bounds failed")
+    omega3 = finalize_u(part, omega2, owner, profile)
 
     report = final_verify(
-        part, result.omega3, profile,
+        part, omega3, profile,
         expected_periphery_sums=state.s1 + additions,
     )
     stats["audits"]["final_verify"] = report.ok
@@ -169,4 +175,4 @@ def _run_once(
     if not report.ok:
         # Construction bug rather than bad luck; surface as a verify failure.
         raise InternalInconsistency(report.summary())
-    return result.omega3, report.sums
+    return omega3, report.sums

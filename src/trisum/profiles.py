@@ -55,6 +55,9 @@ class ProfileConstants:
             raise ValueError("frac_nu must be in (0, 1]")
         if self.min_delta_ratio < 0.0:
             raise ValueError("min_delta_ratio must be non-negative")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
 # Residues mod modulus_m that core sums take and periphery sums avoid. The

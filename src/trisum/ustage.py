@@ -12,7 +12,7 @@ neighbour, then stays inside that pair for the rest of the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,26 +89,12 @@ def estar_bounds_hold(part: Partition, owner: np.ndarray) -> bool:
     return bool((owned[u] >= 0.5 * part.d_u[u] - 1).all())
 
 
-@dataclass
-class UStageResult:
-    omega3: EdgeWeighting
-    s3: np.ndarray
-    pair_base: np.ndarray   # int64[n]; -1 where unset
-    trace: list[dict] = field(default_factory=list)
-
-    def trace_jsonl(self) -> str:
-        """One JSON object per processed core vertex, in processing order."""
-        import json
-
-        return "\n".join(json.dumps(t) for t in self.trace) + "\n"
-
-
 def finalize_u(
     part: Partition,
     omega2: EdgeWeighting,
     owner: np.ndarray,
     profile: ProfileConstants,
-) -> UStageResult:
+) -> EdgeWeighting:
     """Assign residue pairs to core vertices and realise them by edge flips.
 
     Owned edges toward processed neighbours have a forced direction (the
@@ -124,7 +110,6 @@ def finalize_u(
     n = g.vertex_count
     pair_base = np.full(n, -1, dtype=np.int64)
     processed = np.zeros(n, dtype=bool)
-    trace: list[dict] = []
 
     u_ids = part.u_ids
     order = u_ids[np.lexsort((u_ids, g.degrees[u_ids]))]
@@ -185,13 +170,8 @@ def finalize_u(
             raise InternalInconsistency(f"vertex {u} missed its target sum")
         pair_base[u] = target
         processed[u] = True
-        trace.append({
-            "u": u, "reachable": [lo, hi], "target": target,
-            "flipped": pool.tolist(),
-        })
 
-    omega3 = EdgeWeighting(weights=w, max_weight=3)
-    return UStageResult(omega3=omega3, s3=s, pair_base=pair_base, trace=trace)
+    return EdgeWeighting(weights=w, max_weight=3)
 
 
 @dataclass

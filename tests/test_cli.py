@@ -64,6 +64,17 @@ class TestGen:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("spec, count", [
+        ("gnp:40,0.9,junk", 3), ("reg:40,4,99", 3), ("gnp:40,0.9,", 3), ("reg:40", 1),
+    ])
+    def test_spec_needs_exactly_two_arguments(self, runner, tmp_path, spec, count):
+        out = tmp_path / "g.txt"
+        result = runner.invoke(main, ["gen", "--gen", spec, "--out", str(out)])
+        assert json_error(result) == (
+            f"bad generator spec {spec!r}: expected two arguments, got {count}"
+        )
+        assert not out.exists()
+
 
 class TestVerify:
     def test_valid_weighting_exits_zero(self, runner, tmp_path):
@@ -224,6 +235,16 @@ class TestWeightCommand:
         )
         assert json_error(result) == "unknown profile fields: bogus"
 
+    def test_non_finite_set_value_gives_json_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["weight", "--gen", "gnp:40,0.9", "--set", "eps_fw=nan",
+             "--out", str(tmp_path / "run")],
+        )
+        assert json_error(result) == "eps_fw must be finite, got nan"
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "run.outcome.json").exists()
+
     def test_set_values_take_their_field_types(self):
         got = _parse_overrides(("m_levels=4", "min_delta_ratio=0", "modulus_m=12"))
         assert got == {"m_levels": 4, "min_delta_ratio": 0.0, "modulus_m": 12}
@@ -352,6 +373,17 @@ class TestExperiment:
              "--out", str(tmp_path / "x.csv")],
         )
         assert json_error(result) == "unknown profile fields: bogus"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, runner, tmp_path, jobs):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main,
+            ["experiment", "--gen", "gnp:30,0.5", "--seeds", "0", "--jobs", jobs,
+             "--out", str(out)],
+        )
+        assert "'--jobs'" in json_error(result)
+        assert not out.exists()
 
 
 class TestStructuredErrors:

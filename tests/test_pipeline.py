@@ -13,10 +13,10 @@ from trisum.errors import (
     RetryExhausted,
 )
 from trisum.graph import Graph, gen_gnp, gen_random_regular
-from trisum.partition import SAMPLE_ATTEMPTS, _sample_once
+from trisum.partition import SAMPLE_ATTEMPTS, Partition, _sample_once, sample_partition
 from trisum.pipeline import run
 from trisum.profiles import DESK
-from trisum.ustage import finalize_u
+from trisum.ustage import build_estar, finalize_u
 from trisum.weighting import EdgeWeighting, conflicts, weighted_degrees
 from trisum.wstage import apply_additions, resample_w_stage
 
@@ -136,6 +136,44 @@ class TestRun:
         assert outcome.weighting is None and outcome.s3 is None
         assert outcome.stats["restarts"] == 0
 
+    def test_failed_partition_audit_stops_the_run(self, bipartite_instance, monkeypatch):
+        # vertices 0-49 forced into the core push their neighbours' d_U far
+        # outside the tolerance the sampler guarantees
+        calls = []
+
+        def forced_core(g, profile, seed, **kwargs):
+            part = sample_partition(g, profile, seed, **kwargs)
+            in_u = part.in_u.copy()
+            in_u[:50] = True
+            f = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
+            calls.append(seed)
+            return Partition(
+                graph=g, in_u=in_u, levels=np.where(in_u, np.maximum(part.levels, 0), -1),
+                fw_mask=part.fw_mask & f, fu_mask=part.fu_mask & f,
+            )
+
+        monkeypatch.setattr("trisum.pipeline.sample_partition", forced_core)
+        outcome = run(bipartite_instance, DESK, seed=0)
+        assert len(calls) == 1  # a construction fault is not retried
+        assert outcome.status == "failure" and outcome.stage == "verify"
+        assert outcome.reason.startswith("partition audit failed: ")
+        assert "u_degree" in outcome.reason.split(": ")[1].split(", ")
+        assert outcome.stats["audits"] == {"partition": False}
+        assert outcome.weighting is None and outcome.s3 is None
+
+    def test_failed_estar_bounds_stop_the_run(self, bipartite_instance, monkeypatch):
+        def one_unowned(part):
+            owner = build_estar(part)
+            owner[np.flatnonzero(part.eu_mask)[0]] = -1
+            return owner
+
+        monkeypatch.setattr("trisum.pipeline.build_estar", one_unowned)
+        outcome = run(bipartite_instance, DESK, seed=0)
+        assert outcome.status == "failure" and outcome.stage == "verify"
+        assert outcome.reason == "E* ownership bounds failed"
+        assert outcome.stats["audits"] == {"partition": True, "estar_bounds": False}
+        assert outcome.stats["restarts"] == 0
+        assert outcome.weighting is None and outcome.s3 is None
 
     def test_unrealised_addition_is_a_drifted_periphery_sum(
         self, bipartite_instance, monkeypatch

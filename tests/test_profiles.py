@@ -1,5 +1,7 @@
 import json
-from dataclasses import asdict
+import math
+from dataclasses import asdict, replace
+from typing import get_type_hints
 
 import pytest
 
@@ -117,6 +119,25 @@ def test_malformed_profile_rejected(tmp_path, data, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=name):
+        resolve_profile(str(path))
+
+
+FLOAT_FIELDS = [k for k, t in get_type_hints(ProfileConstants).items() if t is float]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_finite_values_rejected(field, value):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        replace(DESK, **{field: value})
+
+
+def test_non_finite_json_profile_rejected(tmp_path):
+    # json reads the bare NaN token as a float
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({**asdict(DESK), "eps_fw": math.nan}))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ValueError, match="eps_fw must be finite, got nan"):
         resolve_profile(str(path))
 
 

@@ -9,13 +9,7 @@ from conftest import j_interval, loose_profile, small_run_profile
 from trisum.errors import InternalInconsistency, NoValidPair
 from trisum.graph import Graph, gen_gnp, gen_random_regular, group_by
 from trisum.partition import Partition, initial_outer_weights, n_u_leq_all, sample_partition
-from trisum.ustage import (
-    UStageResult,
-    build_estar,
-    estar_bounds_hold,
-    final_verify,
-    finalize_u,
-)
+from trisum.ustage import build_estar, estar_bounds_hold, final_verify, finalize_u
 from trisum.weighting import EdgeWeighting, weighted_degrees
 
 
@@ -112,7 +106,7 @@ def random_cores(draw):
 
 def reference_finalize_u(
     part: Partition, omega2: EdgeWeighting, owner: np.ndarray, profile,
-) -> UStageResult:
+) -> EdgeWeighting:
     """finalize_u as it was: a Python loop over each core vertex's owned
     edges, one flip at a time. The oracle for its results and errors."""
     g = part.graph
@@ -122,7 +116,6 @@ def reference_finalize_u(
     n = g.vertex_count
     pair_base = np.full(n, -1, dtype=np.int64)
     processed = np.zeros(n, dtype=bool)
-    trace: list[dict] = []
 
     u_ids = part.u_ids
     order = u_ids[np.lexsort((u_ids, g.degrees[u_ids]))]
@@ -174,7 +167,6 @@ def reference_finalize_u(
                 "comparable_neighbours": len(nu_cache[u]),
             })
         shift = target - int(s[u])
-        flipped: list[int] = []
         if shift > 0:
             pool = forced_plus + free
             step = 1
@@ -187,18 +179,12 @@ def reference_finalize_u(
             w[e] += step
             s[u] += step
             s[other[e]] += step
-            flipped.append(e)
         if int(s[u]) != target:
             raise InternalInconsistency(f"vertex {u} missed its target sum")
         pair_base[u] = target
         processed[u] = True
-        trace.append({
-            "u": u, "reachable": [lo, hi], "target": target,
-            "flipped": flipped,
-        })
 
-    omega3 = EdgeWeighting(weights=w, max_weight=3)
-    return UStageResult(omega3=omega3, s3=s, pair_base=pair_base, trace=trace)
+    return EdgeWeighting(weights=w, max_weight=3)
 
 
 def reference_final_verify(
@@ -244,15 +230,15 @@ def reference_final_verify(
     return out
 
 
-def distinguishing_cases_hold(
-    part: Partition, profile, s3: np.ndarray, pair_base: np.ndarray,
-) -> bool:
+def distinguishing_cases_hold(part: Partition, profile, s3: np.ndarray) -> bool:
     """Every core-core edge falls into one of the three separating cases.
 
     Either the degrees differ by more than a factor two, or the J envelopes
-    are disjoint, or the two endpoints carry distinct residue pairs.
+    are disjoint, or the two endpoints carry distinct residue pairs. A core
+    sum lies in its pair {kM, kM + 1}, so its pair base is kM.
     """
     g = part.graph
+    pair_base = s3 - s3 % profile.modulus_m
     eu_ids = np.flatnonzero(part.eu_mask)
     for e in eu_ids:
         a, b = int(g.edges[e, 0]), int(g.edges[e, 1])
@@ -401,35 +387,27 @@ class TestFinalizeU:
     def test_zero_flip_pairs(self):
         g, part, omega2 = hub_triangle()
         profile = loose_profile()
-        result = finalize_u(part, omega2, build_estar(part), profile)
-        assert result.pair_base[[0, 1, 2]].tolist() == [40, 100, 240]
-        assert np.array_equal(result.omega3.weights, omega2.weights)
-        assert result.s3[[0, 1, 2]].tolist() == [40, 100, 240]
-        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
-        report = final_verify(part, result.omega3, profile)
+        omega3 = finalize_u(part, omega2, build_estar(part), profile)
+        assert np.array_equal(omega3.weights, omega2.weights)
+        s3 = weighted_degrees(g, omega3)
+        assert s3[[0, 1, 2]].tolist() == [40, 100, 240]
+        report = final_verify(part, omega3, profile)
         assert report.ok
-        assert distinguishing_cases_hold(
-            part, profile, result.s3, result.pair_base
-        )
+        assert distinguishing_cases_hold(part, profile, s3)
 
     def test_forced_direction_flips(self):
         # one light leaf edge pushes the small hub to 39; reaching 40 flips
         # its free owned edge, and the last hub's forced edge pushes it back
-        # inside its pair
+        # inside its pair {40, 41}
         g, part, omega2 = hub_triangle(light_leaf_weight=1)
         profile = loose_profile()
-        result = finalize_u(part, omega2, build_estar(part), profile)
-        assert result.pair_base[[0, 1, 2]].tolist() == [40, 100, 240]
-        assert result.s3[[0, 1, 2]].tolist() == [41, 100, 240]
-        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
-        assert result.omega3.weights[edge_id(g, 0, 1)] == 3
-        assert result.omega3.weights[edge_id(g, 1, 2)] == 1
-        assert result.omega3.weights[edge_id(g, 0, 2)] == 3
-        # every processed vertex stayed inside its pair
-        for u in (0, 1, 2):
-            assert result.s3[u] - result.pair_base[u] in (0, 1)
+        omega3 = finalize_u(part, omega2, build_estar(part), profile)
+        assert weighted_degrees(g, omega3)[[0, 1, 2]].tolist() == [41, 100, 240]
+        assert omega3.weights[edge_id(g, 0, 1)] == 3
+        assert omega3.weights[edge_id(g, 1, 2)] == 1
+        assert omega3.weights[edge_id(g, 0, 2)] == 3
         # the lightened leaf is flagged by verification (reserved residue 1)
-        report = final_verify(part, result.omega3, profile)
+        report = final_verify(part, omega3, profile)
         assert not report.ok
         assert report.bad_periphery_residues == [3]
 
@@ -453,20 +431,14 @@ class TestFinalizeU:
             weights=np.full(g.edge_count, 2, dtype=np.int64), max_weight=3
         )
         profile = loose_profile()
-        result = finalize_u(part, omega2, build_estar(part), profile)
-        assert result.pair_base[0] == 60
-        assert result.pair_base[1] == 70
-        assert result.s3[1] == 70
-        assert result.s3[0] in (60, 61)
-        helper_sums = result.s3[helpers]
-        assert set(helper_sums.tolist()) <= {10, 11}
-        assert (result.pair_base[helpers] == 10).all()
-        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
-        report = final_verify(part, result.omega3, profile)
+        omega3 = finalize_u(part, omega2, build_estar(part), profile)
+        s3 = weighted_degrees(g, omega3)
+        assert s3[1] == 70
+        assert s3[0] in (60, 61)
+        assert set(s3[helpers].tolist()) <= {10, 11}
+        report = final_verify(part, omega3, profile)
         assert report.ok
-        assert distinguishing_cases_hold(
-            part, profile, result.s3, result.pair_base
-        )
+        assert distinguishing_cases_hold(part, profile, s3)
 
     def test_zero_degree_core_vertex_on_residue(self):
         g = Graph.build(11, [(0, leaf) for leaf in range(1, 11)])
@@ -474,10 +446,8 @@ class TestFinalizeU:
         omega2 = EdgeWeighting(
             weights=np.ones(10, dtype=np.int64), max_weight=3
         )
-        result = finalize_u(part, omega2, build_estar(part), loose_profile())
-        assert result.pair_base[0] == 10
-        assert result.s3[0] == 10
-        assert np.array_equal(result.s3, weighted_degrees(g, result.omega3))
+        omega3 = finalize_u(part, omega2, build_estar(part), loose_profile())
+        assert weighted_degrees(g, omega3)[0] == 10
 
     def test_no_valid_pair_zero_degree(self):
         g = Graph.build(8, [(0, leaf) for leaf in range(1, 8)])
@@ -501,39 +471,27 @@ class TestFinalizeU:
             finalize_u(part, omega2, build_estar(part), loose_profile())
         assert exc.value.diagnostics["blocked_pairs"]
 
-    def test_trace_records_choices(self):
+    def test_first_vertex_reaches_one_step_per_owned_edge(self):
+        # the smallest hub goes first, with only unprocessed partners: its
+        # window is its sum 40 plus or minus one step per owned edge, and
+        # holds no multiple of 1000
         g, part, omega2 = hub_triangle()
         owner = build_estar(part)
-        result = finalize_u(part, omega2, owner, loose_profile())
-        assert [t["u"] for t in result.trace] == [0, 1, 2]
-        assert all("reachable" in t and "target" in t for t in result.trace)
-        # first vertex has only unprocessed partners: its reachable range
-        # spans two moves per owned edge plus the current sum
-        lo, hi = result.trace[0]["reachable"]
         owned0 = int((owner == 0).sum())
-        assert hi - lo + 1 == 2 * owned0 + 1
-        assert hi - lo + 1 >= owned0 + 1
-
-    def test_trace_jsonl(self):
-        import json
-
-        g, part, omega2 = hub_triangle()
-        result = finalize_u(part, omega2, build_estar(part), loose_profile())
-        lines = result.trace_jsonl().strip().splitlines()
-        assert len(lines) == 3
-        assert json.loads(lines[0])["u"] == 0
+        with pytest.raises(NoValidPair) as exc:
+            finalize_u(part, omega2, owner, loose_profile(modulus_m=1000))
+        assert exc.value.vertex == 0
+        assert exc.value.diagnostics["reachable"] == (40 - owned0, 40 + owned0)
 
 
 def finalize_outcome(finalize, part: Partition, omega2: EdgeWeighting, profile):
-    """What a finalize_u run gives: its weights, sums, pair bases and trace
-    (with the trace's JSON text), or its error's type, message and
-    diagnostics."""
+    """What a finalize_u run gives: its weights' dtype and bytes, or its
+    error's type, message and diagnostics."""
     try:
-        r = finalize(part, omega2, build_estar(part), profile)
+        w = finalize(part, omega2, build_estar(part), profile).weights
     except (InternalInconsistency, NoValidPair) as exc:
         return ("error", type(exc), str(exc), getattr(exc, "diagnostics", None))
-    arrays = (r.omega3.weights, r.s3, r.pair_base)
-    return ([(a.dtype, a.tobytes()) for a in arrays], r.trace, r.trace_jsonl())
+    return ("weights", w.dtype, w.tobytes())
 
 
 @functools.cache
@@ -607,7 +565,7 @@ class TestFinalizeAgainstReference:
     def test_hub_triangle(self, light):
         _, part, omega2 = hub_triangle(light_leaf_weight=light)
         got = finalize_outcome(finalize_u, part, omega2, loose_profile())
-        assert isinstance(got[0], list)
+        assert got[0] == "weights"
         assert got == finalize_outcome(reference_finalize_u, part, omega2, loose_profile())
 
 
@@ -623,16 +581,16 @@ class TestFinalVerify:
     def test_periphery_sum_stability_checked(self):
         g, part, omega2 = hub_triangle()
         profile = loose_profile()
-        result = finalize_u(part, omega2, build_estar(part), profile)
+        omega3 = finalize_u(part, omega2, build_estar(part), profile)
         expected = weighted_degrees(g, omega2)
         report = final_verify(
-            part, result.omega3, profile, expected_periphery_sums=expected
+            part, omega3, profile, expected_periphery_sums=expected
         )
         assert report.ok  # core-only edits never move periphery sums
         drifted = expected.copy()
         drifted[10] += 1
         report = final_verify(
-            part, result.omega3, profile, expected_periphery_sums=drifted
+            part, omega3, profile, expected_periphery_sums=drifted
         )
         assert not report.ok
         assert report.changed_periphery_sums == [10]
@@ -640,8 +598,8 @@ class TestFinalVerify:
     def test_range_checks_are_warning_level(self):
         g, part, omega2 = hub_triangle()
         profile = loose_profile()
-        result = finalize_u(part, omega2, build_estar(part), profile)
-        report = final_verify(part, result.omega3, profile)
+        omega3 = finalize_u(part, omega2, build_estar(part), profile)
+        report = final_verify(part, omega3, profile)
         # the crafted envelope is far narrower than the actual sums
         assert report.interval_violations
         assert report.ok
@@ -686,9 +644,9 @@ class TestFinalVerify:
         for light in (1, 2):
             g, part, omega2 = hub_triangle(light_leaf_weight=light)
             profile = loose_profile()
-            result = finalize_u(part, omega2, build_estar(part), profile)
+            omega3 = finalize_u(part, omega2, build_estar(part), profile)
             expected = weighted_degrees(g, omega2)
-            for omega in (omega2, result.omega3):
+            for omega in (omega2, omega3):
                 ref = reference_final_verify(part, omega, profile, expected)
                 got = final_verify(part, omega, profile, expected).to_dict()
                 assert {k: got[k] for k in ref} == ref
