@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .blockio import LineNumbers, format_rows, int_rows, split_comments, text_blocks
-from .errors import EdgeListParseError, RetryExhausted, SelfLoopError
+from .errors import EdgeListParseError, SelfLoopError
 from .rng import TAG_GNP, TAG_REGULAR, stream
 
 
@@ -88,11 +88,13 @@ class Graph:
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbor ids, incident edge ids), neighbors ascending."""
         n, m = self.vertex_count, self.edge_count
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        # Each directed pair occurs once, so the keys are distinct and any
-        # sort of them gives the (src, dst) order; entry i is edge i % m.
-        order = np.argsort(pair_keys(src, dst, n))
+        src = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        dst = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        # The edges are sorted, so the reversed half lists each source's
+        # smaller neighbours ascending and the forward half its larger ones:
+        # a stable sort by source alone (a radix sort on small ids) gives
+        # the (src, dst) order. Entry i is edge i % m.
+        order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return indptr, dst[order], order % m if m else order
@@ -239,16 +241,16 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(vertex_count=n, edges=pairs.astype(np.int64))
 
 
-# Pairing attempts of the random regular generator before it gives up.
-REGULAR_ATTEMPTS = 200
-
-
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular graph via stub pairing with per-round repair.
+    """Random d-regular graph via stub pairing with per-round repair, in
+    one pass.
 
     Clashing stubs (loops / repeated pairs) are re-paired among themselves
-    until none remain; a round that can no longer place any stub restarts
-    the whole attempt.
+    until none remain. A round that places no stub, when no two remaining
+    stubs could form a fresh edge, is a dead end: each leftover pair is
+    then placed by a switch (`_switch_in`). The switch slightly biases the
+    result away from the pairing model's distribution; with every draw
+    from the one stream, the output is still deterministic per seed.
     """
     if d < 0 or n < 0:
         raise ValueError("n and d must be non-negative")
@@ -259,27 +261,66 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     _check_generated_size(n)
     rng = stream(seed, TAG_REGULAR)
 
-    for _ in range(REGULAR_ATTEMPTS):
-        placed = np.empty(0, dtype=np.int64)   # keys lo * n + hi of the edges, ascending
-        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        while stubs.size:
-            rng.shuffle(stubs)
-            lo = np.minimum(stubs[0::2], stubs[1::2])
-            hi = np.maximum(stubs[0::2], stubs[1::2])
-            keys, first = _first_of_keys(lo * n + hi)
-            ok = (lo[first] != hi[first]) & ~_in_sorted(placed, keys)
-            fresh = np.zeros(lo.size, dtype=bool)
-            fresh[first[ok]] = True
-            new = keys[ok]
-            placed = np.insert(placed, np.searchsorted(placed, new), new)
-            # Clashing pairs keep their order, so the next shuffle draws
-            # the same values as a pair-by-pair repair would.
-            stubs = np.stack([lo[~fresh], hi[~fresh]], axis=1).ravel()
-            if stubs.size and not new.size and not _has_suitable(placed, stubs, n):
-                break   # dead end: restart the attempt
-        else:
-            return Graph(vertex_count=n, edges=np.stack([placed // n, placed % n], axis=1))
-    raise RetryExhausted("random-regular", [], REGULAR_ATTEMPTS)
+    placed = np.empty(0, dtype=np.int64)   # keys lo * n + hi of the edges, ascending
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    while stubs.size:
+        rng.shuffle(stubs)
+        lo = np.minimum(stubs[0::2], stubs[1::2])
+        hi = np.maximum(stubs[0::2], stubs[1::2])
+        keys, first = _first_of_keys(lo * n + hi)
+        ok = (lo[first] != hi[first]) & ~_in_sorted(placed, keys)
+        fresh = np.zeros(lo.size, dtype=bool)
+        fresh[first[ok]] = True
+        new = keys[ok]
+        placed = np.insert(placed, np.searchsorted(placed, new), new)
+        # Clashing pairs keep their order, so the next shuffle draws
+        # the same values as a pair-by-pair repair would.
+        stubs = np.stack([lo[~fresh], hi[~fresh]], axis=1).ravel()
+        if stubs.size and not new.size and not _has_suitable(placed, stubs, n):
+            for a, b in stubs.reshape(-1, 2).tolist():
+                placed = _switch_in(placed, a, b, n, rng)
+            break
+    return Graph(vertex_count=n, edges=np.stack([placed // n, placed % n], axis=1))
+
+
+def _switch_in(placed: np.ndarray, a: int, b: int, n: int, rng) -> np.ndarray:
+    """The keys placed with the stub pair (a, b) added by a switch: a placed
+    edge (x, y), drawn uniformly among the oriented edges that allow it,
+    is replaced by (a, x) and (b, y).
+
+    Called at a dead end, where every two vertices with a stub left are
+    adjacent; a switch then exists whenever d < n. Vertex a has a stub
+    left, so deg a < d <= n - 1 and a has a non-neighbour x != a. Every
+    non-neighbour x of a is at full degree d, or (a, x) would be a fresh
+    pair of stubs.
+    - a != b: N(x) holds d vertices and not a, while N(b) | {b} holds at
+      most d vertices, a among them (a and b are adjacent). So x has a
+      neighbour y outside N(b) | {b}.
+    - a == b: a has two stubs left, so N(a) holds at most d - 2 vertices.
+      So x has a neighbour y outside N(a) | {a}: the non-neighbours of a
+      span an edge.
+    Either way (a, x) and (b, y) are fresh, distinct and loop-free. The
+    removed edge has the full-degree end x, so every two vertices with a
+    stub left stay adjacent, and the argument holds for the next pair.
+    """
+    lo, hi = placed // n, placed % n
+    x, y = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    allowed = np.flatnonzero(~_closed_neighbourhood(lo, hi, a, n)[x]
+                             & ~_closed_neighbourhood(lo, hi, b, n)[y])
+    pick = allowed[rng.integers(allowed.size)]
+    x, y = int(x[pick]), int(y[pick])
+    placed = np.delete(placed, np.searchsorted(placed, min(x, y) * n + max(x, y)))
+    new = np.sort([min(a, x) * n + max(a, x), min(b, y) * n + max(b, y)])
+    return np.insert(placed, np.searchsorted(placed, new), new)
+
+
+def _closed_neighbourhood(lo: np.ndarray, hi: np.ndarray, v: int, n: int) -> np.ndarray:
+    """Mask over 0..n-1 of v and its neighbours in the edges (lo, hi)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[v] = True
+    mask[hi[lo == v]] = True
+    mask[lo[hi == v]] = True
+    return mask
 
 
 def _first_of_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import LINE_ENDS, format_edge_list
 from trisum import blockio
 from trisum import graph as graph_module
-from trisum.errors import EdgeListParseError, RetryExhausted, SelfLoopError
+from trisum.errors import EdgeListParseError, SelfLoopError
 from trisum.graph import (
     Graph,
     gen_gnp,
@@ -83,31 +83,45 @@ def reference_format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_gen_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) -> Graph:
-    """The pair-by-pair stub pairing the array rounds replaced."""
+def reference_gen_random_regular(n: int, d: int, seed: int) -> Graph:
+    """Pair-by-pair stub pairing, the oracle for the array rounds: clashing
+    pairs are re-paired until none remain, and at a dead end each leftover
+    pair is placed by a switch drawn from the same stream."""
     rng = stream(seed, TAG_REGULAR)
-    for _ in range(max_attempts):
-        edges: set[tuple[int, int]] = set()
-        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        dead = False
-        while stubs.size:
-            rng.shuffle(stubs)
-            leftovers: list[int] = []
-            placed = 0
-            for a, b in stubs.reshape(-1, 2):
-                a, b = (int(a), int(b)) if a < b else (int(b), int(a))
-                if a == b or (a, b) in edges:
-                    leftovers.extend((a, b))
-                else:
-                    edges.add((a, b))
-                    placed += 1
-            if leftovers and placed == 0 and not reference_has_suitable(edges, leftovers):
-                dead = True
-                break
-            stubs = np.asarray(leftovers, dtype=np.int64)
-        if not dead and not stubs.size:
-            return reference_build(n, edges)
-    raise RetryExhausted("random-regular", [], max_attempts)
+    edges: set[tuple[int, int]] = set()
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    while stubs.size:
+        rng.shuffle(stubs)
+        leftovers: list[int] = []
+        placed = 0
+        for a, b in stubs.reshape(-1, 2):
+            a, b = (int(a), int(b)) if a < b else (int(b), int(a))
+            if a == b or (a, b) in edges:
+                leftovers.extend((a, b))
+            else:
+                edges.add((a, b))
+                placed += 1
+        if leftovers and placed == 0 and not reference_has_suitable(edges, leftovers):
+            for a, b in zip(leftovers[0::2], leftovers[1::2]):
+                reference_switch_in(edges, a, b, rng)
+            break
+        stubs = np.asarray(leftovers, dtype=np.int64)
+    return reference_build(n, edges)
+
+
+def reference_switch_in(edges: set[tuple[int, int]], a: int, b: int, rng) -> None:
+    """Replace a placed edge (x, y) by (a, x) and (b, y), drawn uniformly
+    among the oriented edges, forward ones first, that keep edges simple."""
+    def fresh(u: int, v: int) -> bool:
+        return u != v and (min(u, v), max(u, v)) not in edges
+
+    ordered = sorted(edges)
+    oriented = ordered + [(v, u) for u, v in ordered]
+    allowed = [(x, y) for x, y in oriented if fresh(a, x) and fresh(b, y)]
+    x, y = allowed[int(rng.integers(len(allowed)))]
+    edges.remove((min(x, y), max(x, y)))
+    edges.add((min(a, x), max(a, x)))
+    edges.add((min(b, y), max(b, y)))
 
 
 def reference_has_suitable(edges: set[tuple[int, int]], stubs: list[int]) -> bool:
@@ -257,33 +271,62 @@ class TestGenerators:
         assert g.edges.shape == ref.edges.shape
         assert np.array_equal(g.edges, ref.edges)
 
-    def test_regular_dead_ends_restart(self, monkeypatch):
-        # (10, 3, 26), also a case above, reaches a dead end five times
-        # before a pairing completes (found by scanning seeds with the
-        # reference generator).
-        verdicts = []
+    def test_regular_dead_end_switches_in_first_pass(self, monkeypatch):
+        # (10, 3, 26), also a case above, reaches a dead end: the leftover
+        # pairs are placed by switches and the pass returns, with no
+        # further round.
+        events = []
 
-        def spy(placed, stubs, n):
-            verdicts.append(has_suitable(placed, stubs, n))
-            return verdicts[-1]
+        def spy_suitable(placed, stubs, n):
+            events.append(("suitable", has_suitable(placed, stubs, n)))
+            return events[-1][1]
 
-        has_suitable = graph_module._has_suitable
-        monkeypatch.setattr(graph_module, "_has_suitable", spy)
+        def spy_switch(placed, a, b, n, rng):
+            events.append(("switch", a, b))
+            return switch_in(placed, a, b, n, rng)
+
+        has_suitable, switch_in = graph_module._has_suitable, graph_module._switch_in
+        monkeypatch.setattr(graph_module, "_has_suitable", spy_suitable)
+        monkeypatch.setattr(graph_module, "_switch_in", spy_switch)
         assert (gen_random_regular(10, 3, 26).degrees == 3).all()
-        assert verdicts.count(False) == 5
+        dead = events.index(("suitable", False))
+        assert events[dead + 1:] and all(e[0] == "switch" for e in events[dead + 1:])
 
     def test_regular_reference_instance_pinned(self):
         # sha256 of the reference generator's edges for the ROADMAP's
-        # 400-regular graph on 2000 vertices, gen-seed 7.
+        # 400-regular graph on 2000 vertices, gen-seed 7. Its pairing
+        # reaches a dead end once, placed by one switch.
         g = gen_random_regular(2000, 400, 7)
         assert g.edges.dtype == np.int64 and g.edges.shape == (400_000, 2)
         assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
-            "3d5d4bd6cfc098b317e5625414bb02f8eed43a858618ed5c42677bd448eda31c")
+            "e3038383574b70c9becaefe0223172668a36e1d57502a0764296bf85722d93cc")
 
-    def test_regular_retry_exhausted(self, monkeypatch):
-        monkeypatch.setattr("trisum.graph.REGULAR_ATTEMPTS", 0)
-        with pytest.raises(RetryExhausted):
-            gen_random_regular(600, 80, 2)
+
+@st.composite
+def regular_specs(draw):
+    """(n, d) with 1 <= n <= 24, 0 <= d < n and n * d even, drawn half the
+    time from the dense corners d = n - 2 and n - 3, where the fewest
+    switches are allowed."""
+    n = draw(st.integers(1, 24))
+    degrees = [d for d in range(n) if n * d % 2 == 0]
+    dense = [d for d in (n - 2, n - 3) if d in degrees]
+    if dense and draw(st.booleans()):
+        return n, draw(st.sampled_from(dense))
+    return n, draw(st.sampled_from(degrees))
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_specs(), st.integers(0, 10_000))
+def test_regular_simple_sorted_and_deterministic(spec, seed):
+    n, d = spec
+    g = gen_random_regular(n, d, seed)
+    assert g.vertex_count == n and g.edges.shape == (n * d // 2, 2)
+    assert (g.edges[:, 0] < g.edges[:, 1]).all()
+    keys = g.edges[:, 0] * n + g.edges[:, 1]
+    assert (keys[1:] > keys[:-1]).all()   # sorted, so no edge repeats
+    assert (g.degrees == d).all()
+    assert np.array_equal(g.edges, gen_random_regular(n, d, seed).edges)
+    assert np.array_equal(g.edges, reference_gen_random_regular(n, d, seed).edges)
 
 
 @settings(max_examples=40, deadline=None)
