@@ -183,7 +183,7 @@ def oracle(graph, k_max, sweep, n_max, out):
     if sweep:
         check_sweep_args(n_max, k_max)
         with open(out, "w", newline="") if out is not None else nullcontext() as fh:
-            report = sweep_small_graphs(n_max, k_max)
+            report = sweep_small_graphs(n_max, k_max, keep_rows=out is not None)
             if fh is not None:
                 writer = csv.writer(fh)
                 writer.writerow(["graph_id", "n", "m", "min_k"])

@@ -1,12 +1,21 @@
 """Exact ground truth at small scale by pruned backtracking search.
 
 min_k_weighting finds the least k admitting a weighting with no adjacent
-equal sums; sweep_small_graphs enumerates every connected labeled graph up
-to a vertex budget and reports any instance needing more than a given k.
+equal sums. It fixes the edges in BFS order and, once per graph, lists for
+each position the adjacent pairs whose sums are both final there (one end
+completes at that position, the other earlier or there with a smaller id);
+the backtracking loop compares exactly those pairs.
+
+sweep_small_graphs enumerates every connected labeled graph up to a vertex
+budget and reports any instance needing more than a given k. It walks the
+adjacency bitmasks in chunks of CHUNK consecutive masks, tests connectivity
+for a whole chunk at once by bit-parallel closure, and hands each connected
+graph to min_k_weighting.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,6 +26,10 @@ from .weighting import EdgeWeighting, conflicts
 
 # Largest edge count the exact search accepts; its cost grows as k^m.
 MAX_EDGES = 500
+
+# Consecutive adjacency masks the sweep enumerates at once; larger chunks
+# raise peak memory for no measurable gain.
+CHUNK = 1 << 10
 
 
 @dataclass
@@ -52,51 +65,40 @@ def _bfs_edge_order(adj: list[list[tuple[int, int]]]) -> list[int]:
 
 
 def _search(
-    k: int, ends: list[list[int]], finishing: list[list[int]],
-    nbrs: list[list[int]],
+    k: int, ends: list[list[int]], checks: list[list[tuple[int, int]]],
+    vertex_count: int,
 ) -> tuple[list[int] | None, int]:
-    """Backtrack over edge positions; prune on vertices completed there.
+    """Backtrack over edge positions; prune on the pairs final there.
 
-    ends[p] are the endpoints of the edge at position p, finishing[p] the
-    vertices whose last incident edge it is. Returns the weight chosen at
-    each position (None when no weighting exists) and the weights tried.
+    ends[p] are the endpoints of the edge at position p, checks[p] the
+    adjacent pairs whose sums no later position changes. Returns the weight
+    chosen at each position (None when no weighting exists) and the weights
+    tried.
     """
     m = len(ends)
-    sums = [0] * len(nbrs)
-    complete = [False] * len(nbrs)
+    sums = [0] * vertex_count
     chosen = [0] * m     # weight tried at each position, 0 before the first
     nodes = 0
     p = 0
     while p < m:
         u, v = ends[p]
         w = chosen[p]
-        if w:
-            for x in finishing[p]:
-                complete[x] = False
-            sums[u] -= w
-            sums[v] -= w
         if w == k:
             chosen[p] = 0
+            sums[u] -= k
+            sums[v] -= k
             if p == 0:
                 return None, nodes
             p -= 1
             continue
-        w += 1
-        chosen[p] = w
+        chosen[p] = w + 1
         nodes += 1
-        sums[u] += w
-        sums[v] += w
-        ok = True
-        for x in finishing[p]:
-            complete[x] = True
-            s = sums[x]
-            for y in nbrs[x]:
-                if complete[y] and sums[y] == s:
-                    ok = False
-                    break
-            if not ok:
+        sums[u] += 1
+        sums[v] += 1
+        for x, y in checks[p]:
+            if sums[x] == sums[y]:
                 break
-        if ok:
+        else:
             p += 1
     return chosen, nodes
 
@@ -115,27 +117,27 @@ def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
         )
     n = g.vertex_count
     edges = g.edges.tolist()
+    # The edges are sorted, so each list comes out by ascending neighbour.
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e, (u, v) in enumerate(edges):
         adj[u].append((v, e))
         adj[v].append((u, e))
-    for pairs in adj:
-        pairs.sort()
     order = _bfs_edge_order(adj)
     ends = [edges[e] for e in order]
-    # finishing[p]: vertices whose last incident edge sits at position p
-    finishing: list[list[int]] = [[] for _ in order]
+    # last_pos[v]: position of v's last incident edge, where its sum is final
     last_pos = [-1] * n
     for p, (u, v) in enumerate(ends):
         last_pos[u] = last_pos[v] = p
-    for v, p in enumerate(last_pos):
-        if p >= 0:
-            finishing[p].append(v)
-    nbrs = [[u for u, _ in pairs] for pairs in adj]
+    checks: list[list[tuple[int, int]]] = [[] for _ in order]
+    for x, p in enumerate(last_pos):
+        for y, _ in adj[x]:
+            q = last_pos[y]
+            if q < p or (q == p and y < x):
+                checks[p].append((x, y))
 
     total_nodes = 0
     for k in range(1, k_max + 1):
-        chosen, nodes = _search(k, ends, finishing, nbrs)
+        chosen, nodes = _search(k, ends, checks, n)
         total_nodes += nodes
         if chosen is not None:
             weights = np.zeros(len(order), dtype=np.int64)
@@ -163,19 +165,40 @@ class SweepReport:
     counterexamples: list[SweepRow]
 
 
-def _connected(n: int, adj_bits: list[int]) -> bool:
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        frontier = adj_bits[v] & ~seen
-        while frontier:
-            low = frontier & -frontier
-            u = low.bit_length() - 1
-            seen |= low
-            frontier &= frontier - 1
-            stack.append(u)
-    return seen == (1 << n) - 1
+def _connected_graphs(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(mask, edges) of every connected labeled graph on n >= 3 vertices.
+
+    Bit i of mask is the i-th vertex pair in lexicographic order; masks
+    come in ascending order, and edges is an owned, sorted (m, 2) int64
+    array. On three or more vertices a connected graph has no isolated
+    vertex and at least two edges.
+    """
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64)
+    total = 1 << len(pairs)
+    shifts = np.arange(len(pairs), dtype=np.int64)
+    vertex_bits = np.uint8(1) << np.arange(n, dtype=np.uint8)
+    for start in range(0, total, CHUNK):
+        masks = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        bits = (masks[:, None] >> shifts & 1).astype(bool)
+        # adj[i, v]: neighbours of v in graph i, one bit per vertex
+        adj = np.zeros((len(masks), n), dtype=np.uint8)
+        for idx, (u, v) in enumerate(pairs.tolist()):
+            adj[bits[:, idx], u] |= vertex_bits[v]
+            adj[bits[:, idx], v] |= vertex_bits[u]
+        # reach grows from vertex 0 by one step per round; n - 1 rounds
+        # cover every shortest path
+        reach = np.ones(len(masks), dtype=np.uint8)
+        for _ in range(n - 1):
+            inside = (reach[:, None] & vertex_bits) != 0
+            reach |= np.bitwise_or.reduce(np.where(inside, adj, 0), axis=1)
+        keep = reach == (1 << n) - 1
+        kept = bits[keep]
+        # row-major order: graph by graph, each graph's pairs ascending
+        edges = pairs[np.nonzero(kept)[1]]
+        lo = 0
+        for mask, hi in zip(masks[keep].tolist(), np.cumsum(kept.sum(axis=1)).tolist()):
+            yield mask, edges[lo:hi].copy()
+            lo = hi
 
 
 def check_sweep_args(n_max: int, k: int) -> None:
@@ -201,22 +224,8 @@ def sweep_small_graphs(n_max: int, k: int, keep_rows: bool = True) -> SweepRepor
     counterexamples: list[SweepRow] = []
     total = 0
     for n in range(3, n_max + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            if mask.bit_count() < 2:
-                continue
-            adj_bits = [0] * n
-            edges = []
-            for idx, (u, v) in enumerate(pairs):
-                if mask >> idx & 1:
-                    adj_bits[u] |= 1 << v
-                    adj_bits[v] |= 1 << u
-                    edges.append((u, v))
-            if any(b == 0 for b in adj_bits):
-                continue
-            if not _connected(n, adj_bits):
-                continue
-            g = Graph(vertex_count=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+        for mask, edges in _connected_graphs(n):
+            g = Graph(vertex_count=n, edges=edges)
             total += 1
             result = min_k_weighting(g, k)
             row = SweepRow(graph_id=mask, n=n, m=len(edges), min_k=result.min_k)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import format_edge_list, format_weighting, small_run_profile
 from trisum import graph as graph_module
+from trisum import oracle as oracle_module
 from trisum.cli import EXPERIMENT_COLUMNS, _parse_overrides, main
 from trisum.graph import Graph, gen_gnp, load_edge_list
 from trisum.weighting import EdgeWeighting
@@ -198,6 +200,26 @@ class TestOracleCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 42
         assert set(rows[0]) == {"graph_id", "n", "m", "min_k"}
+
+    def test_sweep_keeps_rows_only_for_out(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(n_max, k_max, keep_rows=True):
+            calls.append(keep_rows)
+            return oracle_module.sweep_small_graphs(n_max, k_max, keep_rows)
+
+        monkeypatch.setattr("trisum.cli.sweep_small_graphs", spy)
+        result = runner.invoke(main, ["oracle", "--sweep", "--n-max", "5"])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"checked": 770, "counterexamples": []}
+        out = tmp_path / "s5.csv"
+        result = runner.invoke(main, ["oracle", "--sweep", "--n-max", "5",
+                                      "--out", str(out)])
+        assert result.exit_code == 0
+        assert calls == [False, True]
+        # the n = 5 report as the per-mask enumeration wrote it
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c9d65835d43f11d388dbb674845290366828519dbcab2435e8b6719a00927521")
 
 
 class TestWeightCommand:

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trisum import oracle
 from trisum.graph import Graph, gen_gnp
-from trisum.oracle import min_k_weighting, sweep_small_graphs
+from trisum.oracle import _connected_graphs, min_k_weighting, sweep_small_graphs
 from trisum.weighting import conflicts
 
 
@@ -122,6 +124,81 @@ def _component_count(g: Graph) -> int:
     for u, v in g.edges.tolist():
         parent[find(u)] = find(v)
     return sum(find(v) == v for v in range(g.vertex_count))
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    """Graphs on up to 8 vertices, isolated vertices and several
+    components included."""
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.build(n, chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.integers(1, 4))
+# a triangle, a path and an isolated vertex; a star whose centre is not vertex 0
+@example(Graph.build(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)]), 4)
+@example(Graph.build(8, [(0, 5), (1, 5), (2, 5), (3, 5), (4, 6)]), 2)
+def test_min_k_matches_reference_property(g, k_max):
+    assert_matches_reference(g, k_max)
+
+
+# Reference enumeration: the per-mask loop that _connected_graphs replaced.
+
+def _reference_connected(n: int, adj_bits: list[int]) -> bool:
+    seen = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        frontier = adj_bits[v] & ~seen
+        while frontier:
+            low = frontier & -frontier
+            seen |= low
+            frontier &= frontier - 1
+            stack.append(low.bit_length() - 1)
+    return seen == (1 << n) - 1
+
+
+def _reference_connected_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        if mask.bit_count() < 2:
+            continue
+        adj_bits = [0] * n
+        edges = []
+        for idx, (u, v) in enumerate(pairs):
+            if mask >> idx & 1:
+                adj_bits[u] |= 1 << v
+                adj_bits[v] |= 1 << u
+                edges.append((u, v))
+        if any(b == 0 for b in adj_bits):
+            continue
+        if not _reference_connected(n, adj_bits):
+            continue
+        yield mask, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+class TestConnectedGraphs:
+    @pytest.mark.parametrize("n, count", [(3, 4), (4, 38), (5, 728), (6, 26704)])
+    def test_counts_are_oeis_a001187(self, n, count):
+        # connected labeled graphs on n vertices
+        assert sum(1 for _ in _connected_graphs(n)) == count
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_per_mask_loop(self, n):
+        got = list(_connected_graphs(n))
+        want = list(_reference_connected_graphs(n))
+        assert [mask for mask, _ in got] == [mask for mask, _ in want]
+        for (_, edges), (_, ref) in zip(got, want):
+            assert edges.dtype == np.int64 and edges.shape == ref.shape
+            assert np.array_equal(edges, ref)
+
+    def test_edges_own_their_data(self):
+        for _, edges in _connected_graphs(5):
+            assert edges.base is None
+            assert edges.flags.c_contiguous
 
 
 class TestMinK:
