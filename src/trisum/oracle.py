@@ -1,10 +1,11 @@
 """Exact ground truth at small scale by pruned backtracking search.
 
 min_k_weighting finds the least k admitting a weighting with no adjacent
-equal sums. It fixes the edges in BFS order and, once per graph, lists for
-each position the adjacent pairs whose sums are both final there (one end
-completes at that position, the other earlier or there with a smaller id);
-the backtracking loop compares exactly those pairs.
+equal sums. Once per graph, one BFS walk fixes the edge order and the
+position where each vertex's sum is final; from these it lists for each
+position the adjacent pairs whose sums are both final there, and the
+backtracking loop compares exactly those pairs. A witness is recounted in
+Python ints over the graph's own edges before it is returned.
 
 sweep_small_graphs enumerates every connected labeled graph up to a vertex
 budget and reports any instance needing more than a given k. It walks the
@@ -21,8 +22,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import InternalInconsistency
 from .graph import Graph
-from .weighting import EdgeWeighting, conflicts
+from .weighting import EdgeWeighting
 
 # Largest edge count the exact search accepts; its cost grows as k^m.
 MAX_EDGES = 500
@@ -37,31 +39,6 @@ class OracleResult:
     min_k: int | None           # None: no witness up to k_max
     witness: EdgeWeighting | None
     nodes_explored: int
-
-
-def _bfs_edge_order(adj: list[list[tuple[int, int]]]) -> list[int]:
-    """Edges in BFS-discovery order from a maximum-degree root per component.
-
-    adj[v] lists (neighbour, edge id) pairs of v by ascending neighbour.
-    """
-    n = len(adj)
-    seen_edge: set[int] = set()
-    seen_vertex = [False] * n
-    order: list[int] = []
-    for root in sorted(range(n), key=lambda v: (-len(adj[v]), v)):
-        if seen_vertex[root] or not adj[root]:
-            continue
-        queue = [root]
-        seen_vertex[root] = True
-        for v in queue:
-            for u, e in adj[v]:
-                if e not in seen_edge:
-                    seen_edge.add(e)
-                    order.append(e)
-                if not seen_vertex[u]:
-                    seen_vertex[u] = True
-                    queue.append(u)
-    return order
 
 
 def _search(
@@ -79,9 +56,11 @@ def _search(
     sums = [0] * vertex_count
     chosen = [0] * m     # weight tried at each position, 0 before the first
     nodes = 0
+    if not m:
+        return chosen, nodes
     p = 0
-    while p < m:
-        u, v = ends[p]
+    u, v = ends[0]       # the endpoints at p, reloaded only when p moves
+    while True:
         w = chosen[p]
         if w == k:
             chosen[p] = 0
@@ -90,6 +69,7 @@ def _search(
             if p == 0:
                 return None, nodes
             p -= 1
+            u, v = ends[p]
             continue
         chosen[p] = w + 1
         nodes += 1
@@ -100,13 +80,17 @@ def _search(
                 break
         else:
             p += 1
-    return chosen, nodes
+            if p == m:
+                return chosen, nodes
+            u, v = ends[p]
 
 
 def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
     """Least k in 1..k_max admitting a no-adjacent-equal-sums weighting.
 
     Graphs with more than MAX_EDGES edges are refused with a ValueError.
+    Every witness is recounted over the graph's own edges before it is
+    returned; an edge with equal end sums raises InternalInconsistency.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -122,30 +106,61 @@ def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
     for e, (u, v) in enumerate(edges):
         adj[u].append((v, e))
         adj[v].append((u, e))
-    order = _bfs_edge_order(adj)
-    ends = [edges[e] for e in order]
-    # last_pos[v]: position of v's last incident edge, where its sum is final
+    # Edges in BFS-discovery order from a maximum-degree root per component
+    # (the sort is stable, so ties go to the smaller id); ends[p] are the
+    # endpoints of the edge at position p, and last_pos[v] is the position
+    # of v's last incident edge, where its sum is final.
+    deg = [len(nbrs) for nbrs in adj]
+    seen_edge = [False] * len(edges)
+    seen_vertex = [False] * n
+    order: list[int] = []
+    ends: list[list[int]] = []
     last_pos = [-1] * n
-    for p, (u, v) in enumerate(ends):
-        last_pos[u] = last_pos[v] = p
+    for root in sorted(range(n), key=deg.__getitem__, reverse=True):
+        if seen_vertex[root] or not deg[root]:
+            continue
+        queue = [root]
+        seen_vertex[root] = True
+        for v in queue:
+            for u, e in adj[v]:
+                if not seen_edge[e]:
+                    seen_edge[e] = True
+                    last_pos[u] = last_pos[v] = len(order)
+                    order.append(e)
+                    ends.append(edges[e])
+                if not seen_vertex[u]:
+                    seen_vertex[u] = True
+                    queue.append(u)
+    # Each edge is compared at the position where its later end completes,
+    # that end first; if both complete there, v (the larger id) is first.
     checks: list[list[tuple[int, int]]] = [[] for _ in order]
-    for x, p in enumerate(last_pos):
-        for y, _ in adj[x]:
-            q = last_pos[y]
-            if q < p or (q == p and y < x):
-                checks[p].append((x, y))
+    for u, v in edges:
+        if last_pos[u] > last_pos[v]:
+            checks[last_pos[u]].append((u, v))
+        else:
+            checks[last_pos[v]].append((v, u))
 
     total_nodes = 0
     for k in range(1, k_max + 1):
         chosen, nodes = _search(k, ends, checks, n)
         total_nodes += nodes
         if chosen is not None:
-            weights = np.zeros(len(order), dtype=np.int64)
-            weights[order] = chosen
-            witness = EdgeWeighting(weights=weights, max_weight=k)
-            leftover = conflicts(g, witness)
-            if leftover.size:
-                raise AssertionError("oracle produced an invalid witness")
+            weights = [0] * len(edges)
+            for e, w in zip(order, chosen):
+                weights[e] = w
+            # The gate shares nothing with the search's pair checks: it
+            # recounts every sum over the graph's edges and tests every edge.
+            sums = [0] * n
+            for (u, v), w in zip(edges, weights):
+                sums[u] += w
+                sums[v] += w
+            for u, v in edges:
+                if sums[u] == sums[v]:
+                    raise InternalInconsistency(
+                        f"oracle witness for k = {k} gives edge ({u}, {v}) "
+                        f"equal sums {sums[u]}"
+                    )
+            witness = EdgeWeighting(weights=np.array(weights, dtype=np.int64), max_weight=k)
             return OracleResult(min_k=k, witness=witness, nodes_explored=total_nodes)
     return OracleResult(min_k=None, witness=None, nodes_explored=total_nodes)
 

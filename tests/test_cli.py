@@ -186,6 +186,18 @@ class TestOracleCommand:
         err = json.loads(result.stderr.strip().splitlines()[-1])
         assert err["error"].startswith("graph has 1595 edges; the exact search takes at most ")
 
+    def test_failed_witness_gate_gives_json_error(self, runner, tmp_path, monkeypatch):
+        # a search that hands back all ones on C4, whose sums are all equal
+        monkeypatch.setattr(oracle_module, "_search",
+                            lambda k, ends, checks, n: ([1] * len(ends), 1))
+        path = tmp_path / "c4.txt"
+        path.write_text(format_edge_list(Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+        result = runner.invoke(main, ["oracle", "--graph", str(path)])
+        assert_structured(result)
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == (
+            "oracle witness for k = 1 gives edge (0, 1) equal sums 2")
+
     def test_sweep_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         result = runner.invoke(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisum import oracle
+from trisum.errors import InternalInconsistency
 from trisum.graph import Graph, gen_gnp
 from trisum.oracle import _connected_graphs, min_k_weighting, sweep_small_graphs
 from trisum.weighting import conflicts
@@ -291,6 +292,24 @@ class TestMinK:
             if result.witness is not None:
                 assert conflicts(g, result.witness).size == 0
                 assert result.witness.weights.max() <= result.min_k
+
+
+class TestWitnessGate:
+    """The gate recounts the witness itself, so a search fault cannot pass."""
+
+    def test_conflicting_witness_raises(self, c4, monkeypatch):
+        # all ones on C4: every vertex sum is 2
+        monkeypatch.setattr(oracle, "_search", lambda k, ends, checks, n: ([1] * len(ends), 1))
+        with pytest.raises(InternalInconsistency,
+                           match=r"^oracle witness for k = 1 gives edge \(0, 1\) equal sums 2$"):
+            min_k_weighting(c4, 3)
+
+    def test_weight_outside_range_raises(self, p3, monkeypatch):
+        # P3 is searched from its centre; weights 2, 1 give sums 2, 3, 1,
+        # which pass the recount, but 2 lies outside [1, 1]
+        monkeypatch.setattr(oracle, "_search", lambda k, ends, checks, n: ([2, 1], 2))
+        with pytest.raises(ValueError, match=r"^weights must lie in \[1, 1\], got \[1, 2\]$"):
+            min_k_weighting(p3, 3)
 
 
 class TestSweep:
