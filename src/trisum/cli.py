@@ -180,6 +180,10 @@ def verify(graph, weights):
               help="CSV report path for --sweep")
 def oracle(graph, k_max, sweep, n_max, out):
     """Exact minimum-k search, or a sweep over all small connected graphs."""
+    if sweep == (graph is not None):
+        raise ValueError("provide exactly one of --graph and --sweep")
+    if out is not None and not sweep:
+        raise ValueError("--out needs --sweep")
     if sweep:
         check_sweep_args(n_max, k_max)
         with open(out, "w", newline="") if out is not None else nullcontext() as fh:
@@ -195,12 +199,14 @@ def oracle(graph, k_max, sweep, n_max, out):
             "counterexamples": [r.graph_id for r in report.counterexamples],
         }))
         sys.exit(0 if not report.counterexamples else 1)
-    if graph is None:
-        raise ValueError("provide --graph or --sweep")
-    result = min_k_weighting(load_edge_list(graph), k_max)
+    g = load_edge_list(graph)
+    result = min_k_weighting(g, k_max)
+    witness = result.witness
     click.echo(json.dumps({
         "min_k": result.min_k,
         "nodes_explored": result.nodes_explored,
+        "witness": None if witness is None else [
+            [u, v, w] for (u, v), w in zip(g.edges.tolist(), witness)],
     }))
 
 

@@ -4,8 +4,10 @@ min_k_weighting finds the least k admitting a weighting with no adjacent
 equal sums. Once per graph, one BFS walk fixes the edge order and the
 position where each vertex's sum is final; from these it lists for each
 position the adjacent pairs whose sums are both final there, and the
-backtracking loop compares exactly those pairs. A witness is recounted in
-Python ints over the graph's own edges before it is returned.
+backtracking loop compares exactly those pairs. A witness is a list of
+weights by edge id; before it is returned, one gate checks each weight
+against [1, k] and recounts every sum in Python ints over the graph's own
+edges.
 
 sweep_small_graphs enumerates every connected labeled graph up to a vertex
 budget and reports any instance needing more than a given k. It walks the
@@ -24,7 +26,6 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .graph import Graph
-from .weighting import EdgeWeighting
 
 # Largest edge count the exact search accepts; its cost grows as k^m.
 MAX_EDGES = 500
@@ -37,7 +38,7 @@ CHUNK = 1 << 10
 @dataclass
 class OracleResult:
     min_k: int | None           # None: no witness up to k_max
-    witness: EdgeWeighting | None
+    witness: list[int] | None   # weight per edge id, each in [1, min_k]
     nodes_explored: int
 
 
@@ -89,8 +90,9 @@ def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
     """Least k in 1..k_max admitting a no-adjacent-equal-sums weighting.
 
     Graphs with more than MAX_EDGES edges are refused with a ValueError.
-    Every witness is recounted over the graph's own edges before it is
-    returned; an edge with equal end sums raises InternalInconsistency.
+    Every witness is checked before it is returned: a weight outside
+    [1, k] or an edge with equal end sums, recounted over the graph's own
+    edges, raises InternalInconsistency.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -149,9 +151,14 @@ def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
             for e, w in zip(order, chosen):
                 weights[e] = w
             # The gate shares nothing with the search's pair checks: it
-            # recounts every sum over the graph's edges and tests every edge.
+            # checks every weight, recounts every sum over the graph's edges
+            # and tests every edge.
             sums = [0] * n
             for (u, v), w in zip(edges, weights):
+                if not 1 <= w <= k:
+                    raise InternalInconsistency(
+                        f"oracle witness for k = {k} has weight {w} outside [1, {k}]"
+                    )
                 sums[u] += w
                 sums[v] += w
             for u, v in edges:
@@ -160,8 +167,7 @@ def min_k_weighting(g: Graph, k_max: int) -> OracleResult:
                         f"oracle witness for k = {k} gives edge ({u}, {v}) "
                         f"equal sums {sums[u]}"
                     )
-            witness = EdgeWeighting(weights=np.array(weights, dtype=np.int64), max_weight=k)
-            return OracleResult(min_k=k, witness=witness, nodes_explored=total_nodes)
+            return OracleResult(min_k=k, witness=weights, nodes_explored=total_nodes)
     return OracleResult(min_k=None, witness=None, nodes_explored=total_nodes)
 
 

@@ -20,7 +20,7 @@ from .errors import InternalInconsistency, NoValidPair
 from .graph import group_by
 from .partition import Partition, j_interval_bounds, n_u_leq_all
 from .profiles import RESERVED_RESIDUES, ProfileConstants
-from .weighting import EdgeWeighting, weighted_degrees
+from .weighting import MAX_WEIGHT, EdgeWeighting, weighted_degrees
 
 
 def build_estar(part: Partition) -> np.ndarray:
@@ -156,10 +156,10 @@ def finalize_u(
         step = 1 if shift > 0 else -1
         forced = forced_plus if shift > 0 else forced_minus
         pool = np.concatenate([forced, free])[:abs(shift)]
-        out_of_range = (w[pool] + step < 1) | (w[pool] + step > 3)
+        out_of_range = (w[pool] + step < 1) | (w[pool] + step > MAX_WEIGHT)
         if out_of_range.any():
             raise InternalInconsistency(
-                f"flip would leave [1,3] at edge {pool[out_of_range][0]}"
+                f"flip would leave [1,{MAX_WEIGHT}] at edge {pool[out_of_range][0]}"
             )
         w[pool] += step
         s[u] += step * pool.size
@@ -171,7 +171,7 @@ def finalize_u(
         pair_base[u] = target
         processed[u] = True
 
-    return EdgeWeighting(weights=w, max_weight=3)
+    return EdgeWeighting(weights=w)
 
 
 @dataclass

@@ -12,21 +12,22 @@ from .blockio import LineNumbers, format_rows, int_rows, split_comments, text_bl
 from .errors import WeightingCoverageError
 from .graph import Graph, pair_keys
 
+# Every weighting trisum builds, reads or writes uses weights 1, 2 and 3.
+MAX_WEIGHT = 3
+
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """Positive integer weights over edge ids, bounded by max_weight."""
+    """Integer weights in [1, MAX_WEIGHT] over edge ids."""
 
     weights: np.ndarray  # int64 per edge id
-    max_weight: int
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.int64)
         object.__setattr__(self, "weights", w)
-        if w.size and (w.min() < 1 or w.max() > self.max_weight):
+        if w.size and (w.min() < 1 or w.max() > MAX_WEIGHT):
             raise ValueError(
-                f"weights must lie in [1, {self.max_weight}], got "
-                f"[{w.min()}, {w.max()}]"
+                f"weights must lie in [1, {MAX_WEIGHT}], got [{w.min()}, {w.max()}]"
             )
 
 
@@ -54,10 +55,10 @@ def _weighting_text(g: Graph, weighting: EdgeWeighting) -> Iterator[str]:
     return format_rows(np.column_stack([g.edges, weighting.weights]))
 
 
-def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
+def parse_weighting(g: Graph, text: str) -> EdgeWeighting:
     """Parse "u v w" lines; must cover every edge of g exactly once.
 
-    Every weight must be an integer in [1, max_weight]; a pair may repeat
+    Every weight must be an integer in [1, MAX_WEIGHT]; a pair may repeat
     only with the same weight. The text is read in blocks (see `blockio`);
     a block that is not plainly well formed is read line by line, and the
     first bad line raises.
@@ -68,13 +69,12 @@ def parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
     line_nos = LineNumbers(text)
     for offset, block in text_blocks(text):
         rows = int_rows(split_comments(block)[0], 3)
-        if rows is None or not _record_block(table, rows, max_weight, w, seen):
-            _scan_weight_lines(table, block.splitlines(), line_nos.at(offset),
-                               max_weight, w, seen)
+        if rows is None or not _record_block(table, rows, w, seen):
+            _scan_weight_lines(table, block.splitlines(), line_nos.at(offset), w, seen)
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise WeightingCoverageError(f"no weight given for edge id {missing}")
-    return EdgeWeighting(weights=w, max_weight=max_weight)
+    return EdgeWeighting(weights=w)
 
 
 class _EdgeTable:
@@ -97,12 +97,12 @@ class _EdgeTable:
         return int(self.ids(np.array([lo]), np.array([hi]))[0])
 
 
-def _record_block(table: _EdgeTable, rows: np.ndarray, max_weight: int,
-                  w: np.ndarray, seen: np.ndarray) -> bool:
+def _record_block(table: _EdgeTable, rows: np.ndarray, w: np.ndarray,
+                  seen: np.ndarray) -> bool:
     """Record a block's weights; False, recording nothing, when a weight is
     out of range, a pair is not an edge or an edge gets a second weight."""
     u, v, wt = rows.T
-    if not ((wt >= 1) & (wt <= max_weight)).all():
+    if not ((wt >= 1) & (wt <= MAX_WEIGHT)).all():
         return False
     e = table.ids(np.minimum(u, v), np.maximum(u, v))
     if (e < 0).any():
@@ -117,7 +117,7 @@ def _record_block(table: _EdgeTable, rows: np.ndarray, max_weight: int,
 
 
 def _scan_weight_lines(table: _EdgeTable, lines: list[str], first: int,
-                       max_weight: int, w: np.ndarray, seen: np.ndarray) -> None:
+                       w: np.ndarray, seen: np.ndarray) -> None:
     """Record weights from lines read one by one, numbered from first;
     raises at the first malformed line."""
     for line_no, raw in enumerate(lines, start=first):
@@ -131,9 +131,9 @@ def _scan_weight_lines(table: _EdgeTable, lines: list[str], first: int,
             u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise WeightingCoverageError(f"line {line_no}: non-integer value in {line!r}")
-        if not 1 <= wt <= max_weight:
+        if not 1 <= wt <= MAX_WEIGHT:
             raise WeightingCoverageError(
-                f"line {line_no}: weight {wt} outside [1, {max_weight}]"
+                f"line {line_no}: weight {wt} outside [1, {MAX_WEIGHT}]"
             )
         key = (u, v) if u < v else (v, u)
         e = table.id_of(*key)

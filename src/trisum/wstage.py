@@ -276,4 +276,4 @@ def apply_additions(
         )
     w2 = omega1.copy()
     w2[raised] = 2
-    return EdgeWeighting(weights=w2, max_weight=3)
+    return EdgeWeighting(weights=w2)

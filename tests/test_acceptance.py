@@ -142,9 +142,7 @@ def test_criterion_4_verifier_equivalence():
         g = gen_gnp(n, float(rng.uniform(0.1, 0.9)), seed=int(rng.integers(1 << 30)))
         if g.edge_count == 0:
             continue
-        w = EdgeWeighting(
-            weights=rng.integers(1, 4, size=g.edge_count), max_weight=3
-        )
+        w = EdgeWeighting(weights=rng.integers(1, 4, size=g.edge_count))
         equal_free = conflicts(g, w).size == 0
         assert blow_up_is_locally_irregular(g, w) == equal_free
         naive = [0] * g.vertex_count

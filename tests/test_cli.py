@@ -81,7 +81,7 @@ class TestGen:
 class TestVerify:
     def test_valid_weighting_exits_zero(self, runner, tmp_path):
         g, gpath = write_k3(tmp_path)
-        w = EdgeWeighting(weights=np.array([1, 3, 2]), max_weight=3)
+        w = EdgeWeighting(weights=np.array([1, 3, 2]))
         wpath = tmp_path / "w.txt"
         wpath.write_text(format_weighting(g, w))
         result = runner.invoke(
@@ -105,7 +105,7 @@ class TestVerify:
 
     def test_conflicting_weighting_exits_one(self, runner, tmp_path):
         g, gpath = write_k3(tmp_path)
-        w = EdgeWeighting(weights=np.array([1, 1, 1]), max_weight=3)
+        w = EdgeWeighting(weights=np.array([1, 1, 1]))
         wpath = tmp_path / "w.txt"
         wpath.write_text(format_weighting(g, w))
         result = runner.invoke(
@@ -166,7 +166,43 @@ class TestOracleCommand:
             main, ["oracle", "--graph", str(path), "--k-max", "3"]
         )
         assert result.exit_code == 0
-        assert json.loads(result.output)["min_k"] == 1
+        assert json.loads(result.output) == {
+            "min_k": 1, "nodes_explored": 2, "witness": [[0, 1, 1], [1, 2, 1]]}
+
+    def test_printed_witness_verifies(self, runner, tmp_path):
+        _, path = write_k3(tmp_path)
+        result = runner.invoke(main, ["oracle", "--graph", str(path)])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["min_k"] == 3
+        wpath = tmp_path / "k3_w.txt"
+        wpath.write_text("".join(f"{u} {v} {w}\n" for u, v, w in payload["witness"]))
+        result = runner.invoke(main, ["verify", "--graph", str(path), "--weights", str(wpath)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["ok"] is True
+
+    def test_no_witness_prints_null(self, runner, tmp_path):
+        _, path = write_k3(tmp_path)
+        result = runner.invoke(main, ["oracle", "--graph", str(path), "--k-max", "2"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["min_k"] is None and payload["witness"] is None
+
+    @pytest.mark.parametrize("args, message", [
+        (["--graph", "k3.txt", "--sweep", "--out", "o.csv"],
+         "provide exactly one of --graph and --sweep"),
+        (["--graph", "k3.txt", "--sweep"], "provide exactly one of --graph and --sweep"),
+        ([], "provide exactly one of --graph and --sweep"),
+        (["--graph", "k3.txt", "--out", "o.csv"], "--out needs --sweep"),
+    ], ids=["graph-and-sweep-with-out", "graph-and-sweep", "neither", "out-without-sweep"])
+    def test_ignored_options_refused(self, runner, tmp_path, monkeypatch, args, message):
+        write_k3(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["oracle"] + args)
+        assert_structured(result)
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == message
+        assert not (tmp_path / "o.csv").exists()
 
     def test_malformed_graph_gives_json_error(self, runner, tmp_path):
         path = tmp_path / "bad.txt"
@@ -197,6 +233,18 @@ class TestOracleCommand:
         assert result.exit_code == 2
         assert json.loads(result.stderr)["error"] == (
             "oracle witness for k = 1 gives edge (0, 1) equal sums 2")
+
+    def test_out_of_range_witness_gives_json_error(self, runner, tmp_path, monkeypatch):
+        # weights 2, 1 on P3 give distinct sums, but 2 lies outside [1, 1]
+        monkeypatch.setattr(oracle_module, "_search",
+                            lambda k, ends, checks, n: ([2, 1], 2))
+        path = tmp_path / "p3.txt"
+        path.write_text(format_edge_list(Graph.build(3, [(0, 1), (1, 2)])))
+        result = runner.invoke(main, ["oracle", "--graph", str(path)])
+        assert_structured(result)
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == (
+            "oracle witness for k = 1 has weight 2 outside [1, 1]")
 
     def test_sweep_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -110,8 +110,7 @@ def _reference_min_k(g: Graph, k_max: int) -> tuple[int | None, int, list[int] |
 
 def assert_matches_reference(g: Graph, k_max: int) -> None:
     result = min_k_weighting(g, k_max)
-    witness = None if result.witness is None else result.witness.weights.tolist()
-    assert (result.min_k, result.nodes_explored, witness) == _reference_min_k(g, k_max)
+    assert (result.min_k, result.nodes_explored, result.witness) == _reference_min_k(g, k_max)
 
 
 def _component_count(g: Graph) -> int:
@@ -212,13 +211,13 @@ class TestMinK:
     def test_path_needs_one(self, p3):
         result = min_k_weighting(p3, 3)
         assert result.min_k == 1
-        assert conflicts(p3, result.witness).size == 0
+        assert conflicts(p3, np.array(result.witness)).size == 0
 
     def test_triangle_needs_three(self, k3):
         result = min_k_weighting(k3, 3)
         assert result.min_k == 3
-        assert conflicts(k3, result.witness).size == 0
-        assert result.witness.weights.max() <= 3
+        assert conflicts(k3, np.array(result.witness)).size == 0
+        assert max(result.witness) <= 3
 
     def test_triangle_fails_at_two(self, k3):
         assert min_k_weighting(k3, 2).min_k is None
@@ -290,12 +289,12 @@ class TestMinK:
             g = Graph.build(n, pairs)
             result = min_k_weighting(g, 4)
             if result.witness is not None:
-                assert conflicts(g, result.witness).size == 0
-                assert result.witness.weights.max() <= result.min_k
+                assert conflicts(g, np.array(result.witness)).size == 0
+                assert 1 <= min(result.witness) <= max(result.witness) <= result.min_k
 
 
 class TestWitnessGate:
-    """The gate recounts the witness itself, so a search fault cannot pass."""
+    """The gate checks the witness itself, so a search fault cannot pass."""
 
     def test_conflicting_witness_raises(self, c4, monkeypatch):
         # all ones on C4: every vertex sum is 2
@@ -306,9 +305,10 @@ class TestWitnessGate:
 
     def test_weight_outside_range_raises(self, p3, monkeypatch):
         # P3 is searched from its centre; weights 2, 1 give sums 2, 3, 1,
-        # which pass the recount, but 2 lies outside [1, 1]
+        # which differ on both edges, but 2 lies outside [1, 1]
         monkeypatch.setattr(oracle, "_search", lambda k, ends, checks, n: ([2, 1], 2))
-        with pytest.raises(ValueError, match=r"^weights must lie in \[1, 1\], got \[1, 2\]$"):
+        with pytest.raises(InternalInconsistency,
+                           match=r"^oracle witness for k = 1 has weight 2 outside \[1, 1\]$"):
             min_k_weighting(p3, 3)
 
 

@@ -190,7 +190,7 @@ class TestRun:
             w = omega2.weights.copy()
             w[np.flatnonzero(at_v & (w == 2))[0]] = 1
             lowered.append(v)
-            return EdgeWeighting(weights=w, max_weight=3)
+            return EdgeWeighting(weights=w)
 
         monkeypatch.setattr("trisum.pipeline.apply_additions", one_raise_short)
         outcome = run(bipartite_instance, DESK, seed=0)

@@ -184,7 +184,7 @@ def reference_finalize_u(
         pair_base[u] = target
         processed[u] = True
 
-    return EdgeWeighting(weights=w, max_weight=3)
+    return EdgeWeighting(weights=w)
 
 
 def reference_final_verify(
@@ -272,7 +272,7 @@ def hub_triangle(light_leaf_weight: int = 2):
     w = np.full(g.edge_count, 2, dtype=np.int64)
     if light_leaf_weight != 2:
         w[edge_id(g, 0, 3)] = light_leaf_weight
-    return g, part, EdgeWeighting(weights=w, max_weight=3)
+    return g, part, EdgeWeighting(weights=w)
 
 
 class TestBuildEstar:
@@ -427,9 +427,7 @@ class TestFinalizeU:
                 edges.append((h, next(leaves)))
         g = Graph.build(23 + 16 + 63, edges)
         part = craft_partition(g, [0, 1] + helpers)
-        omega2 = EdgeWeighting(
-            weights=np.full(g.edge_count, 2, dtype=np.int64), max_weight=3
-        )
+        omega2 = EdgeWeighting(weights=np.full(g.edge_count, 2, dtype=np.int64))
         profile = loose_profile()
         omega3 = finalize_u(part, omega2, build_estar(part), profile)
         s3 = weighted_degrees(g, omega3)
@@ -443,18 +441,14 @@ class TestFinalizeU:
     def test_zero_degree_core_vertex_on_residue(self):
         g = Graph.build(11, [(0, leaf) for leaf in range(1, 11)])
         part = craft_partition(g, [0])
-        omega2 = EdgeWeighting(
-            weights=np.ones(10, dtype=np.int64), max_weight=3
-        )
+        omega2 = EdgeWeighting(weights=np.ones(10, dtype=np.int64))
         omega3 = finalize_u(part, omega2, build_estar(part), loose_profile())
         assert weighted_degrees(g, omega3)[0] == 10
 
     def test_no_valid_pair_zero_degree(self):
         g = Graph.build(8, [(0, leaf) for leaf in range(1, 8)])
         part = craft_partition(g, [0])
-        omega2 = EdgeWeighting(
-            weights=np.ones(7, dtype=np.int64), max_weight=3
-        )
+        omega2 = EdgeWeighting(weights=np.ones(7, dtype=np.int64))
         with pytest.raises(NoValidPair) as exc:
             finalize_u(part, omega2, build_estar(part), loose_profile())
         assert exc.value.vertex == 0
@@ -464,9 +458,7 @@ class TestFinalizeU:
         n = 22
         g = Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         part = craft_partition(g, range(n))
-        omega2 = EdgeWeighting(
-            weights=np.full(g.edge_count, 2, dtype=np.int64), max_weight=3
-        )
+        omega2 = EdgeWeighting(weights=np.full(g.edge_count, 2, dtype=np.int64))
         with pytest.raises(NoValidPair) as exc:
             finalize_u(part, omega2, build_estar(part), loose_profile())
         assert exc.value.diagnostics["blocked_pairs"]
@@ -517,12 +509,12 @@ def outer_weighting(part: Partition) -> EdgeWeighting:
     edges sit at 2, where any one flip stays inside [1, 3]."""
     w = initial_outer_weights(part)
     w[w == 0] = 1
-    return EdgeWeighting(weights=w, max_weight=3)
+    return EdgeWeighting(weights=w)
 
 
 def random_weighting(part: Partition, seed: int) -> EdgeWeighting:
     w = np.random.default_rng(seed).integers(1, 4, part.graph.edge_count)
-    return EdgeWeighting(weights=w, max_weight=3)
+    return EdgeWeighting(weights=w)
 
 
 class TestFinalizeAgainstReference:
@@ -556,7 +548,7 @@ class TestFinalizeAgainstReference:
         n = 22
         g = Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         part = craft_partition(g, range(n))
-        omega2 = EdgeWeighting(weights=np.full(g.edge_count, 2, dtype=np.int64), max_weight=3)
+        omega2 = EdgeWeighting(weights=np.full(g.edge_count, 2, dtype=np.int64))
         got = finalize_outcome(finalize_u, part, omega2, loose_profile())
         assert got[1] is NoValidPair and got[3]["blocked_pairs"]
         assert got == finalize_outcome(reference_finalize_u, part, omega2, loose_profile())
@@ -573,7 +565,7 @@ class TestFinalVerify:
     def test_all_two_single_edge_conflicts(self):
         g = Graph.build(2, [(0, 1)])
         part = craft_partition(g, [0, 1])
-        w = EdgeWeighting(weights=np.array([2]), max_weight=3)
+        w = EdgeWeighting(weights=np.array([2]))
         report = final_verify(part, w, loose_profile())
         assert not report.ok
         assert report.conflict_edges == [0]
@@ -626,7 +618,7 @@ class TestFinalVerify:
         ]
         seen = set()
         for w in weightings:
-            omega = EdgeWeighting(weights=w, max_weight=3)
+            omega = EdgeWeighting(weights=w)
             expected = weighted_degrees(g, omega)
             drifted = expected.copy()
             drifted[rng.choice(part.w_ids, 3, replace=False)] += 1
@@ -663,7 +655,7 @@ class TestFinalVerify:
         extra = total - mine.size
         w[mine[:min(extra, mine.size)]] += 1
         w[mine[:max(extra - mine.size, 0)]] += 1
-        omega = EdgeWeighting(weights=w, max_weight=3)
+        omega = EdgeWeighting(weights=w)
         assert weighted_degrees(g, omega)[0] == total
         ref = reference_final_verify(part, omega, profile)
         got = final_verify(part, omega, profile).to_dict()

@@ -8,6 +8,7 @@ from trisum import blockio
 from trisum.errors import WeightingCoverageError
 from trisum.graph import MAX_VERTICES, Graph, gen_gnp
 from trisum.weighting import (
+    MAX_WEIGHT,
     EdgeWeighting,
     conflicts,
     load_weighting,
@@ -17,7 +18,7 @@ from trisum.weighting import (
 )
 
 
-def reference_parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeWeighting:
+def reference_parse_weighting(g: Graph, text: str) -> EdgeWeighting:
     """The line-by-line parser with a pair dict that the block reader
     replaced: the oracle for its results and for its error messages."""
     pair_to_id = {(int(u), int(v)): e for e, (u, v) in enumerate(g.edges)}
@@ -34,10 +35,8 @@ def reference_parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeW
             u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise WeightingCoverageError(f"line {line_no}: non-integer value in {line!r}")
-        if not 1 <= wt <= max_weight:
-            raise WeightingCoverageError(
-                f"line {line_no}: weight {wt} outside [1, {max_weight}]"
-            )
+        if not 1 <= wt <= 3:
+            raise WeightingCoverageError(f"line {line_no}: weight {wt} outside [1, 3]")
         key = (u, v) if u < v else (v, u)
         if key not in pair_to_id:
             raise WeightingCoverageError(f"line {line_no}: {key} is not an edge")
@@ -49,7 +48,7 @@ def reference_parse_weighting(g: Graph, text: str, max_weight: int = 3) -> EdgeW
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise WeightingCoverageError(f"no weight given for edge id {missing}")
-    return EdgeWeighting(weights=w, max_weight=max_weight)
+    return EdgeWeighting(weights=w)
 
 
 def reference_format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
@@ -58,20 +57,20 @@ def reference_format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def weighting_outcome(g: Graph, text: str, parse, max_weight: int = 3):
+def weighting_outcome(g: Graph, text: str, parse):
     """A parser's weights, or its error's type and message."""
     try:
-        w = parse(g, text, max_weight)
+        w = parse(g, text)
     except Exception as exc:  # compared, never swallowed: see callers
         return ("error", type(exc), str(exc))
-    return ("weights", w.max_weight, w.weights.dtype, w.weights.tolist())
+    return ("weights", w.weights.dtype, w.weights.tolist())
 
 
-def weighting_by_pairs(g: Graph, mapping: dict, max_weight: int = 3) -> EdgeWeighting:
+def weighting_by_pairs(g: Graph, mapping: dict) -> EdgeWeighting:
     w = np.zeros(g.edge_count, dtype=np.int64)
     for e, (u, v) in enumerate(g.edges):
         w[e] = mapping[(int(u), int(v))]
-    return EdgeWeighting(weights=w, max_weight=max_weight)
+    return EdgeWeighting(weights=w)
 
 
 def naive_sums(g: Graph, w: EdgeWeighting) -> list[int]:
@@ -89,7 +88,7 @@ class TestWeightedDegrees:
 
     def test_all_ones_gives_degrees(self):
         g = gen_gnp(20, 0.4, seed=2)
-        w = EdgeWeighting(weights=np.ones(g.edge_count, dtype=np.int64), max_weight=1)
+        w = EdgeWeighting(weights=np.ones(g.edge_count, dtype=np.int64))
         assert np.array_equal(weighted_degrees(g, w), g.degrees)
 
     def test_p3(self, p3):
@@ -103,7 +102,7 @@ class TestWeightedDegrees:
     @pytest.mark.parametrize("n", [0, 5])
     def test_edgeless_graph(self, n):
         g = Graph.build(n, [])
-        w = EdgeWeighting(weights=np.empty(0, dtype=np.int64), max_weight=3)
+        w = EdgeWeighting(weights=np.empty(0, dtype=np.int64))
         for counts in (g.degrees, weighted_degrees(g, w), weighted_degrees(g, w.weights)):
             assert counts.dtype == np.int64 and counts.tolist() == [0] * n
         bad = conflicts(g, w)
@@ -113,7 +112,7 @@ class TestWeightedDegrees:
 class TestConflicts:
     def test_single_edge_always_conflicts(self, k2):
         for wt in (1, 2, 3):
-            w = EdgeWeighting(weights=np.array([wt]), max_weight=3)
+            w = EdgeWeighting(weights=np.array([wt]))
             assert conflicts(k2, w).tolist() == [0]
 
     def test_k3_123_clean(self, k3):
@@ -121,12 +120,12 @@ class TestConflicts:
         assert conflicts(k3, w).tolist() == []
 
     def test_c4_all_ones_all_conflict(self, c4):
-        w = EdgeWeighting(weights=np.ones(4, dtype=np.int64), max_weight=1)
+        w = EdgeWeighting(weights=np.ones(4, dtype=np.int64))
         assert conflicts(c4, w).tolist() == [0, 1, 2, 3]
 
     def test_result_sorted(self):
         g = gen_gnp(15, 0.5, seed=9)
-        w = EdgeWeighting(weights=np.ones(g.edge_count, dtype=np.int64), max_weight=1)
+        w = EdgeWeighting(weights=np.ones(g.edge_count, dtype=np.int64))
         out = conflicts(g, w)
         assert np.array_equal(out, np.sort(out))
 
@@ -137,7 +136,7 @@ class TestBlowUp:
         assert blow_up_is_locally_irregular(k3, w)
 
     def test_single_edge_weight3_not(self, k2):
-        w = EdgeWeighting(weights=np.array([3]), max_weight=3)
+        w = EdgeWeighting(weights=np.array([3]))
         assert not blow_up_is_locally_irregular(k2, w)
 
     def test_c4_1122(self, c4):
@@ -159,7 +158,7 @@ def test_equivalence_and_naive_match(n, seed, data):
         ),
         dtype=np.int64,
     )
-    w = EdgeWeighting(weights=weights, max_weight=3)
+    w = EdgeWeighting(weights=weights)
     assert weighted_degrees(g, w).tolist() == naive_sums(g, w)
     assert blow_up_is_locally_irregular(g, w) == (conflicts(g, w).size == 0)
 
@@ -172,10 +171,10 @@ def test_monotone_shift(n, seed, data):
         return
     weights = np.ones(g.edge_count, dtype=np.int64)
     e = data.draw(st.integers(0, g.edge_count - 1))
-    before = weighted_degrees(g, EdgeWeighting(weights, 3))
+    before = weighted_degrees(g, EdgeWeighting(weights))
     bumped = weights.copy()
     bumped[e] += 1
-    after = weighted_degrees(g, EdgeWeighting(bumped, 3))
+    after = weighted_degrees(g, EdgeWeighting(bumped))
     diff = after - before
     u, v = g.edges[e]
     assert diff[u] == 1 and diff[v] == 1
@@ -198,22 +197,21 @@ class TestSerialization:
             parse_weighting(p3, "0 1 1\n1 2 1\n0 2 1\n")
 
     def test_weight_range_is_max_weight(self, p3):
+        assert MAX_WEIGHT == 3
         with pytest.raises(WeightingCoverageError, match="line 2: weight 4"):
             parse_weighting(p3, "0 1 1\n1 2 4\n")
-        assert parse_weighting(p3, "0 1 1\n1 2 4\n", max_weight=4).max_weight == 4
 
     def test_weight_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            EdgeWeighting(weights=np.array([0]), max_weight=3)
-        with pytest.raises(ValueError):
-            EdgeWeighting(weights=np.array([4]), max_weight=3)
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=r"^weights must lie in \[1, 3\], got "):
+                EdgeWeighting(weights=np.array([bad]))
 
 
 @st.composite
 def weighted_graphs(draw):
     g = gen_gnp(draw(st.integers(0, 9)), draw(st.floats(0.0, 1.0)), draw(st.integers(0, 1000)))
     weights = draw(st.lists(st.integers(1, 3), min_size=g.edge_count, max_size=g.edge_count))
-    return g, EdgeWeighting(weights=np.array(weights, dtype=np.int64), max_weight=3)
+    return g, EdgeWeighting(weights=np.array(weights, dtype=np.int64))
 
 
 _SEP = st.sampled_from([" ", "  ", "\t"])
@@ -258,18 +256,18 @@ def weighting_texts(draw):
 
 class TestParseWeightingAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(weighting_texts(), st.sampled_from([None, 1, 9, 40]), st.sampled_from([2, 3, 4]))
-    def test_same_result_or_error(self, case, block_chars, max_weight):
+    @given(weighting_texts(), st.sampled_from([None, 1, 9, 40]))
+    def test_same_result_or_error(self, case, block_chars):
         g, text = case
         with pytest.MonkeyPatch.context() as mp:
             if block_chars is not None:
                 mp.setattr(blockio, "BLOCK_CHARS", block_chars)
-            got = weighting_outcome(g, text, parse_weighting, max_weight)
-        assert got == weighting_outcome(g, text, reference_parse_weighting, max_weight)
+            got = weighting_outcome(g, text, parse_weighting)
+        assert got == weighting_outcome(g, text, reference_parse_weighting)
 
     def test_first_error_in_second_block(self):
         g = gen_gnp(500, 0.6, seed=2)
-        w = EdgeWeighting(weights=(np.arange(g.edge_count) % 3 + 1), max_weight=3)
+        w = EdgeWeighting(weights=(np.arange(g.edge_count) % 3 + 1))
         lines = format_weighting(g, w).splitlines()
         assert len("\n".join(lines[:60_000])) > blockio.BLOCK_CHARS
         u, v, wt = lines[10].split()
@@ -299,7 +297,7 @@ class TestParseWeightingAgainstReference:
 
     def test_missing_edge_after_many_blocks(self):
         g = gen_gnp(500, 0.6, seed=2)
-        w = EdgeWeighting(weights=np.full(g.edge_count, 2), max_weight=3)
+        w = EdgeWeighting(weights=np.full(g.edge_count, 2))
         lines = format_weighting(g, w).splitlines()
         del lines[70_000]
         text = "\n".join(lines)
@@ -335,8 +333,7 @@ class TestWeightingRoundTrip:
 
     def test_written_file_matches_format(self, tmp_path):
         g = gen_gnp(500, 0.6, seed=4)
-        w = EdgeWeighting(weights=np.random.default_rng(4).integers(1, 4, g.edge_count),
-                          max_weight=3)
+        w = EdgeWeighting(weights=np.random.default_rng(4).integers(1, 4, g.edge_count))
         path = tmp_path / "w.txt"
         write_weighting(g, w, path)
         assert path.read_bytes() == reference_format_weighting(g, w).encode()

@@ -709,7 +709,7 @@ def reference_apply_additions(
                 f"F_W edges at {v} were not all at weight 1 before the raise"
             )
         w2[picked] = 2
-    return EdgeWeighting(weights=w2, max_weight=3)
+    return EdgeWeighting(weights=w2)
 
 
 def apply_outcome(apply, part: Partition, omega1: np.ndarray, additions: np.ndarray):
@@ -720,7 +720,7 @@ def apply_outcome(apply, part: Partition, omega1: np.ndarray, additions: np.ndar
     except (InsufficientFW, InternalInconsistency) as exc:
         return (type(exc), str(exc), getattr(exc, "vertex", None),
                 getattr(exc, "needed", None), getattr(exc, "available", None))
-    return omega2.weights.dtype, omega2.weights.tobytes(), omega2.max_weight
+    return omega2.weights.dtype, omega2.weights.tobytes()
 
 
 @pytest.fixture(scope="module")
