@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import click
+from click.core import ParameterSource
 
 from . import analytic
 from .errors import TrisumError
@@ -175,15 +176,19 @@ def verify(graph, weights):
 @click.option("--k-max", type=int, default=3, show_default=True,
               help="Largest weight tried, also for --sweep")
 @click.option("--sweep", is_flag=True, default=False, help="Sweep all small graphs")
-@click.option("--n-max", type=int, default=5, show_default=True)
+@click.option("--n-max", type=int, default=5, show_default=True,
+              help="Largest vertex count for --sweep")
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="CSV report path for --sweep")
-def oracle(graph, k_max, sweep, n_max, out):
+@click.pass_context
+def oracle(ctx, graph, k_max, sweep, n_max, out):
     """Exact minimum-k search, or a sweep over all small connected graphs."""
     if sweep == (graph is not None):
         raise ValueError("provide exactly one of --graph and --sweep")
     if out is not None and not sweep:
         raise ValueError("--out needs --sweep")
+    if ctx.get_parameter_source("n_max") is not ParameterSource.DEFAULT and not sweep:
+        raise ValueError("--n-max needs --sweep")
     if sweep:
         check_sweep_args(n_max, k_max)
         with open(out, "w", newline="") if out is not None else nullcontext() as fh:

@@ -190,7 +190,7 @@ def sample_partition(
     Stage order: core memberships first, then F_W coins, then levels and
     F_U coins jointly. A violated constraint redraws only the choices in
     its scope; a stage that cannot stabilize within STAGE_ROUNDS rounds
-    restarts the whole sample with fresh streams, up to SAMPLE_ATTEMPTS
+    redraws the whole sample with fresh streams, up to SAMPLE_ATTEMPTS
     samples in all. `stats` ends with the redraws of every sample drawn,
     a failed one's too, and the rounds of every stage the last sample ran,
     the one it failed in too. An infeasible profile is refused before any

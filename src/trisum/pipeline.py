@@ -32,7 +32,9 @@ from .wstage import apply_additions, choose_sum_additions, resample_w_stage
 
 # Fresh-stream reruns of the w-stage when it stalls or no sum addition can
 # be placed, and whole-construction restarts after a restartable stage
-# failure.
+# failure. A restart draws a fresh partition, which rescues core-stage
+# failures on graphs near the edge of what succeeds, such as multipartite
+# graphs with intra-part edges; the w-stage rerun keeps its partition.
 WSTAGE_RERUNS = 1
 RESTARTS = 1
 

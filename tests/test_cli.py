@@ -194,7 +194,11 @@ class TestOracleCommand:
         (["--graph", "k3.txt", "--sweep"], "provide exactly one of --graph and --sweep"),
         ([], "provide exactly one of --graph and --sweep"),
         (["--graph", "k3.txt", "--out", "o.csv"], "--out needs --sweep"),
-    ], ids=["graph-and-sweep-with-out", "graph-and-sweep", "neither", "out-without-sweep"])
+        (["--graph", "k3.txt", "--n-max", "9"], "--n-max needs --sweep"),
+        # the shown default, given explicitly, is still refused
+        (["--graph", "k3.txt", "--n-max", "5"], "--n-max needs --sweep"),
+    ], ids=["graph-and-sweep-with-out", "graph-and-sweep", "neither", "out-without-sweep",
+            "n-max-without-sweep", "default-n-max-without-sweep"])
     def test_ignored_options_refused(self, runner, tmp_path, monkeypatch, args, message):
         write_k3(tmp_path)
         monkeypatch.chdir(tmp_path)

@@ -26,13 +26,17 @@ def small_instance():
     return gen_random_regular(600, 80, seed=2)
 
 
-@pytest.fixture(scope="module")
-def bipartite_instance():
+def bipartite(key) -> Graph:
     """400 x 1200 random bipartite graph, p = 0.7, where DESK runs succeed."""
-    mask = np.random.default_rng([101, 0, 0]).random((400, 1200)) < 0.7
+    mask = np.random.default_rng(key).random((400, 1200)) < 0.7
     left, right = np.nonzero(mask)
     edges = np.stack([left, right + 400], axis=1).astype(np.int64)
     return Graph(vertex_count=1600, edges=edges)
+
+
+@pytest.fixture(scope="module")
+def bipartite_instance():
+    return bipartite([101, 0, 0])
 
 
 class TestPrechecks:
@@ -331,6 +335,17 @@ class TestStageFailures:
         assert outcome.stage is None and outcome.reason is None
         assert outcome.seed == 0 and outcome.stats["restarts"] == 1
         assert outcome.fingerprint() != run(bipartite_instance, DESK, seed=0).fingerprint()
+
+    def test_restart_rescues_a_real_run(self, monkeypatch):
+        # on this graph the first attempt's w-stage stalls, and so does its
+        # rerun; the restart, on a derived seed, succeeds. Without the
+        # restart the same run fails in the w-stage.
+        g = bipartite([3005, 0, 0])
+        outcome = run(g, DESK, seed=1249847568)
+        assert outcome.success and outcome.stats["restarts"] == 1
+        monkeypatch.setattr("trisum.pipeline.RESTARTS", 0)
+        outcome = run(g, DESK, seed=1249847568)
+        assert outcome.stage == "wstage" and "violators after" in outcome.reason
 
     def test_infeasible_profile_records_no_rounds(self):
         # K11 has minimum degree 10, below the floor 1 / eps_u = 20
