@@ -3,18 +3,31 @@
 Edge lists ("u v") and weightings ("u v w") hold one row of integers per
 line, with blank lines and '#' comment lines allowed. A file is read as
 one string, so that a decoding error names its position in the whole
-file, and handled in blocks of about BLOCK_ROWS lines: a block of plain
-digits and whitespace is checked by array operations on its bytes and
-converted by one `np.fromstring` call, in C. `int_rows` gives up
-(returns None) on any other block (signs, '_', non-ASCII digits, the
-separators '\\x1c'-'\\x1f', tokens of over 18 digits); the caller then
-reads that block line by line with `int()`, which is where every error
-message is worded. Writing formats a block of rows with one `%`
-operation.
+file, and handled in blocks of about BLOCK_ROWS lines.
+
+Reading a block (`read_rows`): in an ASCII block without the separators
+'\\x1c'-'\\x1f', comment lines are found from the positions of '#' and of
+the line breaks in the block's bytes, and cut out without a loop over its
+lines; any other block has them taken out line by line
+(`split_comments`). The rest is checked by byte comparisons: only digits
+and C whitespace, no token of over 18 digits, and 0 or k tokens on every
+line, counted from the token starts before each line break. It is then
+converted by one `np.fromstring` call, in C. `int_rows` gives up (returns
+None) on any other block (signs, '_', non-ASCII digits, the separators
+'\\x1c'-'\\x1f', tokens of over 18 digits); the caller then reads that
+block line by line with `int()`, which is where every error message is
+worded. So the accepted syntax, and every error with its message and
+line number, are those of a line-by-line reader.
+
+Writing a block (`format_rows`): each value's digits are looked up, four
+at a time, in a table of the 10,000 four-digit groups, with the leading
+zeros of a value's first group kept as NUL bytes; one mask over the
+block's bytes then drops every NUL.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -22,20 +35,32 @@ import numpy as np
 BLOCK_ROWS = 1 << 16
 BLOCK_CHARS = 8 * BLOCK_ROWS
 
-# C whitespace, which str.split() and np.fromstring both skip; the bytes
-# of a block int_rows converts (C whitespace and the digits); and the C
-# whitespace that str.splitlines() treats as line breaks.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 32]] = True
-_PLAIN = _SPACE.copy()
-_PLAIN[ord("0"):ord("9") + 1] = True
-_BREAK = np.zeros(256, dtype=bool)
-_BREAK[[10, 11, 12, 13]] = True
 # Every line break of str.splitlines(); "\r\n" counts once.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# The ASCII separators, which str.strip() takes for whitespace and
+# str.splitlines() (bar the last) for line breaks. An ASCII block without
+# them breaks lines only at "\n", "\r", "\x0b" and "\x0c", bytes 10 to 13,
+# and has no whitespace but these, " " and "\t".
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Digits of the longest token converted: 10**18 - 1 < 2**63 - 1, while
 # np.fromstring saturates a longer, larger token without an error.
 MAX_DIGITS = 18
+
+
+@functools.cache
+def _digit_groups() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(padded, bare, units): the 10,000 four-digit groups as little-endian
+    ASCII words. A bare group has NUL bytes for its leading zeros, so bare
+    group 0 is all NUL; units group 0 is "0". A value's groups below its
+    first are padded; its first group is bare, or units when it is also
+    its last. Built on first use: importing trisum allocates nothing here."""
+    n = np.arange(10_000, dtype=np.uint16)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (n // place % 10 + ord("0")).astype(np.uint8)
+    bare = np.where(n < place, 0, padded).astype(np.uint8)
+    units = bare.copy()
+    units[0, 3] = ord("0")
+    return tuple(t.view("<u4").ravel() for t in (padded, bare, units))
 
 
 def text_blocks(text: str) -> Iterator[tuple[int, str]]:
@@ -70,6 +95,19 @@ class LineNumbers:
         return self.line_no
 
 
+def read_rows(block: str, k: int) -> tuple[np.ndarray | None, list[str]]:
+    """The `int_rows` of a block with its '#' lines taken out, and those
+    lines, stripped."""
+    if not block.isascii() or any(c in block for c in _SEPARATORS):
+        body, comments = split_comments(block)
+        return int_rows(body, k), comments
+    data, comments = block.encode("ascii"), []
+    if "#" in block:
+        body, comments = _cut_comments(block, np.frombuffer(data, dtype=np.uint8))
+        data = body.encode("ascii")
+    return _int_rows(data, k), comments
+
+
 def split_comments(block: str) -> tuple[str, list[str]]:
     """The block without its '#' lines, and those lines, stripped."""
     if "#" not in block:
@@ -84,41 +122,103 @@ def split_comments(block: str) -> tuple[str, list[str]]:
     return "\n".join(kept), comments
 
 
+def _cut_comments(block: str, raw: np.ndarray) -> tuple[str, list[str]]:
+    """`split_comments` of an ASCII block without the separators, whose
+    bytes are raw; a comment line is left blank, not removed, which
+    changes no line's tokens."""
+    hashes = np.flatnonzero(raw == ord("#"))
+    # A '#' opens a comment line when it follows a line break, or the
+    # block's start, and at most spaces and tabs.
+    filled = np.flatnonzero((raw != ord(" ")) & (raw != ord("\t")))
+    at = np.searchsorted(filled, hashes)
+    opens = hashes[(at == 0) | _is_break(raw[filled[at - 1]])]
+    breaks = np.append(np.flatnonzero(_is_break(raw)), raw.size)
+    ends = breaks[np.searchsorted(breaks, opens)]
+    pieces, comments, start = [], [], 0
+    for first, end in zip(opens.tolist(), ends.tolist()):
+        pieces.append(block[start:first])
+        comments.append(block[first:end].strip())
+        start = end
+    pieces.append(block[start:])
+    return "".join(pieces), comments
+
+
+def _is_break(raw: np.ndarray) -> np.ndarray:
+    """Which bytes are "\\n", "\\r", "\\x0b" or "\\x0c"."""
+    return (raw - np.uint8(10)) < 4
+
+
 def int_rows(block: str, k: int) -> np.ndarray | None:
     """The (rows, k) int64 array of a block of digits and whitespace whose
     every line is blank or holds k tokens of at most MAX_DIGITS digits;
-    None otherwise.
-
-    The block's bytes are checked with array operations, so each line's
-    token count is checked without a loop, and then converted whole in C.
-    """
+    None otherwise."""
     if not block.isascii():
         return None
-    raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    if not _PLAIN[raw].all():
+    return _int_rows(block.encode("ascii"), k)
+
+
+def _int_rows(data: bytes, k: int) -> np.ndarray | None:
+    """`int_rows` of an ASCII block's bytes: they are checked with array
+    operations, so each line's token count is checked without a loop, and
+    then converted whole in C."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digit = (raw - np.uint8(ord("0"))) < 10
+    # C whitespace: "\t", "\n", "\x0b", "\x0c", "\r" and " "
+    if not (digit | (raw == ord(" ")) | ((raw - np.uint8(9)) < 5)).all():
         return None
-    space = _SPACE[raw]
-    starts = ~space
-    starts[1:] &= space[:-1]
-    ends = ~space
-    ends[:-1] &= space[1:]
-    first = np.flatnonzero(starts)
-    if (np.flatnonzero(ends) - first >= MAX_DIGITS).any():
+    # Where a run of MAX_DIGITS + 1 digits starts: from the starts of runs
+    # of `length` digits, those of runs up to twice as long.
+    run, length = digit, 1
+    while length <= MAX_DIGITS:
+        step = min(length, MAX_DIGITS + 1 - length)
+        run = run[:-step] & run[step:]
+        length += step
+    if run.any():
         return None
-    line_of = np.searchsorted(np.flatnonzero(_BREAK[raw]), first)
-    per_line = np.bincount(line_of)
+    starts = digit.copy()
+    starts[1:] &= ~digit[:-1]
+    is_break = _is_break(raw)
+    marks = np.flatnonzero(starts | is_break)
+    # The i-th line break is marks[j] for some j; j - i tokens start
+    # before it. A "\r\n" pair ends one line and an empty one.
+    at_break = np.flatnonzero(is_break[marks])
+    before = at_break - np.arange(at_break.size)
+    tokens = marks.size - at_break.size
+    per_line = np.diff(before, prepend=0, append=tokens)
     if not ((per_line == 0) | (per_line == k)).all():
         return None
-    if not first.size:
+    if not tokens:
         # np.fromstring reads a block without tokens as [0].
         return np.empty((0, k), dtype=np.int64)
-    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, k)
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, k)
 
 
 def format_rows(rows: np.ndarray) -> Iterator[str]:
     """Lines of space-separated integers, one per row, in blocks of
     BLOCK_ROWS rows."""
-    line = " ".join(["%d"] * rows.shape[1]) + "\n"
     for start in range(0, rows.shape[0], BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        yield (line * block.shape[0]) % tuple(block.ravel().tolist())
+        yield _format_block(rows[start:start + BLOCK_ROWS])
+
+
+def _format_block(block: np.ndarray) -> str:
+    if block.min() < 0:
+        # no file trisum writes holds a negative value
+        line = " ".join(["%d"] * block.shape[1]) + "\n"
+        return (line * block.shape[0]) % tuple(block.ravel().tolist())
+    padded, bare, units = _digit_groups()
+    r, k = block.shape
+    groups, top = 1, int(block.max())
+    while top >= 10_000 ** groups:
+        groups += 1
+    # Per value, its groups, first group first, then a separator word.
+    words = np.empty((r, k, groups + 1), dtype="<u4")
+    rest = block
+    for i in range(groups - 1, 0, -1):
+        rest, group = np.divmod(rest, 10_000)
+        first = units if i == groups - 1 else bare
+        words[:, :, i] = np.where(rest > 0, padded[group], first[group])
+    words[:, :, 0] = (units if groups == 1 else bare)[rest]
+    words[:, :, groups] = ord(" ")
+    words[:, -1, groups] = ord("\n")
+    raw = words.view(np.uint8)
+    return raw[raw != 0].tobytes().decode("ascii")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockio import LineNumbers, format_rows, int_rows, split_comments, text_blocks
+from .blockio import LineNumbers, format_rows, read_rows, text_blocks
 from .errors import EdgeListParseError, SelfLoopError
 from .rng import TAG_GNP, TAG_REGULAR, stream
 
@@ -154,10 +154,11 @@ def parse_edge_list(text: str) -> Graph:
 
 def _edge_block(block: str) -> tuple[np.ndarray, int | None] | None:
     """Pairs and last vertex-count hint of a block, or None unless every
-    line of it is plainly well formed."""
-    body, comments = split_comments(block)
-    rows = int_rows(body, 2)
-    if rows is None or (rows[:, 0] == rows[:, 1]).any() or (rows < 0).any():
+    line of it is plainly well formed. `read_rows` takes no sign, so it
+    gives no negative id: of the line scan's checks on a pair, only the
+    self-loop one is left."""
+    rows, comments = read_rows(block, 2)
+    if rows is None or (rows[:, 0] == rows[:, 1]).any():
         return None
     hints = [_hint_count(c) for c in comments if c.startswith(_VERTEX_HINT)]
     if None in hints:

@@ -83,6 +83,33 @@ def reference_format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_format_rows(rows: np.ndarray):
+    """blockio.format_rows as it was: one `%` over a tuple of each block's
+    values, the oracle for the bytes the digit-table writer gives."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], blockio.BLOCK_ROWS):
+        block = rows[start:start + blockio.BLOCK_ROWS]
+        yield (line * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def reference_split_comments(block: str) -> tuple[str, list[str]]:
+    """blockio.split_comments as it was used on every block: the block
+    without its '#' lines, and those lines, stripped."""
+    kept, comments = [], []
+    for line in block.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            comments.append(stripped)
+        else:
+            kept.append(line)
+    return "\n".join(kept), comments
+
+
+def reference_read_rows(block: str, k: int):
+    body, comments = reference_split_comments(block)
+    return blockio.int_rows(body, k), comments
+
+
 def reference_gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Pair-by-pair stub pairing, the oracle for the array rounds: clashing
     pairs are re-paired until none remain, and at a dead end each leftover
@@ -588,6 +615,134 @@ class TestIntRows:
         assert got.shape == (rows, 3) and np.array_equal(got, want)
 
 
+# Values at the edges of the writer's four-digit groups, up to the
+# largest vertex id.
+_GROUP_EDGES = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10_000, 10_001, 99_999,
+                100_000, 10**6, 10**7 - 1, 10**7, graph_module.MAX_VERTICES - 1]
+
+
+@st.composite
+def id_rows(draw):
+    """(rows, k) arrays of vertex ids: 0 rows, 1 row, a few, or about one,
+    two or three blocks, of values up to a drawn digit count, with values
+    at the group edges mixed in."""
+    k = draw(st.sampled_from([2, 3]))
+    block = blockio.BLOCK_ROWS
+    r = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40),
+                       st.sampled_from([block - 1, block, block + 1, 2 * block + 7])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = min(10 ** draw(st.integers(1, 8)), graph_module.MAX_VERTICES)
+    rows = rng.integers(0, top, size=(r, k))
+    mixed = rng.random((r, k)) < draw(st.sampled_from([0.0, 0.1, 0.9]))
+    rows[mixed] = rng.choice(_GROUP_EDGES, size=int(mixed.sum()))
+    return rows
+
+
+def read_all_rows(text: str, k: int) -> np.ndarray:
+    parts = [blockio.read_rows(block, k)[0] for _, block in blockio.text_blocks(text)]
+    return np.concatenate(parts) if parts else np.empty((0, k), dtype=np.int64)
+
+
+class TestFormatRows:
+    @settings(max_examples=60, deadline=None)
+    @given(id_rows())
+    def test_bytes_match_reference(self, rows):
+        got = list(blockio.format_rows(rows))
+        assert got == list(reference_format_rows(rows))
+        assert len(got) == -(-rows.shape[0] // blockio.BLOCK_ROWS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, graph_module.MAX_VERTICES - 1), min_size=k, max_size=k),
+        min_size=1, max_size=20)))
+    def test_small_blocks_match_reference(self, values):
+        rows = np.array(values, dtype=np.int64)
+        assert list(blockio.format_rows(rows)) == list(reference_format_rows(rows))
+
+    @pytest.mark.parametrize("values", [
+        [[0, 2**63 - 1, 10**18], [10**12, 10**16 - 1, 10**16]],
+        [[-1, 0, 5], [7, -(2**63), 12]],
+    ], ids=["int64-range", "negative"])
+    def test_values_beyond_vertex_ids_match_reference(self, values):
+        rows = np.array(values, dtype=np.int64)
+        assert list(blockio.format_rows(rows)) == list(reference_format_rows(rows))
+
+    @settings(max_examples=40, deadline=None)
+    @given(id_rows())
+    def test_read_of_written_rows(self, rows):
+        back = read_all_rows("".join(blockio.format_rows(rows)), rows.shape[1])
+        assert back.dtype == np.int64 and np.array_equal(back, rows)
+
+
+# Lines of a block for the comment tests: rows, blanks, and comments at
+# any indent, with every line break of an ASCII block.
+_BLOCK_LINE = st.one_of(
+    st.sampled_from(["0 1", "12 3", "7  8", "\t4\t5 ", "", " ", "\t"]),
+    st.sampled_from(["#", "# vertices: 5", "  # x", "\t# y  ", " \t#z#", "#\t",
+                     "# 0 1", "0 1 # tail", "1 #2", "x # y"]),
+)
+_BLOCK_END = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c"])
+
+
+@st.composite
+def commented_blocks(draw):
+    lines = draw(st.lists(_BLOCK_LINE, max_size=12))
+    ends = [draw(_BLOCK_END) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]   # a last line without a line break
+    return text
+
+
+def same_read(got, want) -> bool:
+    (rows, comments), (want_rows, want_comments) = got, want
+    if rows is None or want_rows is None:
+        return rows is want_rows and comments == want_comments
+    return np.array_equal(rows, want_rows) and comments == want_comments
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("block", [
+        "# vertices: 4\n0 1\n2 3\n",
+        "0 1\n# middle\n2 3\n",
+        "0 1\n2 3\n# end",
+        "0 1\n2 3\n# end\n",
+        "  # x\n0 1\n\t# y\n",
+        "# a\r\n0 1\r\n# b\r\n2 3",
+        "0 1\x0b# a\x0c2 3\x0c# b\x0b",
+        "0 1\r# a\r2 3",
+        "#\n#\n",
+        "0 1 # tail\n",
+        "0 1\n1 #2\n",
+        "# vertices: 3\x1f\n0 1\n",
+        "\x1f# x\n0 1\n",
+        "# a\x1c0 1\n",
+        "# caf\xe9\n0 1\n",
+        "0 1\n2 3",
+    ], ids=["header", "middle", "end-no-break", "end", "indented", "crlf",
+            "vt-ff", "cr", "only-comments", "trailing-hash", "hash-in-row",
+            "unit-separator-in-comment", "unit-separator-before-hash",
+            "file-separator", "non-ascii-comment", "no-comment"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_reference(self, block, k):
+        assert same_read(blockio.read_rows(block, k), reference_read_rows(block, k))
+
+    @settings(max_examples=400, deadline=None)
+    @given(commented_blocks(), st.sampled_from([1, 2, 3]))
+    def test_matches_reference_on_drawn_blocks(self, block, k):
+        assert same_read(blockio.read_rows(block, k), reference_read_rows(block, k))
+
+    def test_header_block_has_no_line_loop(self, monkeypatch):
+        # the header comment of a written edge list is cut out from the
+        # block's bytes; split_comments, the line loop, is never called
+        g = gen_gnp(300, 0.5, seed=6)
+        text = format_edge_list(g)
+        monkeypatch.setattr(blockio, "split_comments", None)
+        back = parse_edge_list(text)
+        assert back.vertex_count == g.vertex_count
+        assert np.array_equal(back.edges, g.edges)
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(0, 14))
@@ -641,6 +796,19 @@ class TestEdgeListRoundTrip:
     def test_trailing_isolated_vertices(self):
         g = Graph.build(9, [(0, 1), (2, 3)])
         assert parse_edge_list(format_edge_list(g)).vertex_count == 9
+
+    @settings(max_examples=40, deadline=None)
+    @given(id_rows().filter(lambda rows: rows.shape[1] == 2), st.integers(0, 3))
+    def test_round_trip_up_to_max_vertices(self, rows, extra):
+        rows = rows[rows[:, 0] != rows[:, 1]]
+        n = min(int(rows.max(initial=0)) + 1 + extra, graph_module.MAX_VERTICES)
+        g = Graph.build(n, rows)
+        text = format_edge_list(g)
+        assert text == "".join([f"# vertices: {g.vertex_count}\n",
+                                *reference_format_rows(g.edges)])
+        back = parse_edge_list(text)
+        assert back.vertex_count == g.vertex_count
+        assert np.array_equal(back.edges, g.edges)
 
     def test_written_file_matches_format(self, tmp_path):
         g = gen_gnp(500, 0.6, seed=5)
