@@ -7,22 +7,25 @@ file, and handled in blocks of about BLOCK_ROWS lines.
 
 Reading a block (`read_rows`): in an ASCII block without the separators
 '\\x1c'-'\\x1f', comment lines are found from the positions of '#' and of
-the line breaks in the block's bytes, and cut out without a loop over its
-lines; any other block has them taken out line by line
-(`split_comments`). The rest is checked by byte comparisons: only digits
-and C whitespace, no token of over 18 digits, and 0 or k tokens on every
-line, counted from the token starts before each line break. It is then
-converted by one `np.fromstring` call, in C. `int_rows` gives up (returns
-None) on any other block (signs, '_', non-ASCII digits, the separators
-'\\x1c'-'\\x1f', tokens of over 18 digits); the caller then reads that
-block line by line with `int()`, which is where every error message is
-worded. So the accepted syntax, and every error with its message and
-line number, are those of a line-by-line reader.
+the line breaks in the block's bytes, and cut out with one slice each,
+without a loop over the data lines; any other block has them taken out
+line by line (`split_comments`). The rest is checked by byte
+comparisons: only digits and C whitespace, no token of over 18 digits,
+and 0 or k tokens on every line, counted from the token starts before
+each line break. It is then converted by one `np.fromstring` call, in C.
+`int_rows` gives up (returns None) on any other block (signs, '_',
+non-ASCII digits, the separators '\\x1c'-'\\x1f', tokens of over 18
+digits); the caller then reads that block line by line with `int()`,
+which is where every error message is worded. So the accepted syntax,
+and every error with its message and line number, are those of a
+line-by-line reader.
 
 Writing a block (`format_rows`): each value's digits are looked up, four
-at a time, in a table of the 10,000 four-digit groups, with the leading
-zeros of a value's first group kept as NUL bytes; one mask over the
-block's bytes then drops every NUL.
+at a time, in a table of the 10,000 four-digit groups, in one array pass
+per group of the block's largest value, with the leading zeros of a
+value's first group kept as NUL bytes; one mask over the block's bytes
+then drops every NUL. Values must be non-negative, as every vertex id and
+weight is.
 """
 
 from __future__ import annotations
@@ -202,9 +205,7 @@ def format_rows(rows: np.ndarray) -> Iterator[str]:
 
 def _format_block(block: np.ndarray) -> str:
     if block.min() < 0:
-        # no file trisum writes holds a negative value
-        line = " ".join(["%d"] * block.shape[1]) + "\n"
-        return (line * block.shape[0]) % tuple(block.ravel().tolist())
+        raise ValueError("format_rows writes non-negative values only")
     padded, bare, units = _digit_groups()
     r, k = block.shape
     groups, top = 1, int(block.max())

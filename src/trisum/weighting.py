@@ -96,18 +96,6 @@ class _EdgeTable:
     def id_of(self, lo: int, hi: int) -> int:
         return int(self.ids(np.array([lo]), np.array([hi]))[0])
 
-    def run(self, lo: np.ndarray, hi: np.ndarray) -> slice | None:
-        """The edge ids of pairs lo <= hi when these are consecutive edges
-        in edge order, each once, as in every file trisum writes; None
-        otherwise."""
-        if not lo.size or lo.min() < 0 or hi.max() >= self.n:
-            return None
-        keys = pair_keys(lo, hi, self.n)
-        start = int(np.searchsorted(self.keys, keys[0]))
-        if not np.array_equal(self.keys[start:start + keys.size], keys):
-            return None
-        return slice(start, start + keys.size)
-
 
 def _record_block(table: _EdgeTable, rows: np.ndarray, w: np.ndarray,
                   seen: np.ndarray) -> bool:
@@ -116,15 +104,7 @@ def _record_block(table: _EdgeTable, rows: np.ndarray, w: np.ndarray,
     u, v, wt = rows.T
     if not ((wt >= 1) & (wt <= MAX_WEIGHT)).all():
         return False
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    run = table.run(lo, hi)
-    if run is not None:
-        if (seen[run] & (w[run] != wt)).any():
-            return False
-        w[run] = wt
-        seen[run] = True
-        return True
-    e = table.ids(lo, hi)
+    e = table.ids(np.minimum(u, v), np.maximum(u, v))
     if (e < 0).any():
         return False
     ids, first, slot = np.unique(e, return_index=True, return_inverse=True)

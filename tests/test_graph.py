@@ -659,13 +659,19 @@ class TestFormatRows:
         rows = np.array(values, dtype=np.int64)
         assert list(blockio.format_rows(rows)) == list(reference_format_rows(rows))
 
-    @pytest.mark.parametrize("values", [
-        [[0, 2**63 - 1, 10**18], [10**12, 10**16 - 1, 10**16]],
-        [[-1, 0, 5], [7, -(2**63), 12]],
-    ], ids=["int64-range", "negative"])
-    def test_values_beyond_vertex_ids_match_reference(self, values):
-        rows = np.array(values, dtype=np.int64)
+    def test_values_beyond_vertex_ids_match_reference(self):
+        rows = np.array([[0, 2**63 - 1, 10**18], [10**12, 10**16 - 1, 10**16]],
+                        dtype=np.int64)
         assert list(blockio.format_rows(rows)) == list(reference_format_rows(rows))
+
+    @pytest.mark.parametrize("values", [
+        [[-1, 0, 5], [7, 8, 12]],
+        [[0, 1, 5], [7, -(2**63), 12]],
+    ], ids=["first", "later"])
+    def test_negative_value_is_refused(self, values):
+        rows = np.array(values, dtype=np.int64)
+        with pytest.raises(ValueError, match="non-negative values only"):
+            list(blockio.format_rows(rows))
 
     @settings(max_examples=40, deadline=None)
     @given(id_rows())

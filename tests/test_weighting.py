@@ -10,8 +10,6 @@ from trisum.graph import MAX_VERTICES, Graph, gen_gnp
 from trisum.weighting import (
     MAX_WEIGHT,
     EdgeWeighting,
-    _EdgeTable,
-    _record_block,
     conflicts,
     load_weighting,
     parse_weighting,
@@ -51,25 +49,6 @@ def reference_parse_weighting(g: Graph, text: str) -> EdgeWeighting:
         missing = int(np.flatnonzero(~seen)[0])
         raise WeightingCoverageError(f"no weight given for edge id {missing}")
     return EdgeWeighting(weights=w)
-
-
-def reference_record_block(table: _EdgeTable, rows: np.ndarray, w: np.ndarray,
-                           seen: np.ndarray) -> bool:
-    """_record_block as it was, with np.unique over every block's edge ids:
-    the oracle for the path that takes a run of consecutive edges whole."""
-    u, v, wt = rows.T
-    if not ((wt >= 1) & (wt <= MAX_WEIGHT)).all():
-        return False
-    e = table.ids(np.minimum(u, v), np.maximum(u, v))
-    if (e < 0).any():
-        return False
-    ids, first, slot = np.unique(e, return_index=True, return_inverse=True)
-    settled = np.where(seen[ids], w[ids], wt[first])
-    if (wt != settled[slot]).any():
-        return False
-    w[ids] = settled
-    seen[ids] = True
-    return True
 
 
 def reference_format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
@@ -341,71 +320,9 @@ class TestParseWeightingAgainstReference:
             "error", WeightingCoverageError, "line 1: (0, 1) is not an edge")
 
 
-def record_outcome(record, g: Graph, blocks: list[np.ndarray]):
-    """What a record function makes of blocks of rows read in turn, from
-    no weights: each block's result, and the weights and seen flags."""
-    table = _EdgeTable(g)
-    w = np.zeros(g.edge_count, dtype=np.int64)
-    seen = np.zeros(g.edge_count, dtype=bool)
-    results = [record(table, rows, w, seen) for rows in blocks]
-    return results, w.tolist(), seen.tolist()
-
-
-def edge_rows(g: Graph, ids, weights) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    return np.column_stack([g.edges[ids], np.asarray(weights, dtype=np.int64)])
-
-
-class TestRecordBlock:
-    G = gen_gnp(30, 0.5, seed=9)
-
-    @pytest.mark.parametrize("make", [
-        lambda m, w: [edge_rows(TestRecordBlock.G, range(m), w)],
-        lambda m, w: [edge_rows(TestRecordBlock.G, range(0, 40), w[:40]),
-                      edge_rows(TestRecordBlock.G, range(40, m), w[40:])],
-        lambda m, w: [edge_rows(TestRecordBlock.G, range(m - 1, -1, -1), w[::-1])],
-        lambda m, w: [edge_rows(TestRecordBlock.G, [3, 3, 4], [w[3], w[3], w[4]])],
-        lambda m, w: [edge_rows(TestRecordBlock.G, [3, 4], [w[3], w[4]]),
-                      edge_rows(TestRecordBlock.G, [3, 4, 5], [w[3], w[4], w[5]])],
-        lambda m, w: [edge_rows(TestRecordBlock.G, [3, 4], [w[3], w[4]]),
-                      edge_rows(TestRecordBlock.G, [4, 5], [w[4] % 3 + 1, w[5]])],
-        lambda m, w: [edge_rows(TestRecordBlock.G, [5, 6, 8], w[[5, 6, 8]])],
-        lambda m, w: [edge_rows(TestRecordBlock.G, range(m), w)[:, [1, 0, 2]]],
-        lambda m, w: [edge_rows(TestRecordBlock.G, range(m - 3, m), w[-3:])],
-        lambda m, w: [np.array([[0, 1600, 1], [1, 2, 2]]), np.empty((0, 3), np.int64)],
-        lambda m, w: [edge_rows(TestRecordBlock.G, [0, 1], [w[0], 4])],
-    ], ids=["in-order", "two-runs", "reversed", "repeat-in-run",
-            "run-over-seen", "run-conflicts-with-seen", "gap", "swapped-ends",
-            "last-edges", "non-edge-then-empty", "weight-out-of-range"])
-    def test_matches_reference(self, make):
-        g = self.G
-        w = np.random.default_rng(1).integers(1, 4, g.edge_count)
-        blocks = make(g.edge_count, w)
-        assert record_outcome(_record_block, g, blocks) == record_outcome(
-            reference_record_block, g, blocks)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_matches_reference_on_drawn_blocks(self, data):
-        g = self.G
-        w = np.random.default_rng(2).integers(1, 4, g.edge_count)
-        blocks = []
-        for _ in range(data.draw(st.integers(1, 3))):
-            start = data.draw(st.integers(0, g.edge_count))
-            stop = data.draw(st.integers(start, g.edge_count))
-            ids = list(range(start, stop))
-            if data.draw(st.booleans()):
-                ids = data.draw(st.permutations(ids))
-            ids += data.draw(st.lists(st.integers(0, g.edge_count - 1), max_size=3))
-            weights = [data.draw(st.sampled_from([w[e], w[e], w[e] % 3 + 1])) for e in ids]
-            blocks.append(edge_rows(g, ids, weights))
-        assert record_outcome(_record_block, g, blocks) == record_outcome(
-            reference_record_block, g, blocks)
-
-
 class TestInOrderFiles:
-    """Files in edge order, as trisum writes them, with the few changes
-    that send a block off the consecutive-run path."""
+    """Files in edge order, as trisum writes them, over more than one
+    block, with rows repeated, swapped, reversed or left out."""
 
     G = gen_gnp(500, 0.6, seed=2)
     W = EdgeWeighting(weights=np.arange(G.edge_count) % 3 + 1)
