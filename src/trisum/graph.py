@@ -115,10 +115,14 @@ class Graph:
 
 
 def group_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
-    """For each key k in 0..n-1, the values paired with k, ascending."""
-    order = np.lexsort((values, keys))
+    """For each key k in 0..n-1, the values paired with k, in their given
+    order: callers pass values that are ascending within each key, so one
+    stable sort by key (a radix sort on small ids, as in `Graph._csr`)
+    keeps them ascending."""
+    order = np.argsort(keys.astype(np.min_scalar_type(n - 1)), kind="stable")
     values = values[order]
-    starts = np.searchsorted(keys[order], np.arange(n + 1))
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=starts[1:])
     return [values[starts[k]:starts[k + 1]] for k in range(n)]
 
 

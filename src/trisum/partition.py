@@ -109,51 +109,43 @@ def j_interval_bounds(
     return lo, hi
 
 
-def n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
-    """Core neighbours of u with comparable degree and overlapping J interval."""
-    g = part.graph
-    if not part.in_u[u]:
-        raise ValueError(f"vertex {u} is not in the core")
-    nbrs = g.neighbors(u)
-    cand = nbrs[part.in_u[nbrs]]
-    deg_u = g.degrees[u]
-    keep = (g.degrees[cand] >= 0.5 * deg_u) & (g.degrees[cand] <= deg_u)
-    cand = cand[keep]
-    ids = np.concatenate([[u], cand])
-    lo, hi = j_interval_bounds(
-        g.degrees[ids], part.d_fprime[ids], part.d_fw[ids], part.d_u[ids],
-        part.levels[ids], profile,
-    )
-    overlap = (lo[1:] <= hi[0]) & (lo[0] <= hi[1:])
-    return cand[overlap]
+def _degree_comparable_pairs(g: Graph, in_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hosts, members) over core-core edges with the member's degree in
+    [deg(host) / 2, deg(host)]: the level-free part of N^U_<=. The half
+    whose host is the larger end comes first, so a stable sort by host
+    leaves each host's members ascending."""
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    uu = np.flatnonzero(in_u[e0] & in_u[e1])
+    a, b = e0[uu], e1[uu]
+    deg = g.degrees
+    da, db = deg[a], deg[b]
+    a_for_b = np.flatnonzero((da >= 0.5 * db) & (da <= db))
+    b_for_a = np.flatnonzero((db >= 0.5 * da) & (db <= da))
+    return (np.concatenate([b[a_for_b], a[b_for_a]]),
+            np.concatenate([a[a_for_b], b[b_for_a]]))
 
 
 def _comparable_pairs(
-    g: Graph, in_u: np.ndarray, levels: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray], deg: np.ndarray, levels: np.ndarray,
     d_fprime: np.ndarray, d_fw: np.ndarray, d_u: np.ndarray,
     profile: ProfileConstants,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(hosts, members) with each member in N^U_<=(host), from core-core edges."""
-    e0, e1 = g.edges[:, 0], g.edges[:, 1]
-    uu = in_u[e0] & in_u[e1]
-    a, b = e0[uu], e1[uu]
-    lo, hi = j_interval_bounds(g.degrees, d_fprime, d_fw, d_u, levels, profile)
-    overlap = (lo[a] <= hi[b]) & (lo[b] <= hi[a])
-    deg = g.degrees
-    b_for_a = overlap & (deg[b] >= 0.5 * deg[a]) & (deg[b] <= deg[a])
-    a_for_b = overlap & (deg[a] >= 0.5 * deg[b]) & (deg[a] <= deg[b])
-    hosts = np.concatenate([a[b_for_a], b[a_for_b]])
-    members = np.concatenate([b[b_for_a], a[a_for_b]])
-    return hosts, members
+    """(hosts, members) with each member in N^U_<=(host): the pairs of
+    `_degree_comparable_pairs` whose J intervals overlap."""
+    hosts, members = pairs
+    lo, hi = j_interval_bounds(deg, d_fprime, d_fw, d_u, levels, profile)
+    overlap = (lo[hosts] <= hi[members]) & (lo[members] <= hi[hosts])
+    return hosts[overlap], members[overlap]
 
 
 def n_u_leq_all(part: Partition, profile: ProfileConstants) -> list[np.ndarray]:
     """N^U_<=(u) for every core vertex at once, grouped from core-core edges."""
+    g = part.graph
     hosts, members = _comparable_pairs(
-        part.graph, part.in_u, part.levels, part.d_fprime, part.d_fw, part.d_u,
-        profile,
+        _degree_comparable_pairs(g, part.in_u), g.degrees, part.levels,
+        part.d_fprime, part.d_fw, part.d_u, profile,
     )
-    return group_by(hosts, members, part.graph.vertex_count)
+    return group_by(hosts, members, g.vertex_count)
 
 
 def initial_outer_weights(part: Partition) -> np.ndarray:
@@ -263,6 +255,8 @@ def _sample_once(
     u_end = np.where(in_u[e0], e0, e1)
     w_end = np.where(in_u[e0], e1, e0)
     mean_frac = (1.0 - 1.0 / mlev) / 2.0
+    # Only the J intervals move with the levels; the candidate pairs do not.
+    pairs = _degree_comparable_pairs(g, in_u)
     resampled = 0
     for rnd in range(1, STAGE_ROUNDS + 1):
         fu_mask = fprime_mask & (unif < levels[u_end] / mlev)
@@ -273,7 +267,7 @@ def _sample_once(
         viol_a5 = ~in_u & (
             np.abs(d_fu - mean_frac * d_fprime) > profile.eps_fu * d_fprime
         )
-        hosts, _ = _comparable_pairs(g, in_u, levels, d_fprime, d_fw, d_u, profile)
+        hosts, _ = _comparable_pairs(pairs, deg, levels, d_fprime, d_fw, d_u, profile)
         nu_counts = np.bincount(hosts, minlength=n)
         viol_a6 = in_u & (nu_counts > profile.frac_nu * d_u)
         viol_levels = viol_a4 | viol_a6
@@ -311,49 +305,75 @@ class AuditReport:
 
 
 def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:
-    """Recompute every constraint family from the raw sets, per vertex.
+    """Recompute every constraint family from the raw sets, in array passes.
 
-    Deliberately a separate, per-vertex computation path from the
-    vectorized sampler so it can serve as an independent check.
+    An independent check of the sampler: it recounts d_U, d_FW, d_F' and
+    d_FU with other primitives than the sampler's helpers (a bincount over
+    the edge list, and segment sums over the CSR incident-edge rows),
+    counts N^U_<= over the core-core edges itself, and reads no `d_*`
+    field except to compare it with its recount (`derived_counts`). Each
+    family lists its failing vertices ascending.
     """
     g = part.graph
+    n = g.vertex_count
     in_u = part.in_u
-    fw, fu, fprime = part.fw_mask, part.fu_mask, part.fprime_mask
-    fail: dict[str, list[int]] = {
-        "u_degree": [], "fw_in_w": [], "fw_in_u": [],
-        "fu_in_u": [], "fu_in_w": [], "nu_leq": [],
-        "structure": [],
+    deg = g.degrees
+    edges = g.edges
+    indptr, _, eids = g._csr
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+
+    def incident(emask: np.ndarray) -> np.ndarray:
+        # A segment sum over each vertex's incident-edge row; empty rows
+        # are left out, since reduceat would give them the next row's entry.
+        counts = np.zeros(n, dtype=np.int64)
+        counts[rows] = np.add.reduceat(emask[eids], indptr[rows], dtype=np.int64)
+        return counts
+
+    # d_U(v): the edge ends at v whose other end is in U, counted in one
+    # bincount keyed by (end, other end in U).
+    ends_in_u = in_u[edges]
+    keys = 2 * edges
+    keys += ends_in_u[:, ::-1]
+    d_u = np.bincount(keys.ravel(), minlength=2 * n)[1::2]
+    d_w = deg - d_u
+    d_fw = incident(part.fw_mask)
+    d_fu = incident(part.fu_mask)
+    d_fp = incident(part.fprime_mask)
+    mlev = profile.m_levels
+    mean_frac = (1.0 - 1.0 / mlev) / 2.0
+    in_w = ~in_u
+
+    # N^U_<=(u): core neighbours of degree in [deg(u) / 2, deg(u)] whose
+    # J interval overlaps u's, counted from each core-core edge both ways.
+    uu = np.flatnonzero(ends_in_u[:, 0] & ends_in_u[:, 1])
+    a, b = edges[:, 0][uu], edges[:, 1][uu]
+    lo, hi = j_interval_bounds(deg, d_fp, d_fw, d_u, part.levels, profile)
+    overlap = (lo[a] <= hi[b]) & (lo[b] <= hi[a])
+    b_for_a = overlap & (deg[b] >= 0.5 * deg[a]) & (deg[b] <= deg[a])
+    a_for_b = overlap & (deg[a] >= 0.5 * deg[b]) & (deg[a] <= deg[b])
+    nu = np.bincount(a[b_for_a], minlength=n) + np.bincount(b[a_for_b], minlength=n)
+
+    families = {
+        "u_degree": np.abs(d_u - profile.p_u * deg) > profile.eps_u * deg,
+        "fw_in_w": in_w & (np.abs(d_fw - profile.p_fw * d_u) > profile.eps_fw * d_u),
+        "fw_in_u": in_u & (np.abs(d_fw - profile.p_fw * d_w) > profile.eps_fw * d_w),
+        "fu_in_u": in_u & (
+            np.abs(d_fu - (part.levels / mlev) * d_fp) > profile.eps_fu * deg
+        ),
+        "fu_in_w": in_w & (np.abs(d_fu - mean_frac * d_fp) > profile.eps_fu * d_fp),
+        "nu_leq": in_u & (nu > profile.frac_nu * d_u),
     }
+    fail = {name: np.flatnonzero(bad).tolist() for name, bad in families.items()}
+    fail["structure"] = []
     if (part.fw_mask & part.fu_mask).any():
         fail["structure"].append(-1)
     if not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask):
         fail["structure"].append(-2)
-    for v in range(g.vertex_count):
-        deg = int(g.degrees[v])
-        nbrs = g.neighbors(v)
-        inc = g.incident_edges(v)
-        d_u = int(in_u[nbrs].sum())
-        d_fw = int(fw[inc].sum())
-        d_fu = int(fu[inc].sum())
-        d_fp = int(fprime[inc].sum())
-        if abs(d_u - profile.p_u * deg) > profile.eps_u * deg:
-            fail["u_degree"].append(v)
-        if in_u[v]:
-            d_w = deg - d_u
-            if abs(d_fw - profile.p_fw * d_w) > profile.eps_fw * d_w:
-                fail["fw_in_u"].append(v)
-            lvl = int(part.levels[v])
-            if abs(d_fu - (lvl / profile.m_levels) * d_fp) > profile.eps_fu * deg:
-                fail["fu_in_u"].append(v)
-        else:
-            if abs(d_fw - profile.p_fw * d_u) > profile.eps_fw * d_u:
-                fail["fw_in_w"].append(v)
-            mean_frac = (1.0 - 1.0 / profile.m_levels) / 2.0
-            if abs(d_fu - mean_frac * d_fp) > profile.eps_fu * d_fp:
-                fail["fu_in_w"].append(v)
-    for u in part.u_ids:
-        members = n_u_leq(int(u), part, profile)
-        if members.size > profile.frac_nu * part.d_u[u]:
-            fail["nu_leq"].append(int(u))
+    # Every later stage reads these fields in place of its own count.
+    derived = np.zeros(n, dtype=bool)
+    for stored, recount in ((part.d_u, d_u), (part.d_w, d_w), (part.d_fw, d_fw),
+                            (part.d_fprime, d_fp), (part.d_fu, d_fu)):
+        derived |= stored != recount
+    fail["derived_counts"] = np.flatnonzero(derived).tolist()
     ok = not any(fail.values())
     return AuditReport(ok=ok, failures=fail)

@@ -13,6 +13,7 @@ from trisum.graph import (
     Graph,
     gen_gnp,
     gen_random_regular,
+    group_by,
     load_edge_list,
     parse_edge_list,
     write_edge_list,
@@ -170,6 +171,14 @@ def reference_csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, dst[order], eid[order]
+
+
+def reference_group_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
+    """group_by as it was: a two-key lexsort, then a search for each key."""
+    order = np.lexsort((values, keys))
+    values = values[order]
+    starts = np.searchsorted(keys[order], np.arange(n + 1))
+    return [values[starts[k]:starts[k + 1]] for k in range(n)]
 
 
 def outcome(parse, text: str):
@@ -823,3 +832,30 @@ class TestEdgeListRoundTrip:
         assert path.read_bytes() == reference_format_edge_list(g).encode()
         back = load_edge_list(path)
         assert np.array_equal(back.edges, g.edges)
+
+
+@st.composite
+def keyed_values(draw):
+    """(keys, values, n): keys in 0..n-1 in any order, values ascending
+    within each key as group_by's callers pass them; n up to past 256, so
+    keys are sorted both as uint8 and as uint16."""
+    n = draw(st.sampled_from([0, 1, 2, 7, 256, 257, 700]))
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
+    size = draw(st.integers(0, 60))
+    keys = np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+                    dtype=np.int64)
+    values = np.array(draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size)),
+                      dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    return keys[order], values[order], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_values())
+def test_group_by_matches_lexsort_reference(case):
+    keys, values, n = case
+    got, want = group_by(keys, values, n), reference_group_by(keys, values, n)
+    assert len(got) == len(want) == n
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()

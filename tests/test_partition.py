@@ -15,20 +15,89 @@ from trisum.partition import (
     _comparable_pairs,
     _count_incident,
     _count_neighbors_in,
+    _degree_comparable_pairs,
     _sample_once,
     audit_partition,
     initial_outer_weights,
     j_interval_bounds,
-    n_u_leq,
     n_u_leq_all,
     sample_partition,
 )
 from trisum import pipeline
-from trisum.profiles import DESK, FULL_SCALE
+from trisum.profiles import DESK, FULL_SCALE, ProfileConstants
 
 
 def complete_graph(n: int) -> Graph:
     return Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def reference_n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
+    """N^U_<=(u) of one core vertex, from its own CSR row: core neighbours
+    of comparable degree whose J interval overlaps u's."""
+    g = part.graph
+    if not part.in_u[u]:
+        raise ValueError(f"vertex {u} is not in the core")
+    nbrs = g.neighbors(u)
+    cand = nbrs[part.in_u[nbrs]]
+    deg_u = g.degrees[u]
+    keep = (g.degrees[cand] >= 0.5 * deg_u) & (g.degrees[cand] <= deg_u)
+    cand = cand[keep]
+    ids = np.concatenate([[u], cand])
+    lo, hi = j_interval_bounds(
+        g.degrees[ids], part.d_fprime[ids], part.d_fw[ids], part.d_u[ids],
+        part.levels[ids], profile,
+    )
+    overlap = (lo[1:] <= hi[0]) & (lo[0] <= hi[1:])
+    return cand[overlap]
+
+
+def reference_audit_partition(part: Partition, profile: ProfileConstants) -> dict:
+    """The failures of audit_partition, recounted one vertex at a time."""
+    g = part.graph
+    in_u = part.in_u
+    fw, fu, fprime = part.fw_mask, part.fu_mask, part.fprime_mask
+    fail: dict[str, list[int]] = {
+        "u_degree": [], "fw_in_w": [], "fw_in_u": [],
+        "fu_in_u": [], "fu_in_w": [], "nu_leq": [],
+        "structure": [], "derived_counts": [],
+    }
+    if (part.fw_mask & part.fu_mask).any():
+        fail["structure"].append(-1)
+    if not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask):
+        fail["structure"].append(-2)
+    own_d_u = {}
+    for v in range(g.vertex_count):
+        deg = int(g.degrees[v])
+        nbrs = g.neighbors(v)
+        inc = g.incident_edges(v)
+        d_u = int(in_u[nbrs].sum())
+        d_fw = int(fw[inc].sum())
+        d_fu = int(fu[inc].sum())
+        d_fp = int(fprime[inc].sum())
+        own_d_u[v] = d_u
+        if (d_u, deg - d_u, d_fw, d_fp, d_fu) != (
+                part.d_u[v], part.d_w[v], part.d_fw[v], part.d_fprime[v], part.d_fu[v]):
+            fail["derived_counts"].append(v)
+        if abs(d_u - profile.p_u * deg) > profile.eps_u * deg:
+            fail["u_degree"].append(v)
+        if in_u[v]:
+            d_w = deg - d_u
+            if abs(d_fw - profile.p_fw * d_w) > profile.eps_fw * d_w:
+                fail["fw_in_u"].append(v)
+            lvl = int(part.levels[v])
+            if abs(d_fu - (lvl / profile.m_levels) * d_fp) > profile.eps_fu * deg:
+                fail["fu_in_u"].append(v)
+        else:
+            if abs(d_fw - profile.p_fw * d_u) > profile.eps_fw * d_u:
+                fail["fw_in_w"].append(v)
+            mean_frac = (1.0 - 1.0 / profile.m_levels) / 2.0
+            if abs(d_fu - mean_frac * d_fp) > profile.eps_fu * d_fp:
+                fail["fu_in_w"].append(v)
+    for u in part.u_ids:
+        members = reference_n_u_leq(int(u), part, profile)
+        if members.size > profile.frac_nu * own_d_u[int(u)]:
+            fail["nu_leq"].append(int(u))
+    return fail
 
 
 class TestSamplePartition:
@@ -195,7 +264,7 @@ class TestJInterval:
         part = sample_partition(g, profile, seed=4)
         w = int(part.w_ids[0])
         with pytest.raises(ValueError):
-            n_u_leq(w, part, profile)
+            reference_n_u_leq(w, part, profile)
 
 
 class TestNuLeq:
@@ -213,7 +282,7 @@ class TestNuLeq:
 
     def test_no_core_neighbours(self):
         part = self._craft([(0, 1), (0, 2)], 3, [0])
-        assert n_u_leq(0, part, loose_profile()).size == 0
+        assert reference_n_u_leq(0, part, loose_profile()).size == 0
 
     def test_degree_filter_excludes_small(self):
         # 0 and 1 in the core and adjacent; deg(1) < deg(0) / 2
@@ -221,9 +290,9 @@ class TestNuLeq:
         edges += [(0, 10 + i) for i in range(9)]  # deg(0) = 10
         edges += [(1, 30 + i) for i in range(3)]  # deg(1) = 4
         part = self._craft(edges, 40, [0, 1])
-        assert n_u_leq(0, part, loose_profile()).size == 0
+        assert reference_n_u_leq(0, part, loose_profile()).size == 0
         # from 1's side, 0 has larger degree, also excluded
-        assert n_u_leq(1, part, loose_profile()).size == 0
+        assert reference_n_u_leq(1, part, loose_profile()).size == 0
 
     @pytest.mark.parametrize("edges, n, core, u", [
         ([(1, 2)], 3, [0, 1], 0),
@@ -233,7 +302,7 @@ class TestNuLeq:
     def test_no_comparable_core_neighbour(self, edges, n, core, u):
         part = self._craft(edges, n, core)
         profile = loose_profile()
-        got = n_u_leq(u, part, profile)
+        got = reference_n_u_leq(u, part, profile)
         assert got.dtype == np.int64 and got.size == 0
         assert n_u_leq_all(part, profile)[u].size == 0
 
@@ -243,8 +312,8 @@ class TestNuLeq:
         edges += [(1, 20 + i) for i in range(5)]
         part = self._craft(edges, 30, [0, 1])
         profile = loose_profile()
-        assert n_u_leq(0, part, profile).tolist() == [1]
-        assert n_u_leq(1, part, profile).tolist() == [0]
+        assert reference_n_u_leq(0, part, profile).tolist() == [1]
+        assert reference_n_u_leq(1, part, profile).tolist() == [0]
 
     def test_vectorized_matches_scalar(self):
         g = gen_gnp(120, 0.5, seed=6)
@@ -253,7 +322,7 @@ class TestNuLeq:
         all_sets = n_u_leq_all(part, profile)
         for u in part.u_ids:
             u = int(u)
-            assert all_sets[u].tolist() == n_u_leq(u, part, profile).tolist()
+            assert all_sets[u].tolist() == reference_n_u_leq(u, part, profile).tolist()
 
     def test_sampler_counts_match_grouped_sets(self):
         # the sampler's A6 check counts hosts of the shared edge filter
@@ -261,12 +330,13 @@ class TestNuLeq:
         profile = small_run_profile()
         part = sample_partition(g, profile, seed=7)
         hosts, _ = _comparable_pairs(
-            g, part.in_u, part.levels, part.d_fprime, part.d_fw, part.d_u, profile
+            _degree_comparable_pairs(g, part.in_u), g.degrees, part.levels,
+            part.d_fprime, part.d_fw, part.d_u, profile,
         )
         counts = np.bincount(hosts, minlength=g.vertex_count)
         all_sets = n_u_leq_all(part, profile)
         for u in part.u_ids:
-            assert counts[u] == len(all_sets[u]) == n_u_leq(int(u), part, profile).size
+            assert counts[u] == len(all_sets[u]) == reference_n_u_leq(int(u), part, profile).size
 
 
 class TestInitialOuterWeights:
@@ -370,9 +440,10 @@ DERIVED_FORMULAS = {
 
 
 @st.composite
-def crafted_partitions(draw):
+def crafted_partitions(draw, m_levels: int = 4):
     """Any split of a small graph, with F_W and F_U drawn as subsets of F
-    and of F'; sometimes no edges, an empty U or an empty W."""
+    and of F', and core levels in 0..m_levels-1; sometimes no edges, an
+    empty U or an empty W."""
     n = draw(st.integers(0, 12))
     pairs = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30))
     g = Graph.build(n, [(u, v) for u, v in pairs if u != v and max(u, v) < n])
@@ -384,9 +455,11 @@ def crafted_partitions(draw):
         in_u = np.full(g.vertex_count, split == "all_u")
     coins = np.array(draw(st.lists(st.integers(0, 2), min_size=g.edge_count,
                                    max_size=g.edge_count)), dtype=np.int64)
+    levels = np.array(draw(st.lists(st.integers(0, m_levels - 1), min_size=g.vertex_count,
+                                    max_size=g.vertex_count)), dtype=np.int64)
     f_mask = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
     return Partition(
-        graph=g, in_u=in_u, levels=np.where(in_u, 0, -1).astype(np.int64),
+        graph=g, in_u=in_u, levels=np.where(in_u, levels, -1),
         fw_mask=f_mask & (coins == 1), fu_mask=f_mask & (coins == 2),
     )
 
@@ -397,6 +470,122 @@ def test_derived_fields_match_formulas(part):
     for name, formula in DERIVED_FORMULAS.items():
         got, want = getattr(part, name), formula(part)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+# Profiles with m_levels = 4, the level range of crafted_partitions: the
+# loose one lets toy graphs pass some families and fail others.
+AUDIT_PROFILES = [
+    small_run_profile(),
+    loose_profile(m_levels=4),
+    loose_profile(m_levels=4, frac_nu=0.5, eps_fu=0.2),
+]
+
+
+def craft(n, pairs, core, fw=(), fu=(), levels=None) -> Partition:
+    """A partition of Graph.build(n, pairs) with the given core, F_W and
+    F_U edges (as vertex pairs) and core levels (all 0 unless given)."""
+    g = Graph.build(n, pairs)
+    in_u = np.zeros(g.vertex_count, dtype=bool)
+    in_u[list(core)] = True
+    rows = {tuple(e): i for i, e in enumerate(g.edges.tolist())}
+    fw_mask = np.zeros(g.edge_count, dtype=bool)
+    fw_mask[[rows[tuple(sorted(e))] for e in fw]] = True
+    fu_mask = np.zeros(g.edge_count, dtype=bool)
+    fu_mask[[rows[tuple(sorted(e))] for e in fu]] = True
+    lv = np.zeros(g.vertex_count, dtype=np.int64) if levels is None else np.array(levels)
+    return Partition(graph=g, in_u=in_u, levels=np.where(in_u, lv, -1),
+                     fw_mask=fw_mask, fu_mask=fu_mask)
+
+
+def with_stored_count(part: Partition, field_name: str, vertex: int, delta: int) -> Partition:
+    value = getattr(part, field_name).copy()
+    value[vertex] += delta
+    setattr(part, field_name, value)
+    return part
+
+
+STAR = [(0, 1), (0, 2)]
+# One crafted partition per failure family, and the index of its profile
+# in AUDIT_PROFILES.
+FAMILY_CASES = {
+    # every neighbour of a K3 vertex is in the core: 2 is far from 0.5 * 2
+    "u_degree": (lambda: craft(3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2]), 1),
+    # the periphery centre sees two core neighbours and no F_W edge
+    "fw_in_w": (lambda: craft(3, STAR, [1, 2]), 1),
+    # the core centre sees two periphery neighbours and no F_W edge
+    "fw_in_u": (lambda: craft(3, STAR, [0]), 1),
+    # level 3 asks for 3/4 of the two F' edges in F_U; none is
+    "fu_in_u": (lambda: craft(3, STAR, [0], levels=[3, 0, 0]), 1),
+    # both F' edges of the periphery centre in F_U, against 3/8 expected
+    "fu_in_w": (lambda: craft(3, STAR, [1, 2], fu=STAR), 1),
+    # two adjacent core vertices of equal degree, one core neighbour each
+    "nu_leq": (lambda: craft(4, [(0, 1), (0, 2), (1, 3)], [0, 1]), 2),
+    # an edge in both F_W and F_U
+    "structure": (lambda: craft(3, STAR, [0], fw=[(0, 1)], fu=[(0, 1)]), 1),
+    # a stored d_FW one above the count
+    "derived_counts": (lambda: with_stored_count(craft(3, STAR, [0]), "d_fw", 1, 1), 1),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILY_CASES))
+def test_each_family_fails_as_the_reference_does(family):
+    build, which = FAMILY_CASES[family]
+    part, profile = build(), AUDIT_PROFILES[which]
+    report = audit_partition(part, profile)
+    want = reference_audit_partition(part, profile)
+    assert report.failures == want
+    assert report.failures[family]
+    assert not report.ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(crafted_partitions(), st.sampled_from(range(len(AUDIT_PROFILES))))
+def test_audit_matches_reference_on_crafted_partitions(part, which):
+    profile = AUDIT_PROFILES[which]
+    report = audit_partition(part, profile)
+    want = reference_audit_partition(part, profile)
+    assert report.failures == want
+    assert report.ok == (not any(want.values()))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_audit_matches_reference_on_perturbed_samples(seed):
+    # a sampled partition with a few core memberships, F_W and F_U coins
+    # flipped and core levels redrawn; the sets need not stay consistent
+    g = gen_gnp(90, 0.5, seed % 7)
+    profile = small_run_profile()
+    part = sample_partition(g, profile, seed=seed % 5)
+    rng = np.random.default_rng(seed)
+    in_u = part.in_u.copy()
+    in_u[rng.integers(0, g.vertex_count, rng.integers(0, 4))] ^= True
+    fw, fu = part.fw_mask.copy(), part.fu_mask.copy()
+    fw[rng.integers(0, g.edge_count, rng.integers(0, 30))] ^= True
+    fu[rng.integers(0, g.edge_count, rng.integers(0, 30))] ^= True
+    levels = np.where(in_u, part.levels, -1)
+    moved = rng.random(g.vertex_count) < 0.2
+    levels[moved & in_u] = rng.integers(0, profile.m_levels, (moved & in_u).sum())
+    levels[in_u & (levels < 0)] = 0
+    perturbed = Partition(graph=g, in_u=in_u, levels=levels, fw_mask=fw, fu_mask=fu)
+    for p in (part, perturbed):
+        assert audit_partition(p, profile).failures == reference_audit_partition(p, profile)
+
+
+@pytest.mark.parametrize("field_name", ["d_u", "d_w", "d_fw", "d_fprime", "d_fu"])
+def test_audit_checks_every_derived_count(field_name):
+    # every later stage reads these counts: one stored wrongly at one core
+    # and one periphery vertex fails the audit, and only as derived_counts
+    g = gen_gnp(250, 0.5, 1)
+    profile = small_run_profile()
+    part = sample_partition(g, profile, seed=1)
+    assert audit_partition(part, profile).ok
+    u, w = int(part.u_ids[0]), int(part.w_ids[0])
+    for v in (u, w):
+        with_stored_count(part, field_name, v, 7)
+    report = audit_partition(part, profile)
+    assert not report.ok
+    assert report.failures["derived_counts"] == sorted([u, w])
+    assert not any(bad for name, bad in report.failures.items() if name != "derived_counts")
 
 
 def test_stages_only_read_derived_fields(monkeypatch):
