@@ -31,9 +31,18 @@ def complete_graph(n: int) -> Graph:
     return Graph.build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def recount(part: Partition, v: int) -> tuple[int, int, int, int]:
+    """d_U, d_FW, d_FU and d_F' of one vertex, from its own CSR rows."""
+    nbrs = part.graph.neighbors(v)
+    inc = part.graph.incident_edges(v)
+    return (int(part.in_u[nbrs].sum()), int(part.fw_mask[inc].sum()),
+            int(part.fu_mask[inc].sum()), int(part.fprime_mask[inc].sum()))
+
+
 def reference_n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
     """N^U_<=(u) of one core vertex, from its own CSR row: core neighbours
-    of comparable degree whose J interval overlaps u's."""
+    of comparable degree whose J interval overlaps u's. The J intervals
+    use each vertex's recounts, not the stored `d_*` fields."""
     g = part.graph
     if not part.in_u[u]:
         raise ValueError(f"vertex {u} is not in the core")
@@ -43,10 +52,9 @@ def reference_n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.
     keep = (g.degrees[cand] >= 0.5 * deg_u) & (g.degrees[cand] <= deg_u)
     cand = cand[keep]
     ids = np.concatenate([[u], cand])
-    lo, hi = j_interval_bounds(
-        g.degrees[ids], part.d_fprime[ids], part.d_fw[ids], part.d_u[ids],
-        part.levels[ids], profile,
-    )
+    d_u, d_fw, _, d_fp = np.array([recount(part, int(v)) for v in ids],
+                                  dtype=np.int64).reshape(-1, 4).T
+    lo, hi = j_interval_bounds(g.degrees[ids], d_fp, d_fw, d_u, part.levels[ids], profile)
     overlap = (lo[1:] <= hi[0]) & (lo[0] <= hi[1:])
     return cand[overlap]
 
@@ -55,7 +63,6 @@ def reference_audit_partition(part: Partition, profile: ProfileConstants) -> dic
     """The failures of audit_partition, recounted one vertex at a time."""
     g = part.graph
     in_u = part.in_u
-    fw, fu, fprime = part.fw_mask, part.fu_mask, part.fprime_mask
     fail: dict[str, list[int]] = {
         "u_degree": [], "fw_in_w": [], "fw_in_u": [],
         "fu_in_u": [], "fu_in_w": [], "nu_leq": [],
@@ -68,12 +75,7 @@ def reference_audit_partition(part: Partition, profile: ProfileConstants) -> dic
     own_d_u = {}
     for v in range(g.vertex_count):
         deg = int(g.degrees[v])
-        nbrs = g.neighbors(v)
-        inc = g.incident_edges(v)
-        d_u = int(in_u[nbrs].sum())
-        d_fw = int(fw[inc].sum())
-        d_fu = int(fu[inc].sum())
-        d_fp = int(fprime[inc].sum())
+        d_u, d_fw, d_fu, d_fp = recount(part, v)
         own_d_u[v] = d_u
         if (d_u, deg - d_u, d_fw, d_fp, d_fu) != (
                 part.d_u[v], part.d_w[v], part.d_fw[v], part.d_fprime[v], part.d_fu[v]):
@@ -283,6 +285,7 @@ class TestNuLeq:
     def test_no_core_neighbours(self):
         part = self._craft([(0, 1), (0, 2)], 3, [0])
         assert reference_n_u_leq(0, part, loose_profile()).size == 0
+        assert n_u_leq_all(part, loose_profile())[0].size == 0
 
     def test_degree_filter_excludes_small(self):
         # 0 and 1 in the core and adjacent; deg(1) < deg(0) / 2
@@ -290,9 +293,12 @@ class TestNuLeq:
         edges += [(0, 10 + i) for i in range(9)]  # deg(0) = 10
         edges += [(1, 30 + i) for i in range(3)]  # deg(1) = 4
         part = self._craft(edges, 40, [0, 1])
+        all_sets = n_u_leq_all(part, loose_profile())
         assert reference_n_u_leq(0, part, loose_profile()).size == 0
+        assert all_sets[0].size == 0
         # from 1's side, 0 has larger degree, also excluded
         assert reference_n_u_leq(1, part, loose_profile()).size == 0
+        assert all_sets[1].size == 0
 
     @pytest.mark.parametrize("edges, n, core, u", [
         ([(1, 2)], 3, [0, 1], 0),
@@ -312,8 +318,11 @@ class TestNuLeq:
         edges += [(1, 20 + i) for i in range(5)]
         part = self._craft(edges, 30, [0, 1])
         profile = loose_profile()
+        all_sets = n_u_leq_all(part, profile)
         assert reference_n_u_leq(0, part, profile).tolist() == [1]
         assert reference_n_u_leq(1, part, profile).tolist() == [0]
+        assert all_sets[0].tolist() == [1]
+        assert all_sets[1].tolist() == [0]
 
     def test_vectorized_matches_scalar(self):
         g = gen_gnp(120, 0.5, seed=6)
@@ -584,8 +593,22 @@ def test_audit_checks_every_derived_count(field_name):
         with_stored_count(part, field_name, v, 7)
     report = audit_partition(part, profile)
     assert not report.ok
+    assert report.failures == reference_audit_partition(part, profile)
     assert report.failures["derived_counts"] == sorted([u, w])
     assert not any(bad for name, bad in report.failures.items() if name != "derived_counts")
+
+
+@pytest.mark.parametrize("field_name, delta", [("d_fprime", 7), ("d_u", -7)])
+def test_audit_builds_j_intervals_from_its_recounts(field_name, delta):
+    # the stored count would move core vertex 0's J interval clear of its
+    # core neighbour's; N^U_<= still counts the overlap of the recounted ones
+    part = craft(4, [(0, 1), (0, 2), (1, 3)], [0, 1], levels=[3, 0, 0, 0])
+    with_stored_count(part, field_name, 0, delta)
+    profile = AUDIT_PROFILES[2]
+    report = audit_partition(part, profile)
+    assert report.failures == reference_audit_partition(part, profile)
+    assert report.failures["nu_leq"] == [0, 1]
+    assert report.failures["derived_counts"] == [0]
 
 
 def test_stages_only_read_derived_fields(monkeypatch):
