@@ -103,10 +103,6 @@ class Graph:
         indptr, nbrs, _ = self._csr
         return nbrs[indptr[v]:indptr[v + 1]]
 
-    def incident_edges(self, v: int) -> np.ndarray:
-        indptr, _, eids = self._csr
-        return eids[indptr[v]:indptr[v + 1]]
-
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.vertex_count else 0
 

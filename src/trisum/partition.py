@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RetryExhausted
-from .graph import Graph, group_by
+from .graph import Graph, group_by, pair_keys
 from .profiles import ProfileConstants, check_partition_feasible
 from .rng import TAG_PART_FU, TAG_PART_FW, TAG_PART_LEVEL, TAG_PART_U, stream
 
@@ -25,52 +25,34 @@ STAGE_ROUNDS = 80
 SAMPLE_ATTEMPTS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class Partition:
-    graph: Graph
-    in_u: np.ndarray        # bool[n]
-    levels: np.ndarray      # int64[n], -1 outside U
-    fw_mask: np.ndarray     # bool[m], F_W subset of F
-    fu_mask: np.ndarray     # bool[m], F_U subset of F'
-    # derived sets and per-vertex counts, computed once from the above;
-    # shared by every stage, which only reads them
-    f_mask: np.ndarray = field(init=False)       # bool[m], F: edges between U and W
-    fprime_mask: np.ndarray = field(init=False)  # bool[m], F' = F minus F_W
-    eu_mask: np.ndarray = field(init=False)      # bool[m], edges inside U
-    eprime_mask: np.ndarray = field(init=False)  # bool[m], edges inside W
-    u_ids: np.ndarray = field(init=False)        # core vertices, ascending
-    w_ids: np.ndarray = field(init=False)        # periphery vertices, ascending
-    d_u: np.ndarray = field(init=False)
-    d_w: np.ndarray = field(init=False)
-    d_fw: np.ndarray = field(init=False)
-    d_fprime: np.ndarray = field(init=False)
-    d_fu: np.ndarray = field(init=False)
+    """The choices of a sample and what its last round, where every
+    constraint held, counted from them. Stages only read it."""
 
-    def __post_init__(self):
-        g = self.graph
-        in_u0, in_u1 = self.in_u[g.edges[:, 0]], self.in_u[g.edges[:, 1]]
-        self.f_mask = in_u0 ^ in_u1
-        self.eu_mask = in_u0 & in_u1
-        self.eprime_mask = ~in_u0 & ~in_u1
-        self.fprime_mask = self.f_mask & ~self.fw_mask
-        self.u_ids = np.flatnonzero(self.in_u)
-        self.w_ids = np.flatnonzero(~self.in_u)
-        self.d_u = _count_neighbors_in(g, self.in_u)
-        self.d_w = g.degrees - self.d_u
-        self.d_fw = _count_incident(g, self.fw_mask)
-        self.d_fprime = _count_incident(g, self.fprime_mask)
-        self.d_fu = _count_incident(g, self.fu_mask)
+    graph: Graph
+    in_u: np.ndarray         # bool[n]
+    levels: np.ndarray       # int64[n], -1 outside U
+    fw_mask: np.ndarray      # bool[m], F_W subset of F
+    fu_mask: np.ndarray      # bool[m], F_U subset of F'
+    f_mask: np.ndarray       # bool[m], F: edges between U and W
+    fprime_mask: np.ndarray  # bool[m], F' = F minus F_W
+    eu_mask: np.ndarray      # bool[m], edges inside U
+    eprime_mask: np.ndarray  # bool[m], edges inside W
+    u_ids: np.ndarray        # core vertices, ascending
+    w_ids: np.ndarray        # periphery vertices, ascending
+    d_u: np.ndarray
+    d_w: np.ndarray
+    d_fw: np.ndarray
+    d_fprime: np.ndarray
+    d_fu: np.ndarray
+    nu_leq: list[np.ndarray]  # N^U_<=(v) per vertex, members ascending; empty in W
 
     def describe(self) -> dict:
-        return {
-            "n_u": int(self.in_u.sum()),
-            "n_w": int((~self.in_u).sum()),
-            "f": int(self.f_mask.sum()),
-            "f_w": int(self.fw_mask.sum()),
-            "f_u": int(self.fu_mask.sum()),
-            "e_u": int(self.eu_mask.sum()),
-            "e_prime": int(self.eprime_mask.sum()),
-        }
+        sets = {"f": self.f_mask, "f_w": self.fw_mask, "f_u": self.fu_mask,
+                "e_u": self.eu_mask, "e_prime": self.eprime_mask}
+        return {"n_u": self.u_ids.size, "n_w": self.w_ids.size,
+                **{name: int(mask.sum()) for name, mask in sets.items()}}
 
 
 def _count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
@@ -138,16 +120,6 @@ def _comparable_pairs(
     return hosts[overlap], members[overlap]
 
 
-def n_u_leq_all(part: Partition, profile: ProfileConstants) -> list[np.ndarray]:
-    """N^U_<=(u) for every core vertex at once, grouped from core-core edges."""
-    g = part.graph
-    hosts, members = _comparable_pairs(
-        _degree_comparable_pairs(g, part.in_u), g.degrees, part.levels,
-        part.d_fprime, part.d_fw, part.d_u, profile,
-    )
-    return group_by(hosts, members, g.vertex_count)
-
-
 def initial_outer_weights(part: Partition) -> np.ndarray:
     """Initial weights on edges outside W: 2 on E(U) and F_U, 1 on F minus F_U.
 
@@ -186,7 +158,8 @@ def sample_partition(
     samples in all. `stats` ends with the redraws of every sample drawn,
     a failed one's too, and the rounds of every stage the last sample ran,
     the one it failed in too. An infeasible profile is refused before any
-    sample is drawn, leaving `stats` untouched.
+    sample is drawn, leaving `stats` untouched. The partition holds the
+    sets, counts and N^U_<= lists that each stage's last round checked.
     """
     check_partition_feasible(g, profile)
     if stats is None:
@@ -267,7 +240,7 @@ def _sample_once(
         viol_a5 = ~in_u & (
             np.abs(d_fu - mean_frac * d_fprime) > profile.eps_fu * d_fprime
         )
-        hosts, _ = _comparable_pairs(pairs, deg, levels, d_fprime, d_fw, d_u, profile)
+        hosts, members = _comparable_pairs(pairs, deg, levels, d_fprime, d_fw, d_u, profile)
         nu_counts = np.bincount(hosts, minlength=n)
         viol_a6 = in_u & (nu_counts > profile.frac_nu * d_u)
         viol_levels = viol_a4 | viol_a6
@@ -282,7 +255,14 @@ def _sample_once(
         resampled += int(scope_e.sum()) + int(viol_levels.sum())
     _end_stage(stats, "fu", rnd, resampled, viol)
 
-    return Partition(graph=g, in_u=in_u, levels=levels, fw_mask=fw_mask, fu_mask=fu_mask)
+    return Partition(
+        graph=g, in_u=in_u, levels=levels, fw_mask=fw_mask, fu_mask=fu_mask,
+        f_mask=f_mask, fprime_mask=fprime_mask,
+        eu_mask=in_u[e0] & in_u[e1], eprime_mask=~in_u[e0] & ~in_u[e1],
+        u_ids=np.flatnonzero(in_u), w_ids=np.flatnonzero(~in_u),
+        d_u=d_u, d_w=d_w, d_fw=d_fw, d_fprime=d_fprime, d_fu=d_fu,
+        nu_leq=group_by(hosts, members, n),
+    )
 
 
 def _end_stage(
@@ -305,14 +285,15 @@ class AuditReport:
 
 
 def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:
-    """Recompute every constraint family from the raw sets, in array passes.
+    """Recompute every constraint family from the raw choices, in array passes.
 
-    An independent check of the sampler: it recounts d_U, d_FW, d_F' and
-    d_FU with other primitives than the sampler's helpers (a bincount over
-    the edge list, and segment sums over the CSR incident-edge rows),
-    counts N^U_<= over the core-core edges itself, and reads no `d_*`
-    field except to compare it with its recount (`derived_counts`). Each
-    family lists its failing vertices ascending.
+    An independent check of the sampler: it derives F, F', E(U), E', the id
+    lists, d_U, d_FW, d_F', d_FU and N^U_<= from `in_u`, `levels` and the
+    F_W and F_U masks with other primitives than the sampler's helpers (a
+    bincount over the edge list, segment sums over the CSR incident-edge
+    rows), and reads a stored field only to compare it with its own: the
+    `derived_*` families list the edges, vertices and hosts where one
+    differs. Each family lists its failing ids ascending.
     """
     g = part.graph
     n = g.vertex_count
@@ -329,6 +310,17 @@ def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:
         counts[rows] = np.add.reduceat(emask[eids], indptr[rows], dtype=np.int64)
         return counts
 
+    def differ(stored: tuple, own: tuple) -> list[int]:
+        # The positions where any stored array differs from the audit's.
+        return np.flatnonzero((np.array(stored) != np.array(own)).any(axis=0)).tolist()
+
+    def unlike(held: np.ndarray, own: np.ndarray) -> np.ndarray:
+        # The keys where a stored list differs from the audit's ascending
+        # one: missing, extra, or not above the key before it.
+        if np.array_equal(held, own):
+            return own[:0]
+        return np.union1d(np.setxor1d(held, own), held[1:][np.diff(held) <= 0])
+
     # d_U(v): the edge ends at v whose other end is in U, counted in one
     # bincount keyed by (end, other end in U).
     ends_in_u = in_u[edges]
@@ -336,22 +328,26 @@ def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:
     keys += ends_in_u[:, ::-1]
     d_u = np.bincount(keys.ravel(), minlength=2 * n)[1::2]
     d_w = deg - d_u
+    in_u0, in_u1 = ends_in_u.T.copy()  # contiguous, so the masks are cheap
+    f_mask, eu_mask = in_u0 ^ in_u1, in_u0 & in_u1
+    fp_mask = f_mask & ~part.fw_mask
     d_fw = incident(part.fw_mask)
     d_fu = incident(part.fu_mask)
-    d_fp = incident(part.fprime_mask)
+    d_fp = incident(fp_mask)
     mlev = profile.m_levels
     mean_frac = (1.0 - 1.0 / mlev) / 2.0
     in_w = ~in_u
 
     # N^U_<=(u): core neighbours of degree in [deg(u) / 2, deg(u)] whose
-    # J interval overlaps u's, counted from each core-core edge both ways.
-    uu = np.flatnonzero(ends_in_u[:, 0] & ends_in_u[:, 1])
+    # J interval overlaps u's, listed from each core-core edge both ways.
+    uu = np.flatnonzero(eu_mask)
     a, b = edges[:, 0][uu], edges[:, 1][uu]
     lo, hi = j_interval_bounds(deg, d_fp, d_fw, d_u, part.levels, profile)
     overlap = (lo[a] <= hi[b]) & (lo[b] <= hi[a])
     b_for_a = overlap & (deg[b] >= 0.5 * deg[a]) & (deg[b] <= deg[a])
     a_for_b = overlap & (deg[a] >= 0.5 * deg[b]) & (deg[a] <= deg[b])
-    nu = np.bincount(a[b_for_a], minlength=n) + np.bincount(b[a_for_b], minlength=n)
+    hosts = np.concatenate([a[b_for_a], b[a_for_b]])
+    nu = np.bincount(hosts, minlength=n)
 
     families = {
         "u_degree": np.abs(d_u - profile.p_u * deg) > profile.eps_u * deg,
@@ -364,16 +360,21 @@ def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:
         "nu_leq": in_u & (nu > profile.frac_nu * d_u),
     }
     fail = {name: np.flatnonzero(bad).tolist() for name, bad in families.items()}
-    fail["structure"] = []
-    if (part.fw_mask & part.fu_mask).any():
-        fail["structure"].append(-1)
-    if not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask):
-        fail["structure"].append(-2)
-    # Every later stage reads these fields in place of its own count.
-    derived = np.zeros(n, dtype=bool)
-    for stored, recount in ((part.d_u, d_u), (part.d_w, d_w), (part.d_fw, d_fw),
-                            (part.d_fprime, d_fp), (part.d_fu, d_fu)):
-        derived |= stored != recount
-    fail["derived_counts"] = np.flatnonzero(derived).tolist()
-    ok = not any(fail.values())
-    return AuditReport(ok=ok, failures=fail)
+    fail["structure"] = [code for code, bad in (
+        (-1, (part.fw_mask & part.fu_mask).any()),
+        (-2, not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask))) if bad]
+    # Every later stage reads the stored fields in place of its own count.
+    fail["derived_counts"] = differ((part.d_u, part.d_w, part.d_fw, part.d_fprime, part.d_fu),
+                                    (d_u, d_w, d_fw, d_fp, d_fu))
+    fail["derived_masks"] = differ((part.f_mask, part.fprime_mask, part.eu_mask, part.eprime_mask),
+                                   (f_mask, fp_mask, eu_mask, ~(in_u0 | in_u1)))
+    fail["derived_ids"] = np.union1d(unlike(part.u_ids, np.flatnonzero(in_u)),
+                                     unlike(part.w_ids, np.flatnonzero(in_w))).tolist()
+    # N^U_<= as (host, member) keys, the stored lists in their order; a
+    # differing key fails its host.
+    sizes = [len(members) for members in part.nu_leq]
+    held = pair_keys(np.repeat(np.arange(len(sizes)), sizes),
+                     np.concatenate([np.zeros(0, np.int64), *part.nu_leq]), n)
+    own = np.sort(pair_keys(hosts, np.concatenate([b[b_for_a], a[a_for_b]]), n))
+    fail["derived_nu"] = np.unique(unlike(held, own) // max(n, 1)).tolist()
+    return AuditReport(ok=not any(fail.values()), failures=fail)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NoValidPair
 from .graph import group_by
-from .partition import Partition, j_interval_bounds, n_u_leq_all
+from .partition import Partition, j_interval_bounds
 from .profiles import RESERVED_RESIDUES, ProfileConstants
 from .weighting import MAX_WEIGHT, EdgeWeighting, weighted_degrees
 
@@ -100,7 +100,8 @@ def finalize_u(
     Owned edges toward processed neighbours have a forced direction (the
     one keeping the neighbour inside its pair); unprocessed neighbours
     allow either direction. The smallest reachable pair base not claimed
-    by a processed comparable neighbour is chosen; forced edges are
+    by a processed comparable neighbour (a member of `part.nu_leq[u]`, the
+    set the sampler checked) is chosen; forced edges are
     flipped before free ones, each in ascending edge id.
     """
     g = part.graph
@@ -113,7 +114,6 @@ def finalize_u(
 
     u_ids = part.u_ids
     order = u_ids[np.lexsort((u_ids, g.degrees[u_ids]))]
-    nu_cache = n_u_leq_all(part, profile)
     owned_eids = np.flatnonzero(owner >= 0)
     owned_lists = group_by(owner[owned_eids], owned_eids, n)
     # The endpoint of each owned edge that is not its owner.
@@ -136,7 +136,7 @@ def finalize_u(
         forced_plus, forced_minus = owned[at_base], owned[at_next]
         lo = int(s[u]) - forced_minus.size - free.size
         hi = int(s[u]) + forced_plus.size + free.size
-        nu = nu_cache[u]
+        nu = part.nu_leq[u]
         blocked = set(pair_base[nu[processed[nu]]].tolist())
         target = None
         first = -(-lo // mod) * mod  # smallest multiple of mod >= lo

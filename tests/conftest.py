@@ -9,8 +9,15 @@ import pytest
 
 from trisum import analytic
 from trisum.errors import WeightingCoverageError
-from trisum.graph import Graph, _edge_list_text
-from trisum.partition import Partition, j_interval_bounds
+from trisum.graph import Graph, _edge_list_text, group_by
+from trisum.partition import (
+    Partition,
+    _comparable_pairs,
+    _count_incident,
+    _count_neighbors_in,
+    _degree_comparable_pairs,
+    j_interval_bounds,
+)
 from trisum.profiles import ProfileConstants
 from trisum.weighting import EdgeWeighting, _weighting_text
 from trisum.wstage import (
@@ -84,7 +91,39 @@ def format_weighting(g: Graph, weighting: EdgeWeighting) -> str:
     return "".join(_weighting_text(g, weighting))
 
 
+def partition_of(
+    g: Graph, profile: ProfileConstants, in_u: np.ndarray, levels: np.ndarray,
+    fw_mask: np.ndarray, fu_mask: np.ndarray,
+) -> Partition:
+    """The partition of any choices, whether or not the sampler would accept
+    them, with every derived field counted by the sampler's own helpers:
+    the tests' one way to build a Partition by hand."""
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    f_mask = in_u[e0] ^ in_u[e1]
+    fprime_mask = f_mask & ~fw_mask
+    d_u = _count_neighbors_in(g, in_u)
+    d_fw = _count_incident(g, fw_mask)
+    d_fprime = _count_incident(g, fprime_mask)
+    hosts, members = _comparable_pairs(
+        _degree_comparable_pairs(g, in_u), g.degrees, levels, d_fprime, d_fw, d_u, profile,
+    )
+    return Partition(
+        graph=g, in_u=in_u, levels=levels, fw_mask=fw_mask, fu_mask=fu_mask,
+        f_mask=f_mask, fprime_mask=fprime_mask,
+        eu_mask=in_u[e0] & in_u[e1], eprime_mask=~in_u[e0] & ~in_u[e1],
+        u_ids=np.flatnonzero(in_u), w_ids=np.flatnonzero(~in_u),
+        d_u=d_u, d_w=g.degrees - d_u, d_fw=d_fw, d_fprime=d_fprime,
+        d_fu=_count_incident(g, fu_mask), nu_leq=group_by(hosts, members, g.vertex_count),
+    )
+
+
 # Reference oracles shared by several test modules.
+
+
+def incident_edges(g: Graph, v: int) -> np.ndarray:
+    """The ids of v's edges, in the order of `g.neighbors(v)`."""
+    indptr, _, eids = g._csr
+    return eids[indptr[v]:indptr[v + 1]]
 
 
 def j_interval(u: int, part: Partition, profile: ProfileConstants) -> tuple[float, float]:

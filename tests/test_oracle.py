@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import incident_edges
 from trisum import oracle
 from trisum.errors import InternalInconsistency
 from trisum.graph import Graph, gen_gnp
@@ -32,7 +33,7 @@ def _reference_edge_order(g: Graph) -> list[int]:
         while queue:
             v = queue.pop(0)
             nbrs = g.neighbors(v)
-            eids = g.incident_edges(v)
+            eids = incident_edges(g, v)
             for u, e in zip(nbrs.tolist(), eids.tolist()):
                 if not seen_edge[e]:
                     seen_edge[e] = True

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import j_interval, loose_profile, small_run_profile
+from conftest import incident_edges, j_interval, loose_profile, partition_of, small_run_profile
 from trisum.errors import InfeasibleProfile, RetryExhausted
 from trisum.graph import Graph, gen_gnp
 from trisum.partition import (
@@ -20,7 +20,6 @@ from trisum.partition import (
     audit_partition,
     initial_outer_weights,
     j_interval_bounds,
-    n_u_leq_all,
     sample_partition,
 )
 from trisum import pipeline
@@ -32,11 +31,14 @@ def complete_graph(n: int) -> Graph:
 
 
 def recount(part: Partition, v: int) -> tuple[int, int, int, int]:
-    """d_U, d_FW, d_FU and d_F' of one vertex, from its own CSR rows."""
+    """d_U, d_FW, d_FU and d_F' of one vertex, from its own CSR rows and
+    the choices alone: an incident edge is in F' when its other end is on
+    the other side of the split and it is not in F_W."""
     nbrs = part.graph.neighbors(v)
-    inc = part.graph.incident_edges(v)
+    inc = incident_edges(part.graph, v)
+    boundary = part.in_u[nbrs] != part.in_u[v]
     return (int(part.in_u[nbrs].sum()), int(part.fw_mask[inc].sum()),
-            int(part.fu_mask[inc].sum()), int(part.fprime_mask[inc].sum()))
+            int(part.fu_mask[inc].sum()), int((boundary & ~part.fw_mask[inc]).sum()))
 
 
 def reference_n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.ndarray:
@@ -60,28 +62,41 @@ def reference_n_u_leq(u: int, part: Partition, profile: ProfileConstants) -> np.
 
 
 def reference_audit_partition(part: Partition, profile: ProfileConstants) -> dict:
-    """The failures of audit_partition, recounted one vertex at a time."""
+    """The failures of audit_partition, recounted one edge and one vertex
+    at a time."""
     g = part.graph
     in_u = part.in_u
     fail: dict[str, list[int]] = {
         "u_degree": [], "fw_in_w": [], "fw_in_u": [],
         "fu_in_u": [], "fu_in_w": [], "nu_leq": [],
         "structure": [], "derived_counts": [],
+        "derived_masks": [], "derived_ids": [], "derived_nu": [],
     }
     if (part.fw_mask & part.fu_mask).any():
         fail["structure"].append(-1)
     if not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask):
         fail["structure"].append(-2)
-    own_d_u = {}
+    for e, (a, b) in enumerate(g.edges.tolist()):
+        boundary = bool(in_u[a] != in_u[b])
+        want = (boundary, boundary and not part.fw_mask[e],
+                bool(in_u[a] and in_u[b]), bool(not in_u[a] and not in_u[b]))
+        if want != (part.f_mask[e], part.fprime_mask[e], part.eu_mask[e], part.eprime_mask[e]):
+            fail["derived_masks"].append(e)
+    bad_ids = set()
+    for stored, side in ((part.u_ids, True), (part.w_ids, False)):
+        listed = [int(v) for v in stored]
+        bad_ids |= set(listed) ^ {v for v in range(g.vertex_count) if in_u[v] == side}
+        bad_ids |= {v for prev, v in zip(listed, listed[1:]) if v <= prev}
+    fail["derived_ids"] = sorted(bad_ids)
     for v in range(g.vertex_count):
         deg = int(g.degrees[v])
         d_u, d_fw, d_fu, d_fp = recount(part, v)
-        own_d_u[v] = d_u
         if (d_u, deg - d_u, d_fw, d_fp, d_fu) != (
                 part.d_u[v], part.d_w[v], part.d_fw[v], part.d_fprime[v], part.d_fu[v]):
             fail["derived_counts"].append(v)
         if abs(d_u - profile.p_u * deg) > profile.eps_u * deg:
             fail["u_degree"].append(v)
+        members = []
         if in_u[v]:
             d_w = deg - d_u
             if abs(d_fw - profile.p_fw * d_w) > profile.eps_fw * d_w:
@@ -89,16 +104,17 @@ def reference_audit_partition(part: Partition, profile: ProfileConstants) -> dic
             lvl = int(part.levels[v])
             if abs(d_fu - (lvl / profile.m_levels) * d_fp) > profile.eps_fu * deg:
                 fail["fu_in_u"].append(v)
+            members = reference_n_u_leq(v, part, profile).tolist()
+            if len(members) > profile.frac_nu * d_u:
+                fail["nu_leq"].append(v)
         else:
             if abs(d_fw - profile.p_fw * d_u) > profile.eps_fw * d_u:
                 fail["fw_in_w"].append(v)
             mean_frac = (1.0 - 1.0 / profile.m_levels) / 2.0
             if abs(d_fu - mean_frac * d_fp) > profile.eps_fu * d_fp:
                 fail["fu_in_w"].append(v)
-    for u in part.u_ids:
-        members = reference_n_u_leq(int(u), part, profile)
-        if members.size > profile.frac_nu * own_d_u[int(u)]:
-            fail["nu_leq"].append(int(u))
+        if part.nu_leq[v].tolist() != members:
+            fail["derived_nu"].append(v)
     return fail
 
 
@@ -271,21 +287,19 @@ class TestJInterval:
 
 class TestNuLeq:
     @staticmethod
-    def _craft(edges, n, in_u_ids, degrees_pad=None):
+    def _craft(edges, n, in_u_ids):
+        # all levels 0 and no F_W or F_U edge, under loose_profile()
         g = Graph.build(n, edges)
         in_u = np.zeros(g.vertex_count, dtype=bool)
         in_u[list(in_u_ids)] = True
         levels = np.where(in_u, 0, -1).astype(np.int64)
-        return Partition(
-            graph=g, in_u=in_u, levels=levels,
-            fw_mask=np.zeros(g.edge_count, dtype=bool),
-            fu_mask=np.zeros(g.edge_count, dtype=bool),
-        )
+        none = np.zeros(g.edge_count, dtype=bool)
+        return partition_of(g, loose_profile(), in_u, levels, none, none.copy())
 
     def test_no_core_neighbours(self):
         part = self._craft([(0, 1), (0, 2)], 3, [0])
         assert reference_n_u_leq(0, part, loose_profile()).size == 0
-        assert n_u_leq_all(part, loose_profile())[0].size == 0
+        assert part.nu_leq[0].size == 0
 
     def test_degree_filter_excludes_small(self):
         # 0 and 1 in the core and adjacent; deg(1) < deg(0) / 2
@@ -293,7 +307,7 @@ class TestNuLeq:
         edges += [(0, 10 + i) for i in range(9)]  # deg(0) = 10
         edges += [(1, 30 + i) for i in range(3)]  # deg(1) = 4
         part = self._craft(edges, 40, [0, 1])
-        all_sets = n_u_leq_all(part, loose_profile())
+        all_sets = part.nu_leq
         assert reference_n_u_leq(0, part, loose_profile()).size == 0
         assert all_sets[0].size == 0
         # from 1's side, 0 has larger degree, also excluded
@@ -310,7 +324,7 @@ class TestNuLeq:
         profile = loose_profile()
         got = reference_n_u_leq(u, part, profile)
         assert got.dtype == np.int64 and got.size == 0
-        assert n_u_leq_all(part, profile)[u].size == 0
+        assert part.nu_leq[u].size == 0
 
     def test_symmetric_equal_pair(self):
         edges = [(0, 1)]
@@ -318,7 +332,7 @@ class TestNuLeq:
         edges += [(1, 20 + i) for i in range(5)]
         part = self._craft(edges, 30, [0, 1])
         profile = loose_profile()
-        all_sets = n_u_leq_all(part, profile)
+        all_sets = part.nu_leq
         assert reference_n_u_leq(0, part, profile).tolist() == [1]
         assert reference_n_u_leq(1, part, profile).tolist() == [0]
         assert all_sets[0].tolist() == [1]
@@ -328,7 +342,7 @@ class TestNuLeq:
         g = gen_gnp(120, 0.5, seed=6)
         profile = small_run_profile()
         part = sample_partition(g, profile, seed=6)
-        all_sets = n_u_leq_all(part, profile)
+        all_sets = part.nu_leq
         for u in part.u_ids:
             u = int(u)
             assert all_sets[u].tolist() == reference_n_u_leq(u, part, profile).tolist()
@@ -343,7 +357,7 @@ class TestNuLeq:
             part.d_fprime, part.d_fw, part.d_u, profile,
         )
         counts = np.bincount(hosts, minlength=g.vertex_count)
-        all_sets = n_u_leq_all(part, profile)
+        all_sets = part.nu_leq
         for u in part.u_ids:
             assert counts[u] == len(all_sets[u]) == reference_n_u_leq(int(u), part, profile).size
 
@@ -436,7 +450,8 @@ def test_count_helpers_match_reference(case):
         assert np.array_equal(got, want)
 
 
-# The formula of each field that Partition derives from its sampled choices.
+# The formula of each set, id list and count that the sampler derives
+# from its choices without a helper of its own.
 DERIVED_FORMULAS = {
     "f_mask": lambda p: p.in_u[p.graph.edges[:, 0]] ^ p.in_u[p.graph.edges[:, 1]],
     "fprime_mask": lambda p: p.f_mask & ~p.fw_mask,
@@ -448,37 +463,52 @@ DERIVED_FORMULAS = {
 }
 
 
-@st.composite
-def crafted_partitions(draw, m_levels: int = 4):
-    """Any split of a small graph, with F_W and F_U drawn as subsets of F
-    and of F', and core levels in 0..m_levels-1; sometimes no edges, an
-    empty U or an empty W."""
-    n = draw(st.integers(0, 12))
-    pairs = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30))
-    g = Graph.build(n, [(u, v) for u, v in pairs if u != v and max(u, v) < n])
-    split = draw(st.sampled_from(["any", "all_u", "all_w"]))
-    if split == "any":
-        in_u = np.array(draw(st.lists(st.booleans(), min_size=g.vertex_count,
-                                      max_size=g.vertex_count)), dtype=bool)
-    else:
-        in_u = np.full(g.vertex_count, split == "all_u")
-    coins = np.array(draw(st.lists(st.integers(0, 2), min_size=g.edge_count,
-                                   max_size=g.edge_count)), dtype=np.int64)
-    levels = np.array(draw(st.lists(st.integers(0, m_levels - 1), min_size=g.vertex_count,
-                                    max_size=g.vertex_count)), dtype=np.int64)
-    f_mask = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
-    return Partition(
-        graph=g, in_u=in_u, levels=np.where(in_u, levels, -1),
-        fw_mask=f_mask & (coins == 1), fu_mask=f_mask & (coins == 2),
-    )
+def bipartite(a: int, b: int, key) -> Graph:
+    mask = np.random.default_rng(key).random((a, b)) < 0.7
+    left, right = np.nonzero(mask)
+    return Graph(vertex_count=a + b, edges=np.stack([left, right + a], axis=1).astype(np.int64))
 
 
-@settings(max_examples=150, deadline=None)
-@given(crafted_partitions())
-def test_derived_fields_match_formulas(part):
-    for name, formula in DERIVED_FORMULAS.items():
-        got, want = getattr(part, name), formula(part)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+def k10_10() -> Graph:
+    return Graph.build(20, [(i, 10 + j) for i in range(10) for j in range(10)])
+
+
+# (graph, profile, run seed, STAGE_ROUNDS or None for the default)
+SAMPLER_CASES = {
+    "gnp100": (lambda: gen_gnp(100, 0.6, 5),
+               small_run_profile(eps_u=0.2, eps_fw=0.45, eps_fu=0.49), 5, None),
+    "gnp200": (lambda: gen_gnp(200, 0.5, 3), small_run_profile(), 9, None),
+    "gnp250": (lambda: gen_gnp(250, 0.5, 1), small_run_profile(), 1, None),
+    "bipartite": (lambda: bipartite(120, 360, [5]), small_run_profile(), 1, None),
+    # K(10, 10) with a two-round budget: seed 1's first sample fails in the
+    # core-membership stage, so the partition is the second sample's
+    "after-failure": (k10_10, loose_profile(eps_u=0.101), 1, 2),
+}
+
+
+def test_derived_fields_match_formulas(monkeypatch):
+    # every field the sampler stores, against a formula or a reference
+    for case, (build, profile, seed, rounds) in SAMPLER_CASES.items():
+        g = build()
+        with monkeypatch.context() as patch:
+            if rounds is not None:
+                patch.setattr("trisum.partition.STAGE_ROUNDS", rounds)
+                with pytest.raises(RetryExhausted):
+                    _sample_once(g, profile, seed, 0, SampleStats())
+            part = sample_partition(g, profile, seed)
+        for name, formula in DERIVED_FORMULAS.items():
+            got, want = getattr(part, name), formula(part)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (case, name)
+        for name, want in (("d_u", reference_count_neighbors_in(g, part.in_u)),
+                           ("d_fw", reference_count_incident(g, part.fw_mask)),
+                           ("d_fprime", reference_count_incident(g, part.fprime_mask)),
+                           ("d_fu", reference_count_incident(g, part.fu_mask))):
+            got = getattr(part, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (case, name)
+        assert len(part.nu_leq) == g.vertex_count
+        for v in range(g.vertex_count):
+            want = reference_n_u_leq(v, part, profile).tolist() if part.in_u[v] else []
+            assert part.nu_leq[v].tolist() == want, (case, v)
 
 
 # Profiles with m_levels = 4, the level range of crafted_partitions: the
@@ -490,7 +520,32 @@ AUDIT_PROFILES = [
 ]
 
 
-def craft(n, pairs, core, fw=(), fu=(), levels=None) -> Partition:
+@st.composite
+def crafted_partitions(draw):
+    """Any split of a small graph under one of AUDIT_PROFILES, with F_W and
+    F_U drawn as subsets of F and of F', and core levels in 0..3; sometimes
+    no edges, an empty U or an empty W. Gives (partition, profile)."""
+    n = draw(st.integers(0, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30))
+    g = Graph.build(n, [(u, v) for u, v in pairs if u != v and max(u, v) < n])
+    split = draw(st.sampled_from(["any", "all_u", "all_w"]))
+    if split == "any":
+        in_u = np.array(draw(st.lists(st.booleans(), min_size=g.vertex_count,
+                                      max_size=g.vertex_count)), dtype=bool)
+    else:
+        in_u = np.full(g.vertex_count, split == "all_u")
+    coins = np.array(draw(st.lists(st.integers(0, 2), min_size=g.edge_count,
+                                   max_size=g.edge_count)), dtype=np.int64)
+    levels = np.array(draw(st.lists(st.integers(0, 3), min_size=g.vertex_count,
+                                    max_size=g.vertex_count)), dtype=np.int64)
+    profile = draw(st.sampled_from(AUDIT_PROFILES))
+    f_mask = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
+    part = partition_of(g, profile, in_u, np.where(in_u, levels, -1),
+                        f_mask & (coins == 1), f_mask & (coins == 2))
+    return part, profile
+
+
+def craft(profile, n, pairs, core, fw=(), fu=(), levels=None) -> Partition:
     """A partition of Graph.build(n, pairs) with the given core, F_W and
     F_U edges (as vertex pairs) and core levels (all 0 unless given)."""
     g = Graph.build(n, pairs)
@@ -502,44 +557,66 @@ def craft(n, pairs, core, fw=(), fu=(), levels=None) -> Partition:
     fu_mask = np.zeros(g.edge_count, dtype=bool)
     fu_mask[[rows[tuple(sorted(e))] for e in fu]] = True
     lv = np.zeros(g.vertex_count, dtype=np.int64) if levels is None else np.array(levels)
-    return Partition(graph=g, in_u=in_u, levels=np.where(in_u, lv, -1),
-                     fw_mask=fw_mask, fu_mask=fu_mask)
+    return partition_of(g, profile, in_u, np.where(in_u, lv, -1), fw_mask, fu_mask)
 
 
 def with_stored_count(part: Partition, field_name: str, vertex: int, delta: int) -> Partition:
     value = getattr(part, field_name).copy()
     value[vertex] += delta
-    setattr(part, field_name, value)
-    return part
+    return dataclasses.replace(part, **{field_name: value})
+
+
+def with_flipped_edge(part: Partition, field_name: str, edge: int) -> Partition:
+    value = getattr(part, field_name).copy()
+    value[edge] ^= True
+    return dataclasses.replace(part, **{field_name: value})
+
+
+def without_last_periphery_id(part: Partition) -> Partition:
+    return dataclasses.replace(part, w_ids=part.w_ids[:-1])
+
+
+def with_nu_leq(part: Partition, host: int, members: list[int]) -> Partition:
+    nu_leq = list(part.nu_leq)
+    nu_leq[host] = np.array(members, dtype=np.int64)
+    return dataclasses.replace(part, nu_leq=nu_leq)
 
 
 STAR = [(0, 1), (0, 2)]
-# One crafted partition per failure family, and the index of its profile
-# in AUDIT_PROFILES.
+PATH4 = [(0, 1), (0, 2), (1, 3)]
+# One crafted partition per failure family, built under the given profile,
+# and the index of that profile in AUDIT_PROFILES.
 FAMILY_CASES = {
     # every neighbour of a K3 vertex is in the core: 2 is far from 0.5 * 2
-    "u_degree": (lambda: craft(3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2]), 1),
+    "u_degree": (lambda p: craft(p, 3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2]), 1),
     # the periphery centre sees two core neighbours and no F_W edge
-    "fw_in_w": (lambda: craft(3, STAR, [1, 2]), 1),
+    "fw_in_w": (lambda p: craft(p, 3, STAR, [1, 2]), 1),
     # the core centre sees two periphery neighbours and no F_W edge
-    "fw_in_u": (lambda: craft(3, STAR, [0]), 1),
+    "fw_in_u": (lambda p: craft(p, 3, STAR, [0]), 1),
     # level 3 asks for 3/4 of the two F' edges in F_U; none is
-    "fu_in_u": (lambda: craft(3, STAR, [0], levels=[3, 0, 0]), 1),
+    "fu_in_u": (lambda p: craft(p, 3, STAR, [0], levels=[3, 0, 0]), 1),
     # both F' edges of the periphery centre in F_U, against 3/8 expected
-    "fu_in_w": (lambda: craft(3, STAR, [1, 2], fu=STAR), 1),
+    "fu_in_w": (lambda p: craft(p, 3, STAR, [1, 2], fu=STAR), 1),
     # two adjacent core vertices of equal degree, one core neighbour each
-    "nu_leq": (lambda: craft(4, [(0, 1), (0, 2), (1, 3)], [0, 1]), 2),
+    "nu_leq": (lambda p: craft(p, 4, PATH4, [0, 1]), 2),
     # an edge in both F_W and F_U
-    "structure": (lambda: craft(3, STAR, [0], fw=[(0, 1)], fu=[(0, 1)]), 1),
+    "structure": (lambda p: craft(p, 3, STAR, [0], fw=[(0, 1)], fu=[(0, 1)]), 1),
     # a stored d_FW one above the count
-    "derived_counts": (lambda: with_stored_count(craft(3, STAR, [0]), "d_fw", 1, 1), 1),
+    "derived_counts": (lambda p: with_stored_count(craft(p, 3, STAR, [0]), "d_fw", 1, 1), 1),
+    # the boundary edge (0, 1) stored as inside U
+    "derived_masks": (lambda p: with_flipped_edge(craft(p, 3, STAR, [0]), "eu_mask", 0), 1),
+    # periphery vertex 2 left out of w_ids
+    "derived_ids": (lambda p: without_last_periphery_id(craft(p, 3, STAR, [0])), 1),
+    # periphery vertex 2 stored as comparable with core vertex 0
+    "derived_nu": (lambda p: with_nu_leq(craft(p, 4, PATH4, [0, 1]), 0, [1, 2]), 1),
 }
 
 
 @pytest.mark.parametrize("family", list(FAMILY_CASES))
 def test_each_family_fails_as_the_reference_does(family):
     build, which = FAMILY_CASES[family]
-    part, profile = build(), AUDIT_PROFILES[which]
+    profile = AUDIT_PROFILES[which]
+    part = build(profile)
     report = audit_partition(part, profile)
     want = reference_audit_partition(part, profile)
     assert report.failures == want
@@ -548,9 +625,9 @@ def test_each_family_fails_as_the_reference_does(family):
 
 
 @settings(max_examples=200, deadline=None)
-@given(crafted_partitions(), st.sampled_from(range(len(AUDIT_PROFILES))))
-def test_audit_matches_reference_on_crafted_partitions(part, which):
-    profile = AUDIT_PROFILES[which]
+@given(crafted_partitions())
+def test_audit_matches_reference_on_crafted_partitions(case):
+    part, profile = case
     report = audit_partition(part, profile)
     want = reference_audit_partition(part, profile)
     assert report.failures == want
@@ -575,22 +652,28 @@ def test_audit_matches_reference_on_perturbed_samples(seed):
     moved = rng.random(g.vertex_count) < 0.2
     levels[moved & in_u] = rng.integers(0, profile.m_levels, (moved & in_u).sum())
     levels[in_u & (levels < 0)] = 0
-    perturbed = Partition(graph=g, in_u=in_u, levels=levels, fw_mask=fw, fu_mask=fu)
+    perturbed = partition_of(g, profile, in_u, levels, fw, fu)
     for p in (part, perturbed):
         assert audit_partition(p, profile).failures == reference_audit_partition(p, profile)
 
 
-@pytest.mark.parametrize("field_name", ["d_u", "d_w", "d_fw", "d_fprime", "d_fu"])
-def test_audit_checks_every_derived_count(field_name):
-    # every later stage reads these counts: one stored wrongly at one core
-    # and one periphery vertex fails the audit, and only as derived_counts
+@pytest.fixture(scope="module")
+def sampled_250():
     g = gen_gnp(250, 0.5, 1)
     profile = small_run_profile()
     part = sample_partition(g, profile, seed=1)
     assert audit_partition(part, profile).ok
+    return part, profile
+
+
+@pytest.mark.parametrize("field_name", ["d_u", "d_w", "d_fw", "d_fprime", "d_fu"])
+def test_audit_checks_every_derived_count(field_name, sampled_250):
+    # every later stage reads these counts: one stored wrongly at one core
+    # and one periphery vertex fails the audit, and only as derived_counts
+    part, profile = sampled_250
     u, w = int(part.u_ids[0]), int(part.w_ids[0])
     for v in (u, w):
-        with_stored_count(part, field_name, v, 7)
+        part = with_stored_count(part, field_name, v, 7)
     report = audit_partition(part, profile)
     assert not report.ok
     assert report.failures == reference_audit_partition(part, profile)
@@ -598,36 +681,90 @@ def test_audit_checks_every_derived_count(field_name):
     assert not any(bad for name, bad in report.failures.items() if name != "derived_counts")
 
 
+@pytest.mark.parametrize("field_name, change", [
+    ("f_mask", "flip"), ("fprime_mask", "flip"), ("eu_mask", "flip"), ("eprime_mask", "flip"),
+    ("u_ids", "drop"), ("u_ids", "add"), ("u_ids", "repeat"), ("w_ids", "drop"),
+    ("w_ids", "add"), ("nu_leq", "swap"),
+])
+def test_audit_checks_every_stored_set(field_name, change, sampled_250):
+    # every later stage reads these sets: one wrong edge, id or member
+    # fails the audit in its own family (a wrong F or F' also breaks the
+    # F = F_W + F' identity)
+    part, profile = sampled_250
+    value = getattr(part, field_name)
+    if change == "flip":
+        bad = int(np.flatnonzero(value)[0])
+        value = value.copy()
+        value[bad] = False
+        want = {"derived_masks": [bad]}
+        if field_name in ("f_mask", "fprime_mask"):
+            want["structure"] = [-2]
+    elif change == "drop":
+        bad = int(value[len(value) // 2])
+        value = value[value != bad]
+        want = {"derived_ids": [bad]}
+    elif change == "add":
+        bad = int((part.w_ids if field_name == "u_ids" else part.u_ids)[0])
+        value = np.sort(np.append(value, bad))
+        want = {"derived_ids": [bad]}
+    elif change == "repeat":
+        # the right set of ids, one of them listed twice
+        bad = int(value[0])
+        value = np.sort(np.append(value, bad))
+        want = {"derived_ids": [bad]}
+    else:
+        bad = int(np.flatnonzero([len(members) for members in value])[0])
+        value = list(value)
+        value[bad] = value[bad].copy()
+        value[bad][0] = part.w_ids[0]
+        want = {"derived_nu": [bad]}
+    part = dataclasses.replace(part, **{field_name: value})
+    report = audit_partition(part, profile)
+    assert not report.ok
+    assert report.failures == reference_audit_partition(part, profile)
+    assert {name: bad for name, bad in report.failures.items() if bad} == want
+
+
 @pytest.mark.parametrize("field_name, delta", [("d_fprime", 7), ("d_u", -7)])
 def test_audit_builds_j_intervals_from_its_recounts(field_name, delta):
     # the stored count would move core vertex 0's J interval clear of its
     # core neighbour's; N^U_<= still counts the overlap of the recounted ones
-    part = craft(4, [(0, 1), (0, 2), (1, 3)], [0, 1], levels=[3, 0, 0, 0])
-    with_stored_count(part, field_name, 0, delta)
     profile = AUDIT_PROFILES[2]
+    part = craft(profile, 4, PATH4, [0, 1], levels=[3, 0, 0, 0])
+    part = with_stored_count(part, field_name, 0, delta)
     report = audit_partition(part, profile)
     assert report.failures == reference_audit_partition(part, profile)
     assert report.failures["nu_leq"] == [0, 1]
     assert report.failures["derived_counts"] == [0]
 
 
+def test_partition_is_frozen(sampled_250):
+    part, _ = sampled_250
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.d_u = part.d_u.copy()
+
+
 def test_stages_only_read_derived_fields(monkeypatch):
     """A run's stages share the partition's arrays; none may write them."""
     seen = []
 
+    def arrays(part):
+        # every stored array but the graph's, the N^U_<= lists one by one
+        out = {f.name: [getattr(part, f.name)] for f in dataclasses.fields(part)
+               if f.name not in ("graph", "nu_leq")}
+        out["nu_leq"] = part.nu_leq
+        return out
+
     def sample_and_keep(*args, **kwargs):
         part = sample_partition(*args, **kwargs)
-        shared = [f.name for f in dataclasses.fields(part) if not f.init]
-        seen.append((part, {k: getattr(part, k).copy() for k in shared}))
+        seen.append((part, {k: [a.copy() for a in v] for k, v in arrays(part).items()}))
         return part
 
     monkeypatch.setattr(pipeline, "sample_partition", sample_and_keep)
     # the pipeline tests' bipartite instance, where a DESK run succeeds
-    mask = np.random.default_rng([101, 0, 0]).random((400, 1200)) < 0.7
-    left, right = np.nonzero(mask)
-    g = Graph(vertex_count=1600, edges=np.stack([left, right + 400], axis=1).astype(np.int64))
-    assert pipeline.run(g, DESK, seed=0).success
+    assert pipeline.run(bipartite(400, 1200, [101, 0, 0]), DESK, seed=0).success
     assert seen
     for part, before in seen:
-        for name, value in before.items():
-            assert np.array_equal(getattr(part, name), value), name
+        for name, value in arrays(part).items():
+            assert len(value) == len(before[name]), name
+            assert all(np.array_equal(a, b) for a, b in zip(value, before[name])), name

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import loose_profile, small_run_profile
+from conftest import loose_profile, partition_of, small_run_profile
 from trisum.errors import (
     DegenerateLength,
     InsufficientFW,
@@ -13,7 +13,7 @@ from trisum.errors import (
     RetryExhausted,
 )
 from trisum.graph import Graph, gen_gnp, gen_random_regular
-from trisum.partition import SAMPLE_ATTEMPTS, Partition, _sample_once, sample_partition
+from trisum.partition import SAMPLE_ATTEMPTS, _sample_once, sample_partition
 from trisum.pipeline import run
 from trisum.profiles import DESK
 from trisum.ustage import build_estar, finalize_u
@@ -151,9 +151,9 @@ class TestRun:
             in_u[:50] = True
             f = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
             calls.append(seed)
-            return Partition(
-                graph=g, in_u=in_u, levels=np.where(in_u, np.maximum(part.levels, 0), -1),
-                fw_mask=part.fw_mask & f, fu_mask=part.fu_mask & f,
+            return partition_of(
+                g, profile, in_u, np.where(in_u, np.maximum(part.levels, 0), -1),
+                part.fw_mask & f, part.fu_mask & f,
             )
 
         monkeypatch.setattr("trisum.pipeline.sample_partition", forced_core)

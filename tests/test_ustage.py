@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import j_interval, loose_profile, small_run_profile
+from conftest import j_interval, loose_profile, partition_of, small_run_profile
 from trisum.errors import InternalInconsistency, NoValidPair
 from trisum.graph import Graph, gen_gnp, gen_random_regular, group_by
-from trisum.partition import Partition, initial_outer_weights, n_u_leq_all, sample_partition
+from trisum.partition import Partition, initial_outer_weights, sample_partition
 from trisum.ustage import build_estar, estar_bounds_hold, final_verify, finalize_u
 from trisum.weighting import EdgeWeighting, weighted_degrees
 
 
 def craft_partition(g: Graph, core_ids) -> Partition:
+    """The given core, all levels 0 and no F_W or F_U edge; its N^U_<= sets
+    are those of loose_profile() and of every profile that differs from it
+    only in modulus_m."""
     in_u = np.zeros(g.vertex_count, dtype=bool)
     in_u[list(core_ids)] = True
     levels = np.where(in_u, 0, -1).astype(np.int64)
-    return Partition(
-        graph=g, in_u=in_u, levels=levels,
-        fw_mask=np.zeros(g.edge_count, dtype=bool),
-        fu_mask=np.zeros(g.edge_count, dtype=bool),
-    )
+    none = np.zeros(g.edge_count, dtype=bool)
+    return partition_of(g, loose_profile(), in_u, levels, none, none.copy())
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -108,7 +108,8 @@ def reference_finalize_u(
     part: Partition, omega2: EdgeWeighting, owner: np.ndarray, profile,
 ) -> EdgeWeighting:
     """finalize_u as it was: a Python loop over each core vertex's owned
-    edges, one flip at a time. The oracle for its results and errors."""
+    edges, one flip at a time, with the comparable sets the partition
+    holds. The oracle for its results and errors."""
     g = part.graph
     mod = profile.modulus_m
     w = omega2.weights.copy()
@@ -119,7 +120,6 @@ def reference_finalize_u(
 
     u_ids = part.u_ids
     order = u_ids[np.lexsort((u_ids, g.degrees[u_ids]))]
-    nu_cache = n_u_leq_all(part, profile)
     owned_eids = np.flatnonzero(owner >= 0)
     owned_lists = group_by(owner[owned_eids], owned_eids, n)
     # The endpoint of each owned edge that is not its owner.
@@ -149,7 +149,7 @@ def reference_finalize_u(
         lo = int(s[u]) - n_minus
         hi = int(s[u]) + n_plus
         blocked = {
-            int(pair_base[v]) for v in nu_cache[u]
+            int(pair_base[v]) for v in part.nu_leq[u]
             if processed[v]
         }
         target = None
@@ -164,7 +164,7 @@ def reference_finalize_u(
                 "sum": int(s[u]),
                 "owned": len(owned),
                 "blocked_pairs": sorted(blocked),
-                "comparable_neighbours": len(nu_cache[u]),
+                "comparable_neighbours": len(part.nu_leq[u]),
             })
         shift = target - int(s[u])
         if shift > 0:

@@ -7,6 +7,7 @@ from conftest import (
     compute_intervals,
     conditional_sum_profile,
     loose_profile,
+    partition_of,
     small_run_profile,
 )
 from trisum import analytic, wstage
@@ -255,7 +256,7 @@ def craft_partition(g: Graph, core_ids, fw_pairs=(), fu_pairs=()) -> Partition:
     fu = np.zeros(g.edge_count, dtype=bool)
     for p in fu_pairs:
         fu[pair_to_id[tuple(sorted(p))]] = True
-    return Partition(graph=g, in_u=in_u, levels=levels, fw_mask=fw, fu_mask=fu)
+    return partition_of(g, loose_profile(), in_u, levels, fw, fu)
 
 
 def all_periphery_x(g: Graph, part: Partition, values: dict | float) -> XAssignment:
@@ -835,11 +836,9 @@ class TestApplyAdditions:
         in_u = np.arange(300) < 200
         levels = np.where(in_u, 0, -1).astype(np.int64)
         f = in_u[g.edges[:, 0]] ^ in_u[g.edges[:, 1]]
-        part = Partition(
-            graph=g, in_u=in_u, levels=levels,
-            fw_mask=f.copy(), fu_mask=np.zeros(g.edge_count, dtype=bool),
-        )
         profile = loose_profile(eps_len=0.5, eps_loc=0.35)
+        part = partition_of(g, profile, in_u, levels, f.copy(),
+                            np.zeros(g.edge_count, dtype=bool))
         rng = np.random.default_rng(3)
         x = XAssignment(
             x_vertex=np.where(in_u, np.nan, analytic.x_from_uniform(rng.random(300))),
