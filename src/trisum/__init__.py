@@ -8,7 +8,6 @@ vertices, plus an exact small-graph oracle and a verification harness.
 from .analytic import (
     breakpoints,
     dbar_closed_form,
-    dbar_quadrature,
     r_value,
 )
 from .graph import (

@@ -61,31 +61,6 @@ def dbar_closed_form() -> float:
 DBAR = dbar_closed_form()
 
 
-def composite_simpson(f, a: float, b: float, panels: int) -> float:
-    """Composite Simpson rule with an even number of panels (rounded up)."""
-    panels = max(2, panels + (panels % 2))
-    xs = np.linspace(a, b, panels + 1)
-    ys = np.asarray([f(x) for x in xs], dtype=np.float64)
-    h = (b - a) / panels
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
-
-
-def dbar_quadrature(subintervals: int) -> float:
-    """Quadrature of r * g, split at the knots where r is not smooth."""
-    if subintervals < 1:
-        raise ValueError("subintervals must be >= 1")
-    pieces = [(X_LO, A1), (A1, A2), (A2, X_MID)]
-    span = X_MID - X_LO
-    total = 0.0
-    for a, b in pieces:
-        panels = max(2, int(round(subintervals * (b - a) / span)))
-        total += composite_simpson(
-            lambda x: float(_r_unchecked(np.asarray([x]))[0]) / (LOG_RATIO * x),
-            a, b, panels,
-        )
-    return total
-
-
 def weight3_threshold(x_big) -> np.ndarray:
     """Deterministic cutoff for the smaller endpoint: hi / ratio**((x-1)/2)."""
     x_big = np.asarray(x_big, dtype=np.float64)
@@ -123,6 +98,5 @@ def constants_report(r_grid: int = 9) -> dict:
         "a1": A1,
         "a2": A2,
         "dbar_closed_form": DBAR,
-        "dbar_quadrature": dbar_quadrature(10_000),
         "r_table": [{"x": float(x), "r": r_value(float(x))} for x in xs],
     }

@@ -5,20 +5,20 @@ line, with blank lines and '#' comment lines allowed. A file is read as
 one string, so that a decoding error names its position in the whole
 file, and handled in blocks of about BLOCK_ROWS lines.
 
-Reading a block (`read_rows`): in an ASCII block without the separators
-'\\x1c'-'\\x1f', comment lines are found from the positions of '#' and of
-the line breaks in the block's bytes, and cut out with one slice each,
-without a loop over the data lines; any other block has them taken out
-line by line (`split_comments`). The rest is checked by byte
-comparisons: only digits and C whitespace, no token of over 18 digits,
-and 0 or k tokens on every line, counted from the token starts before
-each line break. It is then converted by one `np.fromstring` call, in C.
-`int_rows` gives up (returns None) on any other block (signs, '_',
-non-ASCII digits, the separators '\\x1c'-'\\x1f', tokens of over 18
-digits); the caller then reads that block line by line with `int()`,
-which is where every error message is worded. So the accepted syntax,
-and every error with its message and line number, are those of a
-line-by-line reader.
+Reading a block (`read_rows`): a block with a line break of
+`str.splitlines()` other than bytes 10 to 13 ('\\x1c'-'\\x1e', '\\x85',
+'\\u2028', '\\u2029') is left to the caller. Any other block is read from
+its UTF-8 bytes: comment lines, of any text, are found from the positions
+of '#' and of the line breaks, and cut out with one slice each, without a
+loop over the data lines. The rest is checked by byte comparisons: only
+digits and C whitespace, no token of over 18 digits, and 0 or k tokens on
+every line, counted from the token starts before each line break. It is
+then converted by one `np.fromstring` call, in C. `_int_rows` gives up
+(returns None) on any other block (signs, '_', non-ASCII bytes, '\\x1f',
+tokens of over 18 digits); the caller then reads that block line by line
+with `int()`, which is where every error message is worded. So the
+accepted syntax, and every error with its message and line number, are
+those of a line-by-line reader.
 
 Writing a block (`format_rows`): each value's digits are looked up, four
 at a time, in a table of the 10,000 four-digit groups, in one array pass
@@ -40,11 +40,8 @@ BLOCK_CHARS = 8 * BLOCK_ROWS
 
 # Every line break of str.splitlines(); "\r\n" counts once.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# The ASCII separators, which str.strip() takes for whitespace and
-# str.splitlines() (bar the last) for line breaks. An ASCII block without
-# them breaks lines only at "\n", "\r", "\x0b" and "\x0c", bytes 10 to 13,
-# and has no whitespace but these, " " and "\t".
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# The line breaks of str.splitlines() other than bytes 10 to 13.
+_OTHER_BREAKS = _LINE_BREAKS[4:]
 # Digits of the longest token converted: 10**18 - 1 < 2**63 - 1, while
 # np.fromstring saturates a longer, larger token without an error.
 MAX_DIGITS = 18
@@ -99,36 +96,24 @@ class LineNumbers:
 
 
 def read_rows(block: str, k: int) -> tuple[np.ndarray | None, list[str]]:
-    """The `int_rows` of a block with its '#' lines taken out, and those
-    lines, stripped."""
-    if not block.isascii() or any(c in block for c in _SEPARATORS):
-        body, comments = split_comments(block)
-        return int_rows(body, k), comments
-    data, comments = block.encode("ascii"), []
+    """The `_int_rows` of a block's UTF-8 bytes with its '#' lines cut
+    out, and those lines, stripped; (None, []) for a block with a line
+    break other than bytes 10 to 13."""
+    if any(c in block for c in _OTHER_BREAKS):
+        return None, []
+    data, comments = block.encode("utf-8", "surrogatepass"), []
     if "#" in block:
-        body, comments = _cut_comments(block, np.frombuffer(data, dtype=np.uint8))
-        data = body.encode("ascii")
+        data, comments = _cut_comments(data)
     return _int_rows(data, k), comments
 
 
-def split_comments(block: str) -> tuple[str, list[str]]:
-    """The block without its '#' lines, and those lines, stripped."""
-    if "#" not in block:
-        return block, []
-    kept, comments = [], []
-    for line in block.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            comments.append(stripped)
-        else:
-            kept.append(line)
-    return "\n".join(kept), comments
-
-
-def _cut_comments(block: str, raw: np.ndarray) -> tuple[str, list[str]]:
-    """`split_comments` of an ASCII block without the separators, whose
-    bytes are raw; a comment line is left blank, not removed, which
-    changes no line's tokens."""
+def _cut_comments(data: bytes) -> tuple[bytes, list[str]]:
+    """The block's bytes without its '#' lines, and those lines, decoded
+    and stripped; a comment line is left blank, not removed, which changes
+    no line's tokens. A '#' or a byte 10 to 13 is never part of a
+    multi-byte UTF-8 sequence, so these are the '#' lines of the block's
+    `str.splitlines()` when it has no other line break."""
+    raw = np.frombuffer(data, dtype=np.uint8)
     hashes = np.flatnonzero(raw == ord("#"))
     # A '#' opens a comment line when it follows a line break, or the
     # block's start, and at most spaces and tabs.
@@ -139,11 +124,11 @@ def _cut_comments(block: str, raw: np.ndarray) -> tuple[str, list[str]]:
     ends = breaks[np.searchsorted(breaks, opens)]
     pieces, comments, start = [], [], 0
     for first, end in zip(opens.tolist(), ends.tolist()):
-        pieces.append(block[start:first])
-        comments.append(block[first:end].strip())
+        pieces.append(data[start:first])
+        comments.append(data[first:end].decode("utf-8", "surrogatepass").strip())
         start = end
-    pieces.append(block[start:])
-    return "".join(pieces), comments
+    pieces.append(data[start:])
+    return b"".join(pieces), comments
 
 
 def _is_break(raw: np.ndarray) -> np.ndarray:
@@ -151,19 +136,12 @@ def _is_break(raw: np.ndarray) -> np.ndarray:
     return (raw - np.uint8(10)) < 4
 
 
-def int_rows(block: str, k: int) -> np.ndarray | None:
-    """The (rows, k) int64 array of a block of digits and whitespace whose
-    every line is blank or holds k tokens of at most MAX_DIGITS digits;
-    None otherwise."""
-    if not block.isascii():
-        return None
-    return _int_rows(block.encode("ascii"), k)
-
-
 def _int_rows(data: bytes, k: int) -> np.ndarray | None:
-    """`int_rows` of an ASCII block's bytes: they are checked with array
-    operations, so each line's token count is checked without a loop, and
-    then converted whole in C."""
+    """The (rows, k) int64 array of a block's bytes when they are digits
+    and C whitespace only, and every line is blank or holds k tokens of at
+    most MAX_DIGITS digits; None otherwise. The bytes are checked with
+    array operations, so each line's token count is checked without a
+    loop, and then converted whole in C."""
     raw = np.frombuffer(data, dtype=np.uint8)
     digit = (raw - np.uint8(ord("0"))) < 10
     # C whitespace: "\t", "\n", "\x0b", "\x0c", "\r" and " "

@@ -360,9 +360,12 @@ def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:
         "nu_leq": in_u & (nu > profile.frac_nu * d_u),
     }
     fail = {name: np.flatnonzero(bad).tolist() for name, bad in families.items()}
+    # -1: an edge in both F_W and F_U; -2: F_W and the stored F' do not
+    # make up F; -3: an F_U edge outside the audit's own F'.
     fail["structure"] = [code for code, bad in (
         (-1, (part.fw_mask & part.fu_mask).any()),
-        (-2, not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask))) if bad]
+        (-2, not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask)),
+        (-3, (part.fu_mask & ~fp_mask).any())) if bad]
     # Every later stage reads the stored fields in place of its own count.
     fail["derived_counts"] = differ((part.d_u, part.d_w, part.d_fw, part.d_fprime, part.d_fu),
                                     (d_u, d_w, d_fw, d_fp, d_fu))

@@ -120,6 +120,29 @@ def partition_of(
 # Reference oracles shared by several test modules.
 
 
+def composite_simpson(f, a: float, b: float, panels: int) -> float:
+    """Composite Simpson rule with an even number of panels (rounded up)."""
+    panels = max(2, panels + (panels % 2))
+    xs = np.linspace(a, b, panels + 1)
+    ys = np.asarray([f(x) for x in xs], dtype=np.float64)
+    h = (b - a) / panels
+    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+
+
+def dbar_quadrature(subintervals: int) -> float:
+    """Quadrature of r * g over [1.1, 1.9], split at the knots where r is
+    not smooth: the numeric check of `analytic.DBAR`, the closed form."""
+    pieces = [(analytic.X_LO, analytic.A1), (analytic.A1, analytic.A2),
+              (analytic.A2, analytic.X_MID)]
+    span = analytic.X_MID - analytic.X_LO
+    total = 0.0
+    for a, b in pieces:
+        panels = max(2, int(round(subintervals * (b - a) / span)))
+        total += composite_simpson(
+            lambda x: analytic.r_value(x) / (analytic.LOG_RATIO * x), a, b, panels)
+    return total
+
+
 def incident_edges(g: Graph, v: int) -> np.ndarray:
     """The ids of v's edges, in the order of `g.neighbors(v)`."""
     indptr, _, eids = g._csr

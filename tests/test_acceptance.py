@@ -16,6 +16,7 @@ from conftest import (
     blow_up_is_locally_irregular,
     compute_intervals,
     conditional_sum_profile,
+    dbar_quadrature,
     simulate_weight3_frequency,
     weight3_probability,
 )
@@ -56,7 +57,7 @@ def test_criterion_1_analytic_constants():
 
     dbar = analytic.dbar_closed_form()
     assert 0.023 < dbar < 0.024
-    quad = analytic.dbar_quadrature(10_000)
+    quad = dbar_quadrature(10_000)
     assert abs(dbar - quad) < 1e-9
     assert abs(analytic.A1 - ref_a1) < 1e-9
     assert abs(analytic.A2 - ref_a2) < 1e-9

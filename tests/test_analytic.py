@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simulate_weight3_frequency, weight3_probability
+from conftest import (
+    composite_simpson,
+    dbar_quadrature,
+    simulate_weight3_frequency,
+    weight3_probability,
+)
 from trisum import analytic
 
 # Frozen 50-digit reference values (mpmath), rounded to double precision.
@@ -57,17 +62,17 @@ class TestConstants:
         assert abs(d - REF_DBAR) < 1e-9
 
     def test_dbar_quadrature_matches_closed_form(self):
-        q = analytic.dbar_quadrature(10_000)
+        q = dbar_quadrature(10_000)
         assert abs(q - analytic.DBAR) < 1e-9
         assert q > 0
 
     def test_quadrature_first_branch_identity(self):
         # below the first knot r is exactly (x - 1) / 2
-        lhs = analytic.composite_simpson(
+        lhs = composite_simpson(
             lambda x: analytic.r_value(x) * density_g(x),
             analytic.X_LO, analytic.A1, 2000,
         )
-        rhs = analytic.composite_simpson(
+        rhs = composite_simpson(
             lambda x: (x - 1) / 2 * density_g(x),
             analytic.X_LO, analytic.A1, 2000,
         )
@@ -80,7 +85,7 @@ class TestDensity:
         assert abs(density_g(2.9) - REF_G_AT_29) < 1e-12
 
     def test_normalization(self):
-        total = analytic.composite_simpson(
+        total = composite_simpson(
             density_g, analytic.X_LO, analytic.X_HI, 4000
         )
         assert abs(total - 1.0) < 1e-10
@@ -251,5 +256,5 @@ def test_probability_identity_property(alpha):
 def test_constants_report_shape():
     report = analytic.constants_report(5)
     assert 0.023 < report["dbar_closed_form"] < 0.024
-    assert abs(report["dbar_closed_form"] - report["dbar_quadrature"]) < 1e-9
+    assert abs(report["dbar_closed_form"] - dbar_quadrature(10_000)) < 1e-9
     assert len(report["r_table"]) == 5

@@ -108,7 +108,13 @@ def reference_split_comments(block: str) -> tuple[str, list[str]]:
 
 def reference_read_rows(block: str, k: int):
     body, comments = reference_split_comments(block)
-    return blockio.int_rows(body, k), comments
+    return int_rows(body, k), comments
+
+
+def int_rows(block: str, k: int):
+    """`blockio._int_rows` of a block's UTF-8 bytes, as `read_rows` hands
+    them over."""
+    return blockio._int_rows(block.encode("utf-8", "surrogatepass"), k)
 
 
 def reference_gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -461,6 +467,9 @@ _ODD_LINE = st.sampled_from([
     # lines, and with BLOCK_CHARS small whole blocks, of only whitespace or
     # only comments
     " \t\x0b\x0c ", "\x0b", "# only\n# comments",
+    # comments of any text, some holding a line break beyond bytes 10 to
+    # 13, and lone surrogates, which no UTF-8 decoder gives
+    "# caf\xe9", "# a\x85b", "# a\u2028b", "\ud800 2", "# \ud800",
 ])
 _OTHER_LINE = st.one_of(
     st.sampled_from(["", "   ", "# a comment", "#", "# vertices: 12", "\t# x"]),
@@ -582,7 +591,7 @@ class TestIntRows:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_block_without_tokens(self, block, k):
         # np.fromstring alone reads such a block as [0]
-        rows = blockio.int_rows(block, k)
+        rows = int_rows(block, k)
         assert rows.shape == (0, k) and rows.dtype == np.int64
 
     @pytest.mark.parametrize("token, taken", [
@@ -595,7 +604,7 @@ class TestIntRows:
         (str(2**70), False),
     ])
     def test_token_length(self, token, taken):
-        rows = blockio.int_rows(f"0 {token}\n1 2\n", 2)
+        rows = int_rows(f"0 {token}\n1 2\n", 2)
         if taken:
             assert rows.tolist() == [[0, int(token)], [1, 2]]
         else:
@@ -607,7 +616,7 @@ class TestIntRows:
         "1 2\n3\n", "1 2 3\n",
     ])
     def test_other_blocks_go_to_the_line_scan(self, block):
-        assert blockio.int_rows(block, 2) is None
+        assert int_rows(block, 2) is None
 
     def test_full_block_matches_int(self):
         rng = np.random.default_rng(11)
@@ -619,7 +628,7 @@ class TestIntRows:
         block = "".join(
             f"{a}{s0}{b}{s1}{c}{end}"
             for (a, b, c), (s0, s1), end in zip(values.tolist(), seps, ends))
-        got = blockio.int_rows(block, 3)
+        got = int_rows(block, 3)
         want = np.array(list(map(int, block.split())), dtype=np.int64).reshape(-1, 3)
         assert got.shape == (rows, 3) and np.array_equal(got, want)
 
@@ -689,12 +698,13 @@ class TestFormatRows:
         assert back.dtype == np.int64 and np.array_equal(back, rows)
 
 
-# Lines of a block for the comment tests: rows, blanks, and comments at
-# any indent, with every line break of an ASCII block.
+# Lines of a block for the comment tests: rows, blanks, and comments of
+# any text at any indent, with every line break of bytes 10 to 13.
 _BLOCK_LINE = st.one_of(
     st.sampled_from(["0 1", "12 3", "7  8", "\t4\t5 ", "", " ", "\t"]),
     st.sampled_from(["#", "# vertices: 5", "  # x", "\t# y  ", " \t#z#", "#\t",
-                     "# 0 1", "0 1 # tail", "1 #2", "x # y"]),
+                     "# 0 1", "0 1 # tail", "1 #2", "x # y", "# caf\xe9 \u2603\xa0",
+                     "\t# \ud800\x1f"]),
 )
 _BLOCK_END = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c"])
 
@@ -717,45 +727,73 @@ def same_read(got, want) -> bool:
 
 
 class TestReadRows:
-    @pytest.mark.parametrize("block", [
-        "# vertices: 4\n0 1\n2 3\n",
-        "0 1\n# middle\n2 3\n",
-        "0 1\n2 3\n# end",
-        "0 1\n2 3\n# end\n",
-        "  # x\n0 1\n\t# y\n",
-        "# a\r\n0 1\r\n# b\r\n2 3",
-        "0 1\x0b# a\x0c2 3\x0c# b\x0b",
-        "0 1\r# a\r2 3",
-        "#\n#\n",
-        "0 1 # tail\n",
-        "0 1\n1 #2\n",
-        "# vertices: 3\x1f\n0 1\n",
-        "\x1f# x\n0 1\n",
-        "# a\x1c0 1\n",
-        "# caf\xe9\n0 1\n",
-        "0 1\n2 3",
+    # scanned: the block is left to the line scan, as one with a line break
+    # beyond bytes 10 to 13, or one whose '#' line the array pass does not
+    # see as a comment ("\x1f" before the '#'), is
+    @pytest.mark.parametrize("block, scanned", [
+        ("# vertices: 4\n0 1\n2 3\n", False),
+        ("0 1\n# middle\n2 3\n", False),
+        ("0 1\n2 3\n# end", False),
+        ("0 1\n2 3\n# end\n", False),
+        ("  # x\n0 1\n\t# y\n", False),
+        ("# a\r\n0 1\r\n# b\r\n2 3", False),
+        ("0 1\x0b# a\x0c2 3\x0c# b\x0b", False),
+        ("0 1\r# a\r2 3", False),
+        ("#\n#\n", False),
+        ("0 1 # tail\n", False),
+        ("0 1\n1 #2\n", False),
+        ("# vertices: 3\x1f\n0 1\n", False),
+        ("\x1f# x\n0 1\n", True),
+        ("# a\x1c0 1\n", True),
+        ("# caf\xe9\n0 1\n", False),
+        ("0 1\n2 3", False),
+        ("# a\x85b\n0 1\n", True),
+        ("# a\u2028b\n0 1\n", True),
+        ("# \ud800\n0 1\n", False),
+        ("0 1\n\ud800 2\n", False),
     ], ids=["header", "middle", "end-no-break", "end", "indented", "crlf",
             "vt-ff", "cr", "only-comments", "trailing-hash", "hash-in-row",
             "unit-separator-in-comment", "unit-separator-before-hash",
-            "file-separator", "non-ascii-comment", "no-comment"])
+            "file-separator", "non-ascii-comment", "no-comment",
+            "next-line-in-comment", "line-separator-in-comment",
+            "surrogate-in-comment", "surrogate-in-row"])
     @pytest.mark.parametrize("k", [2, 3])
-    def test_matches_reference(self, block, k):
-        assert same_read(blockio.read_rows(block, k), reference_read_rows(block, k))
+    def test_matches_reference(self, block, scanned, k):
+        want = (None, []) if scanned else reference_read_rows(block, k)
+        assert same_read(blockio.read_rows(block, k), want)
+        assert outcome(parse_edge_list, block) == outcome(reference_parse_edge_list, block)
 
     @settings(max_examples=400, deadline=None)
     @given(commented_blocks(), st.sampled_from([1, 2, 3]))
     def test_matches_reference_on_drawn_blocks(self, block, k):
         assert same_read(blockio.read_rows(block, k), reference_read_rows(block, k))
 
-    def test_header_block_has_no_line_loop(self, monkeypatch):
-        # the header comment of a written edge list is cut out from the
-        # block's bytes; split_comments, the line loop, is never called
+    def assert_read_in_one_pass(self, monkeypatch, header):
+        # every block of a written edge list, its header comments too, is
+        # read by the array pass: the line scan is never called, and every
+        # comment is cut out of the block's bytes
         g = gen_gnp(300, 0.5, seed=6)
-        text = format_edge_list(g)
-        monkeypatch.setattr(blockio, "split_comments", None)
+        text = header + format_edge_list(g)
+        cut = []
+        cut_comments = blockio._cut_comments
+
+        def recorded(data):
+            body, comments = cut_comments(data)
+            cut.extend(comments)
+            return body, comments
+
+        monkeypatch.setattr(graph_module, "_scan_edge_lines", None)
+        monkeypatch.setattr(blockio, "_cut_comments", recorded)
         back = parse_edge_list(text)
         assert back.vertex_count == g.vertex_count
         assert np.array_equal(back.edges, g.edges)
+        assert cut == [c for c in text.splitlines() if c.startswith("#")]
+
+    def test_header_block_has_no_line_loop(self, monkeypatch):
+        self.assert_read_in_one_pass(monkeypatch, "")
+
+    def test_non_ascii_header_block_has_no_line_loop(self, monkeypatch):
+        self.assert_read_in_one_pass(monkeypatch, "# graphe de Jos\xe9\n")
 
 
 @st.composite

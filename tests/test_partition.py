@@ -76,12 +76,16 @@ def reference_audit_partition(part: Partition, profile: ProfileConstants) -> dic
         fail["structure"].append(-1)
     if not np.array_equal(part.fw_mask | part.fprime_mask, part.f_mask):
         fail["structure"].append(-2)
+    fu_outside_fprime = False
     for e, (a, b) in enumerate(g.edges.tolist()):
         boundary = bool(in_u[a] != in_u[b])
         want = (boundary, boundary and not part.fw_mask[e],
                 bool(in_u[a] and in_u[b]), bool(not in_u[a] and not in_u[b]))
         if want != (part.f_mask[e], part.fprime_mask[e], part.eu_mask[e], part.eprime_mask[e]):
             fail["derived_masks"].append(e)
+        fu_outside_fprime |= bool(part.fu_mask[e]) and not want[1]
+    if fu_outside_fprime:
+        fail["structure"].append(-3)
     bad_ids = set()
     for stored, side in ((part.u_ids, True), (part.w_ids, False)):
         listed = [int(v) for v in stored]
@@ -360,6 +364,22 @@ class TestNuLeq:
         all_sets = part.nu_leq
         for u in part.u_ids:
             assert counts[u] == len(all_sets[u]) == reference_n_u_leq(int(u), part, profile).size
+
+    # A sparse core and F_W: the J intervals are narrow enough that some
+    # core neighbours of comparable degree do not overlap.
+    J_FILTER = dataclasses.replace(DESK, p_u=0.1, eps_u=0.05, p_fw=0.1, eps_fw=0.5,
+                                   eps_fu=0.1, m_levels=8, min_delta_ratio=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_j_filter_on_sampled_partitions(self, seed):
+        g = gen_gnp(300, 0.5, seed=0)
+        part = sample_partition(g, self.J_FILTER, seed=seed)
+        assert audit_partition(part, self.J_FILTER).ok
+        for u in part.u_ids.tolist():
+            assert part.nu_leq[u].tolist() == reference_n_u_leq(u, part, self.J_FILTER).tolist()
+        assert all(part.nu_leq[w].size == 0 for w in part.w_ids)
+        comparable = _degree_comparable_pairs(g, part.in_u)[0].size
+        assert sum(len(members) for members in part.nu_leq) < comparable
 
 
 class TestInitialOuterWeights:
@@ -723,6 +743,21 @@ def test_audit_checks_every_stored_set(field_name, change, sampled_250):
     assert not report.ok
     assert report.failures == reference_audit_partition(part, profile)
     assert {name: bad for name, bad in report.failures.items() if bad} == want
+
+
+@pytest.mark.parametrize("inside", ["eu_mask", "eprime_mask"])
+def test_audit_checks_fu_inside_fprime(inside, sampled_250):
+    # one edge inside U, or inside W, put into F_U with d_FU counted to
+    # match: every count agrees, and only F_U <= F' catches it
+    part, profile = sampled_250
+    e = int(np.flatnonzero(getattr(part, inside))[0])
+    fu_mask = part.fu_mask.copy()
+    fu_mask[e] = True
+    part = partition_of(part.graph, profile, part.in_u, part.levels, part.fw_mask, fu_mask)
+    report = audit_partition(part, profile)
+    assert not report.ok
+    assert report.failures == reference_audit_partition(part, profile)
+    assert {name: bad for name, bad in report.failures.items() if bad} == {"structure": [-3]}
 
 
 @pytest.mark.parametrize("field_name, delta", [("d_fprime", 7), ("d_u", -7)])

@@ -229,6 +229,9 @@ _ODD_FIELDS = st.sampled_from([
     # lines, and with BLOCK_CHARS small whole blocks, of only whitespace or
     # only comments
     " \t\x0b\x0c ", "\x0b", "# only\n# comments",
+    # comments of any text, some holding a line break beyond bytes 10 to
+    # 13, and lone surrogates, which no UTF-8 decoder gives
+    "# caf\xe9", "# a\x85b", "# a\u2028b", "0 \ud800 1", "# \ud800",
 ])
 
 
