@@ -25,10 +25,24 @@ from .rng import TAG_GNP, TAG_REGULAR, stream
 # stray huge id in an input file from asking for gigabytes.
 MAX_VERTICES = 2**24
 
+# Largest count 2m of edge ends a graph's CSR may hold: its neighbour and
+# edge ids are int32. A graph at the bound has 2^30 edges, whose edge list
+# alone takes 16 GiB.
+MAX_INCIDENCES = 2**31 - 1
+
+# Pair coins `gen_gnp` draws per call into its keep mask, and ids
+# `gather` casts per step.
+COIN_CHUNK = 2**16
+GATHER_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph. No self-loops, no parallel edges."""
+    """Immutable simple graph. No self-loops, no parallel edges.
+
+    `edges` and `neighbors(v)` are int64; the CSR behind `neighbors`
+    stores its per-incidence ids as int32 (see `_csr`).
+    """
 
     vertex_count: int
     edges: np.ndarray  # shape (m, 2), int64, u < v, sorted, unique
@@ -86,28 +100,53 @@ class Graph:
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, neighbor ids, incident edge ids), neighbors ascending."""
+        """(indptr, neighbor ids, incident edge ids), neighbors ascending.
+
+        indptr is int64; the two per-incidence arrays are int32, 8 bytes
+        per edge each. A graph with more than MAX_INCIDENCES edge ends is
+        refused, so no id wraps.
+        """
         n, m = self.vertex_count, self.edge_count
-        src = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        dst = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        # The edges are sorted, so the reversed half lists each source's
-        # smaller neighbours ascending and the forward half its larger ones:
-        # a stable sort by source alone (a radix sort on small ids) gives
-        # the (src, dst) order. Entry i is edge i % m.
-        order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
+        if 2 * m > MAX_INCIDENCES:
+            raise ValueError(f"{2 * m} edge ends do not fit the CSR's 32-bit ids; "
+                             f"at most MAX_INCIDENCES = {MAX_INCIDENCES}")
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst[order], order % m if m else order
+        np.cumsum(self.degrees, out=indptr[1:])
+        # Entry k of the flat edge list is an end of edge k // 2, whose
+        # other end is entry k ^ 1. The edges are sorted, so each vertex's
+        # entries come smaller neighbours first, each half ascending: a
+        # stable sort by vertex alone (a radix sort on small ids) gives
+        # the CSR order.
+        ends = self.edges.ravel().astype(np.min_scalar_type(n - 1))
+        order = np.argsort(ends, kind="stable")
+        order ^= 1
+        nbrs = np.empty(2 * m, dtype=np.int32)
+        nbrs[:] = ends[order]
+        del ends
+        order >>= 1
+        return indptr, nbrs, order.astype(np.int32)
 
     def neighbors(self, v: int) -> np.ndarray:
+        """v's neighbours, ascending, as a fresh int64 array."""
         indptr, nbrs, _ = self._csr
-        return nbrs[indptr[v]:indptr[v + 1]]
+        return nbrs[indptr[v]:indptr[v + 1]].astype(np.int64)
 
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.vertex_count else 0
 
     def min_degree(self) -> int:
         return int(self.degrees.min()) if self.vertex_count else 0
+
+
+def gather(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """values[ids] for the CSR's int32 ids, cast to intp a chunk at a time:
+    numpy indexes with a non-intp array several times slower, and casting
+    the whole array at once would take 8 bytes an id."""
+    out = np.empty(ids.size, dtype=values.dtype)
+    for start in range(0, ids.size, GATHER_CHUNK):
+        part = ids[start:start + GATHER_CHUNK]
+        out[start:start + part.size] = values[part.astype(np.intp)]
+    return out
 
 
 def group_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
@@ -229,17 +268,39 @@ def _check_generated_size(n: int) -> None:
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
-    """Binomial random graph: each pair kept independently with probability p."""
+    """Binomial random graph: each pair kept independently with probability p.
+
+    Pair k of the row-major upper triangle gets the k-th coin of the
+    stream. The coins are drawn COIN_CHUNK at a time into one keep mask,
+    a byte per pair, and the kept pairs are decoded chunk by chunk
+    straight into the edge rows.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_generated_size(n)
     rng = stream(seed, TAG_GNP)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    pairs = np.stack([iu[keep], ju[keep]], axis=1)
-    return Graph(vertex_count=n, edges=pairs.astype(np.int64))
+    pairs = n * (n - 1) // 2
+    keep = np.empty(pairs, dtype=bool)
+    coins = np.empty(min(pairs, COIN_CHUNK))
+    for start in range(0, pairs, COIN_CHUNK):
+        part = coins[:min(COIN_CHUNK, pairs - start)]
+        rng.random(out=part)
+        np.less(part, p, out=keep[start:start + part.size])
+    # Row i of the triangle holds the pairs (i, i + 1), ..., (i, n - 1).
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    edges = np.empty((int(np.count_nonzero(keep)), 2), dtype=np.int64)
+    filled = 0
+    for start in range(0, pairs, COIN_CHUNK):
+        k = np.flatnonzero(keep[start:start + COIN_CHUNK]) + start
+        i = np.searchsorted(row_start, k, side="right") - 1
+        rows_out = edges[filled:filled + k.size]
+        rows_out[:, 0] = i
+        rows_out[:, 1] = k - row_start[i] + i + 1
+        filled += k.size
+    return Graph(vertex_count=n, edges=edges)
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -263,12 +324,16 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     rng = stream(seed, TAG_REGULAR)
 
     placed = np.empty(0, dtype=np.int64)   # keys lo * n + hi of the edges, ascending
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    # The shuffle's draws depend on the stub count alone, not on its dtype.
+    stubs = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), d)
     while stubs.size:
         rng.shuffle(stubs)
         lo = np.minimum(stubs[0::2], stubs[1::2])
         hi = np.maximum(stubs[0::2], stubs[1::2])
-        keys, first = _first_of_keys(lo * n + hi)
+        keys = lo.astype(np.int64)
+        keys *= n
+        keys += hi
+        keys, first = _first_of_keys(keys)
         ok = (lo[first] != hi[first]) & ~_in_sorted(placed, keys)
         fresh = np.zeros(lo.size, dtype=bool)
         fresh[first[ok]] = True
@@ -281,7 +346,9 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
             for a, b in stubs.reshape(-1, 2).tolist():
                 placed = _switch_in(placed, a, b, n, rng)
             break
-    return Graph(vertex_count=n, edges=np.stack([placed // n, placed % n], axis=1))
+    edges = np.empty((placed.size, 2), dtype=np.int64)
+    np.divmod(placed, n, out=(edges[:, 0], edges[:, 1]))
+    return Graph(vertex_count=n, edges=edges)
 
 
 def _switch_in(placed: np.ndarray, a: int, b: int, n: int, rng) -> np.ndarray:
@@ -343,6 +410,6 @@ def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def _has_suitable(placed: np.ndarray, stubs: np.ndarray, n: int) -> bool:
     """Whether any pair of remaining stubs can still form a fresh edge."""
-    uniq = np.unique(stubs)
+    uniq = np.unique(stubs).astype(np.int64)
     i, j = np.triu_indices(uniq.size, k=1)
     return not _in_sorted(placed, uniq[i] * n + uniq[j]).all()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RetryExhausted
-from .graph import Graph, group_by, pair_keys
+from .graph import Graph, gather, group_by, pair_keys
 from .profiles import ProfileConstants, check_partition_feasible
 from .rng import TAG_PART_FU, TAG_PART_FW, TAG_PART_LEVEL, TAG_PART_U, stream
 
@@ -62,7 +62,7 @@ def _count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
     counts = np.zeros(g.vertex_count, dtype=np.int64)
     indptr, nbrs, _ = g._csr
     rows = np.flatnonzero(indptr[1:] > indptr[:-1])
-    counts[rows] = np.add.reduceat(vmask[nbrs], indptr[rows], dtype=np.int64)
+    counts[rows] = np.add.reduceat(gather(vmask, nbrs), indptr[rows], dtype=np.int64)
     return counts
 
 
@@ -307,7 +307,7 @@ def audit_partition(part: Partition, profile: ProfileConstants) -> AuditReport:
         # A segment sum over each vertex's incident-edge row; empty rows
         # are left out, since reduceat would give them the next row's entry.
         counts = np.zeros(n, dtype=np.int64)
-        counts[rows] = np.add.reduceat(emask[eids], indptr[rows], dtype=np.int64)
+        counts[rows] = np.add.reduceat(gather(emask, eids), indptr[rows], dtype=np.int64)
         return counts
 
     def differ(stored: tuple, own: tuple) -> list[int]:

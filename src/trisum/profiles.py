@@ -150,6 +150,23 @@ def feasibility_floor(profile: ProfileConstants) -> float:
     return max(floors)
 
 
+def level_separation(profile: ProfileConstants) -> float:
+    """(m - 1) * S, the widest level gap in units of the J interval's width.
+
+    Two core vertices of about the same degree d, at levels i and j, have
+    J intervals that can miss only when |i - j| * d_F' / m exceeds
+    2 eps_fu * d + d_FW + 2 d_U. With the expected counts d_U = p_u d,
+    d_FW = p_fw (1 - p_u) d and d_F' = (1 - p_fw)(1 - p_u) d, some pair can
+    miss only when (m - 1) * S > 1, where
+    S = (1 - p_fw)(1 - p_u) / (m (2 eps_fu + p_fw (1 - p_u) + 2 p_u)).
+    Below 1 the levels separate no comparable pair: the J filter of
+    N^U_<= drops nothing in expectation.
+    """
+    p_u, p_fw, m = profile.p_u, profile.p_fw, profile.m_levels
+    width = 2.0 * profile.eps_fu + p_fw * (1.0 - p_u) + 2.0 * p_u
+    return (m - 1) * (1.0 - p_fw) * (1.0 - p_u) / (m * width)
+
+
 def check_partition_feasible(g: Graph, profile: ProfileConstants) -> None:
     delta = g.min_degree()
     floor = feasibility_floor(profile)

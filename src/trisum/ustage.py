@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InternalInconsistency, NoValidPair
-from .graph import group_by
+from .graph import gather, group_by
 from .partition import Partition, j_interval_bounds
 from .profiles import RESERVED_RESIDUES, ProfileConstants
 from .weighting import MAX_WEIGHT, EdgeWeighting, weighted_degrees
@@ -45,7 +45,7 @@ def build_estar(part: Partition) -> np.ndarray:
     # puts each auxiliary slot after its vertex's real ones. Auxiliary
     # edges get the ids m, m + 1, ...
     _, _, eids = g._csr
-    eids = eids[part.eu_mask[eids]]
+    eids = eids[gather(part.eu_mask, eids)]
     deg = np.where(part.in_u, part.d_u, 0)
     src = np.repeat(np.arange(n), deg)
     odd = np.flatnonzero(deg % 2 == 1)

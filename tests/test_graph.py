@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from trisum import graph as graph_module
 from trisum.errors import EdgeListParseError, SelfLoopError
 from trisum.graph import (
     Graph,
+    gather,
     gen_gnp,
     gen_random_regular,
     group_by,
@@ -18,7 +20,7 @@ from trisum.graph import (
     parse_edge_list,
     write_edge_list,
 )
-from trisum.rng import TAG_REGULAR, stream
+from trisum.rng import TAG_GNP, TAG_REGULAR, stream
 
 _VERTEX_HINT = "# vertices:"
 
@@ -117,6 +119,16 @@ def int_rows(block: str, k: int):
     return blockio._int_rows(block.encode("utf-8", "surrogatepass"), k)
 
 
+def reference_gen_gnp(n: int, p: float, seed: int) -> Graph:
+    """gen_gnp as it was: one coin per pair of `triu_indices`, drawn in one
+    call. The oracle for the chunked draw and the decoded rows."""
+    rng = stream(seed, TAG_GNP)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.shape[0]) < p
+    pairs = np.stack([iu[keep], ju[keep]], axis=1)
+    return Graph(vertex_count=n, edges=pairs.astype(np.int64))
+
+
 def reference_gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Pair-by-pair stub pairing, the oracle for the array rounds: clashing
     pairs are re-paired until none remain, and at a dead end each leftover
@@ -195,6 +207,12 @@ def outcome(parse, text: str):
     except Exception as exc:  # compared, never swallowed: see callers
         return ("error", type(exc), str(exc), getattr(exc, "line_no", None))
     return ("graph", g.vertex_count, g.edges.dtype, g.edges.tolist())
+
+
+def assert_same_graph(g: Graph, ref: Graph) -> None:
+    assert g.vertex_count == ref.vertex_count
+    assert g.edges.dtype == ref.edges.dtype and g.edges.shape == ref.edges.shape
+    assert np.array_equal(g.edges, ref.edges)
 
 
 class TestParseEdgeList:
@@ -306,12 +324,7 @@ class TestGenerators:
         (40, 39, 3), (1000, 3, 9), (300, 150, 4), (10, 3, 26),
     ])
     def test_regular_matches_reference(self, n, d, seed):
-        g = gen_random_regular(n, d, seed)
-        ref = reference_gen_random_regular(n, d, seed)
-        assert g.vertex_count == ref.vertex_count
-        assert g.edges.dtype == ref.edges.dtype
-        assert g.edges.shape == ref.edges.shape
-        assert np.array_equal(g.edges, ref.edges)
+        assert_same_graph(gen_random_regular(n, d, seed), reference_gen_random_regular(n, d, seed))
 
     def test_regular_dead_end_switches_in_first_pass(self, monkeypatch):
         # (10, 3, 26), also a case above, reaches a dead end: the leftover
@@ -369,6 +382,34 @@ def test_regular_simple_sorted_and_deterministic(spec, seed):
     assert (g.degrees == d).all()
     assert np.array_equal(g.edges, gen_random_regular(n, d, seed).edges)
     assert np.array_equal(g.edges, reference_gen_random_regular(n, d, seed).edges)
+
+
+@st.composite
+def gnp_specs(draw):
+    """(n, coin chunk or None for the default): small n under tiny chunks,
+    and n from 360 to 800, whose 64,620-319,600 pairs span one to five
+    chunks of the default 65,536 coins."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, 30)), draw(st.sampled_from([None, 1, 2, 7, 64]))
+    return draw(st.integers(360, 800)), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(gnp_specs(), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_gnp_matches_reference(spec, p, seed):
+    n, chunk = spec
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(graph_module, "COIN_CHUNK", chunk)
+        g = gen_gnp(n, p, seed)
+    assert_same_graph(g, reference_gen_gnp(n, p, seed))
+
+
+def test_gnp_reference_instance_matches_reference():
+    # G(1500, 0.5), gen-seed 42: 1,124,250 pairs, 18 chunks of coins
+    g = gen_gnp(1500, 0.5, 42)
+    assert g.edge_count == 562_411
+    assert_same_graph(g, reference_gen_gnp(1500, 0.5, 42))
 
 
 @settings(max_examples=40, deadline=None)
@@ -805,9 +846,14 @@ def graphs(draw):
 
 
 def assert_csr_matches_reference(g: Graph) -> None:
-    for got, want in zip(g._csr, reference_csr(g), strict=True):
-        assert got.dtype == want.dtype
+    # indptr is int64; neighbour and edge ids are stored as int32, and
+    # neighbors() hands them out as int64
+    dtypes = (np.int64, np.int32, np.int32)
+    for got, want, dtype in zip(g._csr, reference_csr(g), dtypes, strict=True):
+        assert got.dtype == dtype
         assert np.array_equal(got, want)
+    for v in range(g.vertex_count):
+        assert g.neighbors(v).dtype == np.int64
 
 
 class TestCsr:
@@ -828,6 +874,61 @@ class TestCsr:
             "complete-regular", "gnp-400"])
     def test_matches_reference_on_edge_cases(self, make):
         assert_csr_matches_reference(make())
+
+    def test_more_edge_ends_than_int32_ids_refused(self, monkeypatch):
+        assert graph_module.MAX_INCIDENCES == np.iinfo(np.int32).max
+        monkeypatch.setattr(graph_module, "MAX_INCIDENCES", 870)
+        assert_csr_matches_reference(gen_gnp(30, 1.0, seed=1))   # 435 edges
+        monkeypatch.setattr(graph_module, "MAX_INCIDENCES", 869)
+        g = gen_gnp(30, 1.0, seed=1)
+        with pytest.raises(ValueError, match="870 edge ends .* MAX_INCIDENCES = 869"):
+            g.neighbors(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 200), st.sampled_from([1, 3, 64, None]), st.data())
+def test_gather_matches_fancy_index(n, size, chunk, data):
+    values = np.arange(n, dtype=np.int64) * 7 - 3
+    ids = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+                   dtype=np.int32)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(graph_module, "GATHER_CHUNK", chunk)
+        got = gather(values, ids)
+        assert got.dtype == values.dtype and got.tolist() == values[ids].tolist()
+        assert gather(values > 0, ids).tolist() == (values > 0)[ids].tolist()
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes tracemalloc saw above the start of the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """tracemalloc peaks in bytes per edge, on G(1500, 0.5), gen-seed 0
+    (560,925 edges): int64 temporaries of the pair or incidence count
+    would exceed them."""
+
+    def test_gnp_peak(self):
+        g, peak = traced_peak(lambda: gen_gnp(1500, 0.5, 0))
+        assert g.edge_count == 560_925
+        assert peak <= 40 * g.edge_count
+
+    def test_csr_build_peak_and_size(self):
+        g = gen_gnp(1500, 0.5, 0)
+        (_, nbrs, eids), peak = traced_peak(lambda: g._csr)
+        assert peak <= 40 * g.edge_count
+        assert nbrs.nbytes + eids.nbytes == 16 * g.edge_count
 
 
 class TestEdgeListRoundTrip:

@@ -23,7 +23,7 @@ from trisum.partition import (
     sample_partition,
 )
 from trisum import pipeline
-from trisum.profiles import DESK, FULL_SCALE, ProfileConstants
+from trisum.profiles import DESK, FULL_SCALE, ProfileConstants, level_separation
 
 
 def complete_graph(n: int) -> Graph:
@@ -380,6 +380,18 @@ class TestNuLeq:
         assert all(part.nu_leq[w].size == 0 for w in part.w_ids)
         comparable = _degree_comparable_pairs(g, part.in_u)[0].size
         assert sum(len(members) for members in part.nu_leq) < comparable
+        # the closed form says the levels can separate a pair
+        assert level_separation(self.J_FILTER) > 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_desk_levels_drop_no_pair(self, seed):
+        # under DESK the closed form says no pair can be separated, and the
+        # J filter keeps every degree-comparable pair
+        assert level_separation(DESK) < 1
+        g = gen_gnp(300, 0.5, seed=0)
+        part = sample_partition(g, DESK, seed=seed)
+        comparable = _degree_comparable_pairs(g, part.in_u)[0].size
+        assert sum(len(members) for members in part.nu_leq) == comparable > 0
 
 
 class TestInitialOuterWeights:

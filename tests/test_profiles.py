@@ -14,6 +14,7 @@ from trisum.profiles import (
     ProfileConstants,
     check_partition_feasible,
     feasibility_floor,
+    level_separation,
     load_profile,
     profile_from_dict,
     resolve_profile,
@@ -159,3 +160,14 @@ def test_check_feasible_small_graph_rejected():
 def test_check_feasible_accepts_large_degree():
     g = gen_gnp(300, 0.5, seed=1)
     check_partition_feasible(g, DESK)
+
+
+def test_level_separation_values():
+    # DESK's levels separate nothing: the widest level gap is 3 % of a J
+    # interval's width. The sparse-core profile of the partition tests'
+    # J filter case separates the outer levels.
+    assert level_separation(DESK) == pytest.approx(0.0341, abs=1e-4)
+    sparse = replace(DESK, p_u=0.1, eps_u=0.05, p_fw=0.1, eps_fw=0.5, eps_fu=0.1,
+                     m_levels=8, min_delta_ratio=0.0)
+    assert level_separation(sparse) == pytest.approx(1.446, abs=1e-3)
+    assert level_separation(replace(sparse, eps_fu=0.06)) == pytest.approx(1.729, abs=1e-3)
