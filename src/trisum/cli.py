@@ -18,7 +18,7 @@ from .errors import TrisumError
 from .graph import Graph, gen_gnp, gen_random_regular, load_edge_list, write_edge_list
 from .oracle import check_sweep_args, min_k_weighting, sweep_small_graphs
 from .pipeline import run as run_pipeline
-from .profiles import ProfileConstants, check_field_names, resolve_profile
+from .profiles import ProfileConstants, check_field_names, level_separation, resolve_profile
 from .weighting import conflicts, load_weighting, write_weighting
 
 EXPERIMENT_COLUMNS = [
@@ -111,6 +111,15 @@ def _parse_overrides(pairs: tuple[str, ...]) -> dict:
     return out
 
 
+def _profile_options(command):
+    """The --profile and --set options, for `resolve_profile`."""
+    command = click.option("--set", "overrides", multiple=True,
+                           help="Profile override key=value; repeatable")(command)
+    return click.option("--profile", "profile_spec", default=None,
+                        help="Builtin name (desk, full-scale) or JSON file "
+                             "[default: desk]")(command)
+
+
 @click.group(cls=_JsonErrorGroup)
 def main():
     """Vertex-distinguishing 3-weightings: construction, oracle, verification."""
@@ -133,10 +142,7 @@ def gen(gen: str, seed: int, out: Path):
 @click.option("--gen", "gen_spec", default=None, help="Generator spec instead of a file")
 @click.option("--gen-seed", type=int, default=0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--profile", "profile_spec", default=None,
-              help="Builtin name (desk, full-scale) or JSON file [default: desk]")
-@click.option("--set", "overrides", multiple=True,
-              help="Profile override key=value; repeatable")
+@_profile_options
 @click.option("--out", required=True, help="Output prefix for .weights.txt / .outcome.json")
 def weight(graph, gen_spec, gen_seed, seed, profile_spec, overrides, out):
     """Run the full construction; write the weighting only on verified success."""
@@ -218,9 +224,14 @@ def oracle(ctx, graph, k_max, sweep, n_max, out):
 @main.command()
 @click.option("--grid", type=int, default=9, show_default=True,
               help="Number of r-table points")
-def constants(grid):
-    """Print the analytic constants report as JSON."""
-    click.echo(json.dumps(analytic.constants_report(grid), indent=2))
+@_profile_options
+def constants(grid, profile_spec, overrides):
+    """Print the analytic constants report and the profile's level
+    separation as JSON."""
+    profile = resolve_profile(profile_spec, _parse_overrides(overrides))
+    report = analytic.constants_report(grid)
+    report["level_separation"] = level_separation(profile)
+    click.echo(json.dumps(report, indent=2))
 
 
 def _experiment_task(args: tuple) -> dict:
@@ -242,8 +253,7 @@ def _experiment_task(args: tuple) -> dict:
 @click.option("--gen-seed", type=int, default=0, show_default=True)
 @click.option("--seeds", default="0,1,2,3,4,5,6,7,8,9",
               show_default=True, help="Comma-separated distinct run seeds")
-@click.option("--profile", "profile_spec", default=None)
-@click.option("--set", "overrides", multiple=True)
+@_profile_options
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 def experiment(graph, gen_spec, gen_seed, seeds, profile_spec, overrides, out, jobs):

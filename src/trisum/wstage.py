@@ -24,6 +24,7 @@ from .errors import (
     NoValidAddition,
     RetryExhausted,
 )
+from .graph import gather
 from .partition import Partition, initial_outer_weights
 from .profiles import RESERVED_RESIDUES, ProfileConstants
 from .rng import TAG_W_EDGE, TAG_W_VERTEX, stream
@@ -259,16 +260,18 @@ def apply_additions(
     if short.size:
         v = int(short[0])
         raise InsufficientFW(v, int(additions[v]), int(part.d_fw[v]))
-    fw_ids = np.flatnonzero(part.fw_mask)
-    e = g.edges[fw_ids]
-    w_end = np.where(part.in_u[e[:, 0]], e[:, 1], e[:, 0])
-    # F_W ids by periphery end, ascending within each vertex; an edge's
-    # rank is its position among its vertex's edges.
-    order = np.argsort(w_end, kind="stable")
-    ends = w_end[order]
-    rank = np.arange(ends.size) - np.searchsorted(ends, ends)
-    pick = rank < additions[ends]
-    raised = fw_ids[order[pick]]
+    # The W end's incidence of each F_W edge is the one whose neighbour is
+    # in U. In CSR order these come grouped by W vertex, each group by
+    # ascending edge id, so an edge's rank is its place in its group.
+    indptr, nbrs, eids = g._csr
+    at_w = gather(part.fw_mask, eids)
+    at_w &= gather(part.in_u, nbrs)
+    at_w = np.flatnonzero(at_w)
+    group = np.searchsorted(at_w, indptr)
+    count = np.diff(group)
+    ends = np.repeat(np.arange(g.vertex_count), count)
+    pick = np.arange(at_w.size) - np.repeat(group[:-1], count) < additions[ends]
+    raised = eids[at_w[pick]].astype(np.intp)
     not_one = ends[pick][omega1[raised] != 1]
     if not_one.size:
         raise InternalInconsistency(

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trisum import analytic
 from trisum.errors import WeightingCoverageError
-from trisum.graph import Graph, _edge_list_text, group_by
+from trisum.graph import Graph, _edge_list_text, gen_gnp, group_by
 from trisum.partition import (
     Partition,
     _comparable_pairs,
@@ -17,21 +18,52 @@ from trisum.partition import (
     _count_neighbors_in,
     _degree_comparable_pairs,
     j_interval_bounds,
+    sample_partition,
 )
-from trisum.profiles import ProfileConstants
+from trisum.profiles import DESK, ProfileConstants
 from trisum.weighting import EdgeWeighting, _weighting_text
 from trisum.wstage import (
     IntervalData,
     XAssignment,
     _interval_lengths,
     _place_intervals,
+    choose_sum_additions,
     near_location_center,
+    resample_w_stage,
 )
 
 
 # Every line break of str.splitlines(), "\r\n" included.
 LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
              "\u2028", "\u2029"]
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes tracemalloc saw above the start of the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def desk_reference_stages():
+    """The reference G(1500, 0.5), gen-seed 42, with its CSR built, a DESK
+    partition (run seed 5), and that run's w-stage weighting and sum
+    additions: (partition, omega1, additions)."""
+    g = gen_gnp(1500, 0.5, 42)
+    g._csr
+    part = sample_partition(g, DESK, 5)
+    state = resample_w_stage(part, DESK, 5)
+    additions = choose_sum_additions(part, state.s1, state.intervals, DESK)
+    return part, state.omega1, additions
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from trisum import graph as graph_module
 from trisum import oracle as oracle_module
 from trisum.cli import EXPERIMENT_COLUMNS, _parse_overrides, main
 from trisum.graph import Graph, gen_gnp, load_edge_list
+from trisum.profiles import FULL_SCALE, level_separation
 from trisum.weighting import EdgeWeighting
 
 
@@ -40,6 +41,21 @@ class TestConstants:
         assert abs(data["dbar_closed_form"] - dbar_quadrature(10_000)) < 1e-9
         assert len(data["r_table"]) == 5
         assert data["a1"] < data["a2"] < 1.9
+        assert round(data["level_separation"], 4) == 0.0341
+
+    def test_level_separation_of_a_profile(self, runner):
+        # --profile and --set pick the profile as on `weight`
+        args = ["constants", "--profile", "full-scale", "--set", "m_levels=8"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        expected = level_separation(dataclasses.replace(FULL_SCALE, m_levels=8))
+        assert json.loads(result.output)["level_separation"] == expected
+        assert expected != level_separation(FULL_SCALE)
+
+    def test_bad_override_is_one_json_error(self, runner):
+        result = runner.invoke(main, ["constants", "--set", "no_such_field=1"])
+        assert result.exit_code == 2
+        assert "no_such_field" in json.loads(result.stderr)["error"]
 
 
 class TestGen:

@@ -1,12 +1,11 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LINE_ENDS, format_edge_list
+from conftest import LINE_ENDS, format_edge_list, traced_peak
 from trisum import blockio
 from trisum import graph as graph_module
 from trisum.errors import EdgeListParseError, SelfLoopError
@@ -897,21 +896,6 @@ def test_gather_matches_fancy_index(n, size, chunk, data):
         got = gather(values, ids)
         assert got.dtype == values.dtype and got.tolist() == values[ids].tolist()
         assert gather(values > 0, ids).tolist() == (values > 0)[ids].tolist()
-
-
-def traced_peak(fn):
-    """fn() and the peak bytes tracemalloc saw above the start of the call."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestMemoryBudget:

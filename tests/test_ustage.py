@@ -5,11 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import j_interval, loose_profile, partition_of, small_run_profile
+from conftest import (
+    j_interval,
+    loose_profile,
+    partition_of,
+    small_run_profile,
+    traced_peak,
+)
 from trisum.errors import InternalInconsistency, NoValidPair
 from trisum.graph import Graph, gen_gnp, gen_random_regular, group_by
 from trisum.partition import Partition, initial_outer_weights, sample_partition
-from trisum.ustage import build_estar, estar_bounds_hold, final_verify, finalize_u
+from trisum.ustage import (
+    LEFTOVER_SPACING,
+    WALK_SPACING,
+    build_estar,
+    estar_bounds_hold,
+    final_verify,
+    finalize_u,
+    trail_labels,
+)
 from trisum.weighting import EdgeWeighting, weighted_degrees
 
 
@@ -359,8 +373,11 @@ class TestBuildEstar:
         assert not np.isin(owner, [3, 4]).any()
 
     def test_long_cycle_needs_every_round(self):
-        # a single cycle is one trail of 4097 slots each way: too few
-        # pointer-jumping rounds would leave some vertex owning 0 or 2 edges
+        # a single cycle is one trail of 4097 slots each way. One way meets
+        # a walk start only at slot 0, so one walker covers all of it; the
+        # other way holds 256 starts, whose segments need all 8 rounds of
+        # pointer jumping. A walk cut short or a round too few would leave
+        # some vertex owning 0 or 2 edges
         n = 4097
         g = Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
         part = craft_partition(g, range(n))
@@ -381,6 +398,83 @@ class TestBuildEstar:
         first = build_estar(part)
         assert np.array_equal(first, build_estar(part))
         assert first.dtype == np.int64
+
+
+class TestMemoryBudget:
+    def test_build_estar_peak(self, desk_reference_stages):
+        # at most 40 B per edge: the sorting build peaked at 41.5
+        part, _, _ = desk_reference_stages
+        _, peak = traced_peak(lambda: build_estar(part))
+        assert peak <= 40 * part.graph.edge_count
+
+
+def reference_trail_labels(hop: np.ndarray) -> list[int]:
+    """The smallest element of each element's cycle, by a plain walk of
+    each cycle from its smallest element."""
+    label: list[int | None] = [None] * hop.size
+    for i in range(hop.size):
+        j = i
+        while label[j] is None:
+            label[j] = i
+            j = int(hop[j])
+    return label
+
+
+def cycles_permutation(order, cuts) -> np.ndarray:
+    """The permutation whose cycles are the runs of `order` between cuts,
+    each run followed in its given order."""
+    hop = np.empty(len(order), dtype=np.int64)
+    bounds = [0, *sorted(c for c in set(cuts) if 0 < c < len(order)), len(order)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = order[lo:hi]
+        for a, b in zip(run, run[1:] + run[:1]):
+            hop[a] = b
+    return hop
+
+
+@st.composite
+def permutations_by_cycles(draw):
+    """Permutations of up to 400 elements, from one cycle to all fixed
+    points, so that some cycles miss every walk start."""
+    n = draw(st.integers(0, 400))
+    order = draw(st.permutations(range(n)))
+    cuts = draw(st.lists(st.integers(0, n), max_size=n))
+    return cycles_permutation(order, cuts)
+
+
+class TestTrailLabels:
+    def check(self, hop):
+        label = trail_labels(hop)
+        assert label.dtype == np.int64
+        assert label.tolist() == reference_trail_labels(hop)
+
+    def test_no_elements(self):
+        self.check(np.zeros(0, dtype=np.int64))
+
+    def test_all_fixed_points(self):
+        self.check(np.arange(100))
+
+    def test_one_long_cycle(self):
+        order = np.random.default_rng(0).permutation(10**4).tolist()
+        self.check(cycles_permutation(order, []))
+
+    def test_cycle_without_a_start(self):
+        # slots 1-15 form one cycle, which holds no multiple of WALK_SPACING
+        assert WALK_SPACING == 16
+        self.check(cycles_permutation([0] + list(range(15, 0, -1)), [1]))
+
+    def test_leftovers_three_levels_deep(self):
+        # the first walk starts only at 0; renumbered from 1, the leftover
+        # starts at 1, 5, 9 and 13, and then at 2, 7 and 12, so the cycle
+        # (14 15) is labelled by the fourth walk
+        assert (WALK_SPACING, LEFTOVER_SPACING) == (16, 4)
+        order = [0, 1, 5, 9, 13, 2, 3, 4, 6, 7, 8, 10, 11, 12, 14, 15]
+        self.check(cycles_permutation(order, [1, 2, 3, 4, 5, 8, 11, 14]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(permutations_by_cycles())
+    def test_matches_plain_walk(self, hop):
+        self.check(hop)
 
 
 class TestFinalizeU:

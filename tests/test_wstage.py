@@ -9,6 +9,7 @@ from conftest import (
     loose_profile,
     partition_of,
     small_run_profile,
+    traced_peak,
 )
 from trisum import analytic, wstage
 from trisum.errors import (
@@ -787,6 +788,18 @@ class TestApplyAdditionsAgainstReference:
             f"F_W edges at {v} were not all at weight 1 before the raise",
         )
         assert got == apply_outcome(reference_apply_additions, part, omega1, adds)
+
+
+class TestMemoryBudget:
+    def test_apply_additions_peak(self, desk_reference_stages):
+        # at most 20 B per edge, the new weighting's 8 included: the
+        # sorting ranks peaked at 34.2
+        part, omega1, additions = desk_reference_stages
+        omega2, peak = traced_peak(lambda: apply_additions(part, omega1, additions))
+        w_ids = part.w_ids
+        assert (additions[w_ids] <= part.d_fw[w_ids]).all()
+        assert (omega2.weights != omega1).sum() == additions.sum() > 0
+        assert peak <= 20 * part.graph.edge_count
 
 
 class TestApplyAdditions:
