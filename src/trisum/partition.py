@@ -66,6 +66,17 @@ def _count_neighbors_in(g: Graph, vmask: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _row_entries(g: Graph, vs: np.ndarray) -> np.ndarray:
+    """The neighbours of the given vertices: their CSR rows, concatenated,
+    as intp ids."""
+    indptr, nbrs, _ = g._csr
+    starts = indptr[vs]
+    sizes = indptr[vs + 1] - starts
+    pos = np.arange(int(sizes.sum()))
+    pos += np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return nbrs[pos].astype(np.intp)
+
+
 def _count_incident(g: Graph, emask: np.ndarray) -> np.ndarray:
     """Per-vertex count of incident edges inside the masked edge set."""
     n = g.vertex_count
@@ -124,12 +135,13 @@ def initial_outer_weights(part: Partition) -> np.ndarray:
     """Initial weights on edges outside W: 2 on E(U) and F_U, 1 on F minus F_U.
 
     Edges inside W are left at 0; they are weighted by the periphery stage.
+    F_U lies inside F, so the weight is 2 on E(U), plus 1 on F, plus 1 on
+    F_U: summed over the masks' bytes, then widened.
     """
-    w = np.zeros(part.graph.edge_count, dtype=np.int64)
-    w[part.eu_mask] = 2
-    w[part.fu_mask] = 2
-    w[part.f_mask & ~part.fu_mask] = 1
-    return w
+    w = part.eu_mask.view(np.int8) * np.int8(2)
+    w += part.f_mask.view(np.int8)
+    w += part.fu_mask.view(np.int8)
+    return w.astype(np.int64)
 
 
 @dataclass
@@ -190,21 +202,23 @@ def _sample_once(
         if not viol.any():
             break
         scope = np.zeros(n, dtype=bool)
-        scope[e0[viol[e1]]] = True
-        scope[e1[viol[e0]]] = True
+        scope[_row_entries(g, np.flatnonzero(viol))] = True
         fresh = stream(seed, TAG_PART_U, attempt, rnd).random(n) < profile.p_u
         in_u[scope] = fresh[scope]
         resampled += int(scope.sum())
     _end_stage(stats, "u", rnd, resampled, viol)
 
     d_w = deg - d_u
-    f_mask = in_u[e0] ^ in_u[e1]
+    u0, u1 = in_u[e0], in_u[e1]
+    f_mask, eu_mask, eprime_mask = u0 ^ u1, u0 & u1, ~(u0 | u1)
+    del u0, u1
 
     # Stage 2: F_W coins under both degree constraints.
-    coins = stream(seed, TAG_PART_FW, attempt, 0).random(m)
+    # An edge's coin is read only as "below p_fw", so only that is kept.
+    keep = stream(seed, TAG_PART_FW, attempt, 0).random(m) < profile.p_fw
     resampled = 0
     for rnd in range(1, STAGE_ROUNDS + 1):
-        fw_mask = f_mask & (coins < profile.p_fw)
+        fw_mask = f_mask & keep
         d_fw = _count_incident(g, fw_mask)
         viol_w = ~in_u & (np.abs(d_fw - profile.p_fw * d_u) > profile.eps_fw * d_u)
         viol_u = in_u & (np.abs(d_fw - profile.p_fw * d_w) > profile.eps_fw * d_w)
@@ -213,27 +227,32 @@ def _sample_once(
             break
         scope_e = f_mask & (viol[e0] | viol[e1])
         fresh = stream(seed, TAG_PART_FW, attempt, rnd).random(m)
-        coins[scope_e] = fresh[scope_e]
+        keep[scope_e] = fresh[scope_e] < profile.p_fw
         resampled += int(scope_e.sum())
     _end_stage(stats, "fw", rnd, resampled, viol)
 
     fprime_mask = f_mask & ~fw_mask
     d_fprime = _count_incident(g, fprime_mask)
 
-    # Stage 3: levels and F_U coins jointly.
+    # Stage 3: levels and F_U coins jointly. Only F' edges can join F_U,
+    # so their uniforms and ends are held over F' alone, by index into
+    # fp_ids.
     mlev = profile.m_levels
     levels = stream(seed, TAG_PART_LEVEL, attempt, 0).integers(0, mlev, size=n)
     levels[~in_u] = -1
-    unif = stream(seed, TAG_PART_FU, attempt, 0).random(m)
-    u_end = np.where(in_u[e0], e0, e1)
-    w_end = np.where(in_u[e0], e1, e0)
+    fp_ids = np.flatnonzero(fprime_mask)
+    unif = stream(seed, TAG_PART_FU, attempt, 0).random(m)[fp_ids]
+    f0, f1 = g.edges[fp_ids, 0], g.edges[fp_ids, 1]
+    u_end = np.where(in_u[f0], f0, f1)
+    w_end = np.where(in_u[f0], f1, f0)
+    del f0, f1
     mean_frac = (1.0 - 1.0 / mlev) / 2.0
     # Only the J intervals move with the levels; the candidate pairs do not.
     pairs = _degree_comparable_pairs(g, in_u)
     resampled = 0
     for rnd in range(1, STAGE_ROUNDS + 1):
-        fu_mask = fprime_mask & (unif < levels[u_end] / mlev)
-        d_fu = _count_incident(g, fu_mask)
+        in_fu = unif < levels[u_end] / mlev
+        d_fu = np.bincount(u_end[in_fu], minlength=n) + np.bincount(w_end[in_fu], minlength=n)
         viol_a4 = in_u & (
             np.abs(d_fu - (levels / mlev) * d_fprime) > profile.eps_fu * deg
         )
@@ -249,16 +268,18 @@ def _sample_once(
             break
         fresh_lv = stream(seed, TAG_PART_LEVEL, attempt, rnd).integers(0, mlev, size=n)
         levels[viol_levels] = fresh_lv[viol_levels]
-        scope_e = fprime_mask & (viol_levels[u_end] | viol_a5[w_end])
+        scope = np.flatnonzero(viol_levels[u_end] | viol_a5[w_end])
         fresh_u = stream(seed, TAG_PART_FU, attempt, rnd).random(m)
-        unif[scope_e] = fresh_u[scope_e]
-        resampled += int(scope_e.sum()) + int(viol_levels.sum())
+        unif[scope] = fresh_u[fp_ids[scope]]
+        resampled += scope.size + int(viol_levels.sum())
     _end_stage(stats, "fu", rnd, resampled, viol)
+    fu_mask = np.zeros(m, dtype=bool)
+    fu_mask[fp_ids[in_fu]] = True
 
     return Partition(
         graph=g, in_u=in_u, levels=levels, fw_mask=fw_mask, fu_mask=fu_mask,
         f_mask=f_mask, fprime_mask=fprime_mask,
-        eu_mask=in_u[e0] & in_u[e1], eprime_mask=~in_u[e0] & ~in_u[e1],
+        eu_mask=eu_mask, eprime_mask=eprime_mask,
         u_ids=np.flatnonzero(in_u), w_ids=np.flatnonzero(~in_u),
         d_u=d_u, d_w=d_w, d_fw=d_fw, d_fprime=d_fprime, d_fu=d_fu,
         nu_leq=group_by(hosts, members, n),

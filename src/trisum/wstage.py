@@ -28,7 +28,7 @@ from .graph import gather
 from .partition import Partition, initial_outer_weights
 from .profiles import RESERVED_RESIDUES, ProfileConstants
 from .rng import TAG_W_EDGE, TAG_W_VERTEX, stream
-from .weighting import EdgeWeighting, weighted_degrees
+from .weighting import EdgeWeighting
 
 
 @dataclass
@@ -119,22 +119,24 @@ def resample_w_stage(
     violations that no local redraw can repair; a run whose violator count
     stops improving for STALL_LIMIT rounds is abandoned early, and any run
     ends after ROUND_LIMIT rounds.
+
+    A round re-evaluates the weight rule and both occupancy tests only on
+    the inner edges whose inputs changed (every inner edge in round 1, then
+    those with an end among the last round's violators) and moves the sums
+    and occupancy counts by the difference.
     """
     g = part.graph
     n, m = g.vertex_count, g.edge_count
     w_mask = ~part.in_u
-    ep = part.eprime_mask
     # Everything but the inner weights depends only on the partition: the
-    # inner edges and their ends, the outer weights and their sums, the
+    # inner edges and their ends, the sums with every inner edge at 1, the
     # interval lengths, both checks' bounds, and which end of each inner
-    # edge is not larger in d_W.
-    ep_ids = np.flatnonzero(ep)
+    # edge is not larger in d_W. With every inner edge at 1, every edge
+    # weighs 1 but those in F_U and inside U, which weigh 2: the sums are
+    # deg + d_FU, plus d_U at core vertices, from the partition's counts.
+    ep_ids = np.flatnonzero(part.eprime_mask)
     a, b = g.edges[ep_ids, 0], g.edges[ep_ids, 1]
-    outer = initial_outer_weights(part)
-    # An inner edge weighs 1 or 3: the sums with every inner edge at 1,
-    # plus 2 at both ends of each edge that weighs 3.
-    outer[ep_ids] = 1
-    s_base = weighted_degrees(g, outer)
+    s1 = g.degrees + part.d_fu + np.where(part.in_u, part.d_u, 0)
     a_le_b = part.d_w[a] <= part.d_w[b]
     b_le_a = part.d_w[b] <= part.d_w[a]
     length = _interval_lengths(part, profile)
@@ -147,32 +149,44 @@ def resample_w_stage(
         stream(seed, TAG_W_VERTEX, rerun, 0).random(n)[ids]
     )
     x_edge = np.full(m, np.nan)
-    x_edge[ep] = stream(seed, TAG_W_EDGE, rerun, 0).random(m)[ep]
+    x_edge[ep_ids] = stream(seed, TAG_W_EDGE, rerun, 0).random(m)[ep_ids]
     x = XAssignment(x_vertex=x_vertex, x_edge=x_edge)
 
+    # Per inner edge: whether it weighs 3, which adds 2 to both ends' sums,
+    # and whether each end's s0 lies in the other end's interval, which
+    # adds 1 to the other end's occupancy if the end is not larger in d_W.
+    heavy = np.zeros(ep_ids.size, dtype=bool)
+    a_in_b = np.zeros(ep_ids.size, dtype=bool)
+    b_in_a = np.zeros(ep_ids.size, dtype=bool)
+    occ = np.zeros(n, dtype=np.int64)
+    changed = slice(None)
     resampled = 0
     best = None
     stalled = 0
     for rnd in range(1, ROUND_LIMIT + 1):
-        heavy = analytic.edge_weight3_mask(
-            x.x_vertex[a], x.x_vertex[b], x.x_edge[ep_ids]
+        ca, cb = a[changed], b[changed]
+        now = analytic.edge_weight3_mask(
+            x.x_vertex[ca], x.x_vertex[cb], x.x_edge[ep_ids[changed]]
         )
-        s1 = s_base + 2 * (
-            np.bincount(a[heavy], minlength=n) + np.bincount(b[heavy], minlength=n)
-        )
+        for ends in (ca, cb):
+            _move_counts(s1, ends, heavy[changed], now, 2)
+        heavy[changed] = now
         center = near_location_center(part, x)
         intervals = _place_intervals(part, length, center)
-        # Occupancy: W neighbours, not larger in d_W, whose s0 lies in I(v).
         s0, i0, i1 = intervals.s0, intervals.i0, intervals.i1
-        a_in_b = a_le_b & (s0[a] >= i0[b]) & (s0[a] < i1[b])
-        b_in_a = b_le_a & (s0[b] >= i0[a]) & (s0[b] < i1[a])
-        occ = np.bincount(b[a_in_b], minlength=n) + np.bincount(a[b_in_a], minlength=n)
+        now = a_le_b[changed] & (s0[ca] >= i0[cb]) & (s0[ca] < i1[cb])
+        _move_counts(occ, cb, a_in_b[changed], now)
+        a_in_b[changed] = now
+        now = b_le_a[changed] & (s0[cb] >= i0[ca]) & (s0[cb] < i1[ca])
+        _move_counts(occ, ca, b_in_a[changed], now)
+        b_in_a[changed] = now
         viol = w_mask & ((np.abs(s1 - center) > near_tol) | (occ > occ_bound))
         count = int(viol.sum())
         if not count:
-            outer[ep_ids] = np.where(heavy, 3, 1)
+            omega1 = initial_outer_weights(part)
+            omega1[ep_ids] = np.where(heavy, 3, 1)
             return WStageState(
-                x=x, omega1=outer, s1=s1, intervals=intervals,
+                x=x, omega1=omega1, s1=s1, intervals=intervals,
                 rounds=rnd, resampled=resampled,
             )
         if best is None or count < best:
@@ -187,13 +201,24 @@ def resample_w_stage(
             stream(seed, TAG_W_VERTEX, rerun, rnd).random(n)
         )
         x.x_vertex[viol] = fresh_x[viol]
-        scope_e = ep_ids[viol[a] | viol[b]]
+        changed = np.flatnonzero(viol[a] | viol[b])
+        scope_e = ep_ids[changed]
         fresh_e = stream(seed, TAG_W_EDGE, rerun, rnd).random(m)
         x.x_edge[scope_e] = fresh_e[scope_e]
         resampled += count
     raise RetryExhausted(
         "w-stage", np.flatnonzero(viol).tolist(), ROUND_LIMIT, resampled
     )
+
+
+def _move_counts(
+    counts: np.ndarray, ends: np.ndarray, was: np.ndarray, now: np.ndarray,
+    step: int = 1,
+) -> None:
+    """Move per-vertex counts from one state of some edges to the next:
+    an edge adds `step` at its end in `ends` where its state holds."""
+    counts -= step * np.bincount(ends[was], minlength=counts.size)
+    counts += step * np.bincount(ends[now], minlength=counts.size)
 
 
 def choose_sum_additions(

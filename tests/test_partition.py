@@ -5,9 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import incident_edges, j_interval, loose_profile, partition_of, small_run_profile
+from conftest import (
+    incident_edges,
+    j_interval,
+    loose_profile,
+    partition_of,
+    small_run_profile,
+    traced_peak,
+)
 from trisum.errors import InfeasibleProfile, RetryExhausted
-from trisum.graph import Graph, gen_gnp
+from trisum.graph import Graph, gen_gnp, gen_random_regular, group_by
 from trisum.partition import (
     Partition,
     SAMPLE_ATTEMPTS,
@@ -16,14 +23,24 @@ from trisum.partition import (
     _count_incident,
     _count_neighbors_in,
     _degree_comparable_pairs,
+    _end_stage,
     _sample_once,
     audit_partition,
     initial_outer_weights,
     j_interval_bounds,
     sample_partition,
 )
-from trisum import pipeline
+from trisum import partition, pipeline
 from trisum.profiles import DESK, FULL_SCALE, ProfileConstants, level_separation
+from trisum.rng import (
+    TAG_PART_FU,
+    TAG_PART_FW,
+    TAG_PART_LEVEL,
+    TAG_PART_U,
+    TAG_RESTART,
+    derive_seed,
+    stream,
+)
 
 
 def complete_graph(n: int) -> Graph:
@@ -815,3 +832,199 @@ def test_stages_only_read_derived_fields(monkeypatch):
         for name, value in arrays(part).items():
             assert len(value) == len(before[name]), name
             assert all(np.array_equal(a, b) for a, b in zip(value, before[name])), name
+
+
+# The sampler as it was, with m-wide F_W coins, F_U uniforms and edge ends,
+# and stage 1's scope from two gathers over the edge list: the reference
+# that `_sample_once` must match draw for draw.
+
+
+def reference_sample_once(
+    g: Graph, profile: ProfileConstants, seed: int, attempt: int,
+    stats: SampleStats,
+) -> Partition:
+    n, m = g.vertex_count, g.edge_count
+    deg = g.degrees
+    stats.rounds = {}
+    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+
+    # Stage 1: core memberships under the degree-concentration constraint.
+    in_u = stream(seed, TAG_PART_U, attempt, 0).random(n) < profile.p_u
+    resampled = 0
+    for rnd in range(1, partition.STAGE_ROUNDS + 1):
+        d_u = _count_neighbors_in(g, in_u)
+        viol = np.abs(d_u - profile.p_u * deg) > profile.eps_u * deg
+        if not viol.any():
+            break
+        scope = np.zeros(n, dtype=bool)
+        scope[e0[viol[e1]]] = True
+        scope[e1[viol[e0]]] = True
+        fresh = stream(seed, TAG_PART_U, attempt, rnd).random(n) < profile.p_u
+        in_u[scope] = fresh[scope]
+        resampled += int(scope.sum())
+    _end_stage(stats, "u", rnd, resampled, viol)
+
+    d_w = deg - d_u
+    f_mask = in_u[e0] ^ in_u[e1]
+
+    # Stage 2: F_W coins under both degree constraints.
+    coins = stream(seed, TAG_PART_FW, attempt, 0).random(m)
+    resampled = 0
+    for rnd in range(1, partition.STAGE_ROUNDS + 1):
+        fw_mask = f_mask & (coins < profile.p_fw)
+        d_fw = _count_incident(g, fw_mask)
+        viol_w = ~in_u & (np.abs(d_fw - profile.p_fw * d_u) > profile.eps_fw * d_u)
+        viol_u = in_u & (np.abs(d_fw - profile.p_fw * d_w) > profile.eps_fw * d_w)
+        viol = viol_w | viol_u
+        if not viol.any():
+            break
+        scope_e = f_mask & (viol[e0] | viol[e1])
+        fresh = stream(seed, TAG_PART_FW, attempt, rnd).random(m)
+        coins[scope_e] = fresh[scope_e]
+        resampled += int(scope_e.sum())
+    _end_stage(stats, "fw", rnd, resampled, viol)
+
+    fprime_mask = f_mask & ~fw_mask
+    d_fprime = _count_incident(g, fprime_mask)
+
+    # Stage 3: levels and F_U coins jointly.
+    mlev = profile.m_levels
+    levels = stream(seed, TAG_PART_LEVEL, attempt, 0).integers(0, mlev, size=n)
+    levels[~in_u] = -1
+    unif = stream(seed, TAG_PART_FU, attempt, 0).random(m)
+    u_end = np.where(in_u[e0], e0, e1)
+    w_end = np.where(in_u[e0], e1, e0)
+    mean_frac = (1.0 - 1.0 / mlev) / 2.0
+    # Only the J intervals move with the levels; the candidate pairs do not.
+    pairs = _degree_comparable_pairs(g, in_u)
+    resampled = 0
+    for rnd in range(1, partition.STAGE_ROUNDS + 1):
+        fu_mask = fprime_mask & (unif < levels[u_end] / mlev)
+        d_fu = _count_incident(g, fu_mask)
+        viol_a4 = in_u & (
+            np.abs(d_fu - (levels / mlev) * d_fprime) > profile.eps_fu * deg
+        )
+        viol_a5 = ~in_u & (
+            np.abs(d_fu - mean_frac * d_fprime) > profile.eps_fu * d_fprime
+        )
+        hosts, members = _comparable_pairs(pairs, deg, levels, d_fprime, d_fw, d_u, profile)
+        nu_counts = np.bincount(hosts, minlength=n)
+        viol_a6 = in_u & (nu_counts > profile.frac_nu * d_u)
+        viol_levels = viol_a4 | viol_a6
+        viol = viol_levels | viol_a5
+        if not viol.any():
+            break
+        fresh_lv = stream(seed, TAG_PART_LEVEL, attempt, rnd).integers(0, mlev, size=n)
+        levels[viol_levels] = fresh_lv[viol_levels]
+        scope_e = fprime_mask & (viol_levels[u_end] | viol_a5[w_end])
+        fresh_u = stream(seed, TAG_PART_FU, attempt, rnd).random(m)
+        unif[scope_e] = fresh_u[scope_e]
+        resampled += int(scope_e.sum()) + int(viol_levels.sum())
+    _end_stage(stats, "fu", rnd, resampled, viol)
+
+    return Partition(
+        graph=g, in_u=in_u, levels=levels, fw_mask=fw_mask, fu_mask=fu_mask,
+        f_mask=f_mask, fprime_mask=fprime_mask,
+        eu_mask=in_u[e0] & in_u[e1], eprime_mask=~in_u[e0] & ~in_u[e1],
+        u_ids=np.flatnonzero(in_u), w_ids=np.flatnonzero(~in_u),
+        d_u=d_u, d_w=d_w, d_fw=d_fw, d_fprime=d_fprime, d_fu=d_fu,
+        nu_leq=group_by(hosts, members, n),
+    )
+
+
+def sample_outcome(sample_once, g: Graph, profile: ProfileConstants, seed: int,
+                   attempt: int):
+    """What one sample gives: the dtype, shape and bytes of every field of
+    its partition (each N^U_<= list on its own), or its error's stage,
+    violators, rounds and redraws; and the stats it wrote."""
+    stats = SampleStats()
+    try:
+        part = sample_once(g, profile, seed, attempt, stats)
+    except RetryExhausted as exc:
+        got = (exc.stage, exc.violators, exc.rounds, exc.resampled)
+    else:
+        got = []
+        for f in dataclasses.fields(part):
+            if f.name == "graph":
+                continue
+            value = getattr(part, f.name)
+            got.append((f.name, [(a.dtype.str, a.shape, a.tobytes())
+                                 for a in (value if f.name == "nu_leq" else [value])]))
+    return got, stats.rounds, stats.resampled
+
+
+def assert_samples_match(g: Graph, profile: ProfileConstants, seed: int) -> list:
+    """Every sample `sample_partition` draws for this seed matches the
+    reference; returns the stage each failed sample ended in."""
+    failed = []
+    for attempt in range(SAMPLE_ATTEMPTS):
+        got = sample_outcome(_sample_once, g, profile, seed, attempt)
+        assert got == sample_outcome(reference_sample_once, g, profile, seed, attempt)
+        if isinstance(got[0], list):
+            break
+        failed.append(got[0][0])
+    return failed
+
+
+def attempt_seeds(seed: int) -> list[int]:
+    """The seeds of a run's attempts: its own, then its restart's."""
+    return [seed, derive_seed(seed, TAG_RESTART, 1)]
+
+
+@pytest.fixture(scope="module")
+def reference_instances():
+    return {"gnp": gen_gnp(1500, 0.5, 42), "reg": gen_random_regular(2000, 400, 7)}
+
+
+class TestSamplerAgainstReference:
+    @pytest.mark.parametrize("name", ["gnp", "reg"])
+    def test_reference_runs(self, reference_instances, name):
+        # the attempts of run seeds 0-2, restarts included
+        g = reference_instances[name]
+        for seed in range(3):
+            for attempt_seed in attempt_seeds(seed):
+                assert_samples_match(g, DESK, attempt_seed)
+
+    def test_stage_one_exhausts_its_rounds(self):
+        # reg:600,200, gen-seed 1: a violator's scope is its 200
+        # neighbours. Under today's generator every sample of run seed 4
+        # passes, after up to 68 stage-1 rounds; the first sample of run
+        # seed 8 ends in stage 1 after 80.
+        g = gen_random_regular(600, 200, 1)
+        failed = []
+        for seed in (4, 8):
+            for attempt_seed in attempt_seeds(seed):
+                failed += assert_samples_match(g, DESK, attempt_seed)
+        assert "partition:u" in failed
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 40), p=st.floats(0.3, 1.0), gen_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32 - 1), attempt=st.integers(0, SAMPLE_ATTEMPTS - 1),
+        rounds=st.sampled_from([1, 2, 4, 80]), p_u=st.floats(0.3, 0.7),
+        eps_u_share=st.floats(0.5, 0.99), p_fw=st.floats(0.1, 0.9),
+        eps_fw=st.floats(0.05, 1.5), m_levels=st.integers(2, 6), eps_fu=st.floats(0.05, 1.5),
+        frac_nu=st.just(1.0) | st.floats(0.05, 1.0),
+    )
+    def test_small_graphs(self, n, p, gen_seed, seed, attempt, rounds, p_u, eps_u_share,
+                          p_fw, eps_fw, m_levels, eps_fu, frac_nu):
+        # small round budgets too, so that samples end in every stage; about
+        # half of them pass
+        g = gen_gnp(n, p, gen_seed)
+        profile = loose_profile(p_u=p_u, eps_u=eps_u_share * p_u, p_fw=p_fw, eps_fw=eps_fw,
+                                m_levels=m_levels, eps_fu=eps_fu, frac_nu=frac_nu)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "STAGE_ROUNDS", rounds)
+            got = sample_outcome(_sample_once, g, profile, seed, attempt)
+            assert got == sample_outcome(reference_sample_once, g, profile, seed, attempt)
+
+
+class TestMemoryBudget:
+    def test_sample_partition_peak(self, desk_reference_stages):
+        # at most 40 B per edge: with m-wide F_W coins, F_U uniforms and
+        # edge ends the sampler peaked at 55.2
+        part, _, _ = desk_reference_stages
+        g = part.graph
+        again, peak = traced_peak(lambda: sample_partition(g, DESK, 5))
+        assert np.array_equal(again.fu_mask, part.fu_mask)
+        assert peak <= 40 * g.edge_count

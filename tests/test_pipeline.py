@@ -400,6 +400,11 @@ PINNED_BIPARTITE = {
     2: "88fc609b9d81cadb0efeb4f2e538782dc73ba320381c675c624e39c88d77bd6c",
 }
 PINNED_GNP_1500 = "d36067ccac72e425e125ab20d53c751a385571e667e831a1c2e1e0e093517047"
+# Run seed 1 on G(1500, 0.5), gen-seed 42, whose w-stage stalls and reruns
+# (6,014 redraws), and on reg:2000,400, gen-seed 7, whose w-stage takes 21
+# rounds: many rounds that recount only the inner edges a redraw touched.
+PINNED_GNP_1500_STALL = "a173e0e0aaa02a5fe7016d9a7b4e7b567d5ed8e9ce635a0acc96b2844b3e5304"
+PINNED_REG_2000 = "321a0ed6e792e9fff284cf60f167bd3237938b0b150f0943df5dc23241ade018"
 
 
 class TestPinnedFingerprints:
@@ -413,3 +418,13 @@ class TestPinnedFingerprints:
         outcome = run(gen_gnp(1500, 0.5, seed=42), DESK, seed=0)
         assert outcome.stage == "ustage"
         assert sha256(outcome) == PINNED_GNP_1500
+
+    def test_gnp_1500_stalled_wstage(self):
+        outcome = run(gen_gnp(1500, 0.5, seed=42), DESK, seed=1)
+        assert outcome.stage == "ustage" and outcome.stats["resamples_wstage"] == 6014
+        assert sha256(outcome) == PINNED_GNP_1500_STALL
+
+    def test_reg_2000(self):
+        outcome = run(gen_random_regular(2000, 400, seed=7), DESK, seed=1)
+        assert outcome.stage == "ustage" and outcome.stats["rounds"]["wstage"] == 21
+        assert sha256(outcome) == PINNED_REG_2000

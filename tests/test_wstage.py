@@ -21,7 +21,7 @@ from trisum.errors import (
 )
 from trisum.graph import Graph, gen_gnp, gen_random_regular, group_by
 from trisum.partition import Partition, initial_outer_weights, sample_partition
-from trisum.profiles import ProfileConstants
+from trisum.profiles import DESK, ProfileConstants
 from trisum.rng import TAG_W_EDGE, TAG_W_VERTEX, stream
 from trisum.weighting import EdgeWeighting, weighted_degrees
 from trisum.wstage import (
@@ -800,6 +800,14 @@ class TestMemoryBudget:
         assert (additions[w_ids] <= part.d_fw[w_ids]).all()
         assert (omega2.weights != omega1).sum() == additions.sum() > 0
         assert peak <= 20 * part.graph.edge_count
+
+    def test_resample_w_stage_peak(self, desk_reference_stages):
+        # at most 44 B per edge: with an m-wide outer weighting, its sums
+        # pass and a full recount each round the stage peaked at 48.3
+        part, omega1, _ = desk_reference_stages
+        state, peak = traced_peak(lambda: resample_w_stage(part, DESK, 5))
+        assert np.array_equal(state.omega1, omega1)
+        assert peak <= 44 * part.graph.edge_count
 
 
 class TestApplyAdditions:
